@@ -24,7 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..geometry import DominationCriterion, Rectangle, domination_bulk
+from ..geometry import (
+    DominationCriterion,
+    Rectangle,
+    domination_bulk,
+    max_dist_arrays,
+    min_dist_arrays,
+)
 from ..uncertain import DecompositionTree, UncertainDatabase, UncertainObject
 from .kernels import validate_partition_grids
 
@@ -32,6 +38,7 @@ __all__ = [
     "CompleteDominationResult",
     "complete_domination_scan",
     "complete_domination_filter",
+    "reference_min_dists",
     "pdom_bounds_from_partitions",
     "pdom_bounds_batch",
     "pdom_bounds",
@@ -42,6 +49,11 @@ __all__ = [
 # kernel; larger grids are processed in slabs along the target-partition axis
 _BATCH_BLOCK_ELEMENTS = 1 << 22
 
+# relative slack of the filter's distance pre-screen: objects whose MinDist to
+# the reference exceeds the target's MaxDist by less than this go to the exact
+# test, so rounding in the two distance computations can never flip a verdict
+_PRESCREEN_SLACK = 1e-9
+
 
 # ---------------------------------------------------------------------- #
 # complete domination
@@ -50,28 +62,62 @@ _BATCH_BLOCK_ELEMENTS = 1 << 22
 class CompleteDominationResult:
     """Outcome of the complete-domination filter step for one target object.
 
+    Every database object that is not excluded falls into exactly one of
+    three classes; the two small ones are stored, the third is derived.
+
     Attributes
     ----------
-    complete_count:
-        Number of database objects that dominate the target in *every*
-        possible world (``PDom = 1``).
+    complete_indices:
+        Database indices of the objects that dominate the target in *every*
+        possible world (``PDom = 1``), ascending.
     influence_indices:
         Database indices of the objects whose domination relation to the
-        target is uncertain (``0 < PDom < 1``); only these objects need to be
-        refined by IDCA.
-    pruned_indices:
-        Indices of objects that dominate the target in *no* possible world
-        (``PDom = 0``); they never contribute to the domination count.
+        target is uncertain (``0 < PDom < 1``), ascending; only these objects
+        need to be refined by IDCA.
+    excluded_indices:
+        The (valid) database positions that were left out of the
+        classification, ascending.
+    num_objects:
+        Size of the database that was classified.
     """
 
-    complete_count: int
+    complete_indices: np.ndarray
     influence_indices: np.ndarray
-    pruned_indices: np.ndarray
+    excluded_indices: np.ndarray
+    num_objects: int
+
+    @property
+    def complete_count(self) -> int:
+        """Number of objects that dominate the target in every possible world."""
+        return int(self.complete_indices.shape[0])
 
     @property
     def num_influence(self) -> int:
         """Number of influence objects."""
         return int(self.influence_indices.shape[0])
+
+    @property
+    def pruned_count(self) -> int:
+        """Number of objects that dominate the target in *no* possible world."""
+        return (
+            self.num_objects
+            - int(self.excluded_indices.shape[0])
+            - self.complete_count
+            - self.num_influence
+        )
+
+    @property
+    def pruned_indices(self) -> np.ndarray:
+        """Indices of the objects with ``PDom = 0``, ascending.
+
+        They never contribute to the domination count; at scale they are
+        almost the whole database, so the array is only built on request.
+        """
+        pruned = np.ones(self.num_objects, dtype=bool)
+        pruned[self.complete_indices] = False
+        pruned[self.influence_indices] = False
+        pruned[self.excluded_indices] = False
+        return np.flatnonzero(pruned)
 
 
 def complete_domination_scan(
@@ -104,6 +150,19 @@ def complete_domination_scan(
     return dominating, dominated
 
 
+def reference_min_dists(
+    database: UncertainDatabase, reference: UncertainObject, p: float = 2.0
+) -> np.ndarray:
+    """``MinDist(A, R)`` of every database object ``A`` to ``reference``.
+
+    The reference-distance profile :func:`complete_domination_filter`
+    pre-screens with.  It depends on the reference and the database snapshot
+    only, so callers filtering many targets against one reference compute it
+    once and pass it along.
+    """
+    return min_dist_arrays(database.mbrs(), reference.mbr.to_array(), p)
+
+
 def complete_domination_filter(
     database: UncertainDatabase,
     target: UncertainObject,
@@ -111,33 +170,49 @@ def complete_domination_filter(
     exclude_indices: Optional[set[int]] = None,
     p: float = 2.0,
     criterion: DominationCriterion = "optimal",
+    min_dists: Optional[np.ndarray] = None,
 ) -> CompleteDominationResult:
     """Filter step of Algorithm 1: classify every database object.
 
     ``exclude_indices`` removes database positions from consideration — e.g.
     the position of ``target`` or ``reference`` themselves when they are
     database members (an object never dominates itself).
+
+    Only objects near the reference are tested: an object ``A`` with
+    ``MinDist(A, R) > MaxDist(B, R)`` is dominated by the target ``B`` under
+    the min/max criterion, hence under the optimal one, and cannot dominate
+    ``B`` — it is pruned by one comparison against ``min_dists``, the
+    :func:`reference_min_dists` profile of ``reference`` over this snapshot
+    (computed here when not supplied).  The survivors, including everything
+    within a relative slack of the boundary, get the exact
+    :func:`complete_domination_scan`, so the classification equals a scan of
+    the whole database.
     """
     mbrs = database.mbrs()
     target_mbr = target.mbr.to_array()
     reference_mbr = reference.mbr.to_array()
-    dominating, dominated = complete_domination_scan(
-        mbrs, target_mbr, reference_mbr, p=p, criterion=criterion
+    if min_dists is None:
+        min_dists = reference_min_dists(database, reference, p)
+    elif min_dists.shape != (len(database),):
+        raise ValueError("min_dists must hold one distance per database object")
+    reach = float(max_dist_arrays(target_mbr, reference_mbr, p))
+    survivors = np.flatnonzero(min_dists <= reach * (1.0 + _PRESCREEN_SLACK))
+
+    excluded = np.array(
+        sorted({int(idx) for idx in exclude_indices or () if 0 <= idx < len(database)}),
+        dtype=np.intp,
     )
+    if excluded.size:
+        survivors = survivors[~np.isin(survivors, excluded)]
 
-    mask = np.ones(len(database), dtype=bool)
-    if exclude_indices:
-        for idx in exclude_indices:
-            if 0 <= idx < len(database):
-                mask[idx] = False
-
-    complete_count = int(np.count_nonzero(dominating & mask))
-    pruned = np.flatnonzero(dominated & ~dominating & mask)
-    influence = np.flatnonzero(~dominating & ~dominated & mask)
+    dominating, dominated = complete_domination_scan(
+        mbrs[survivors], target_mbr, reference_mbr, p=p, criterion=criterion
+    )
     return CompleteDominationResult(
-        complete_count=complete_count,
-        influence_indices=influence,
-        pruned_indices=pruned,
+        complete_indices=survivors[dominating],
+        influence_indices=survivors[~dominating & ~dominated],
+        excluded_indices=excluded,
+        num_objects=len(database),
     )
 
 

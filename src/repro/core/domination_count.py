@@ -35,17 +35,25 @@ class DominationCountBounds:
     ----------
     lower, upper:
         Arrays of identical length; ``lower[k] <= P(DomCount = k) <= upper[k]``
-        for every representable count ``k``.  When a truncation bound
-        ``k_cap`` was used, only entries ``k <= k_cap`` are meaningful (the
-        arrays are still full-length, with trivial ``[0, 1]`` bounds beyond
-        the cap).
+        for every stored count ``k``.  Without truncation they hold one cell
+        per count ``0..max_count``.  When a truncation bound ``k_cap`` was
+        used (Section VI) they hold ``min(max_count, k_cap + 1) + 1`` cells:
+        counts ``0..k_cap`` plus — when ``k_cap < max_count`` — one final
+        *overflow* cell bracketing ``P(DomCount > k_cap)`` (always ``[0, 1]``
+        or ``[0, 0]``, never tightened).  ``len()`` is the number of stored
+        cells.
     k_cap:
         The truncation bound used during construction, if any.
+    max_count:
+        Largest count that is logically possible (the number of objects the
+        count ranges over); defaults to ``len(lower) - 1``.  Only a truncated
+        result can have ``max_count > len() - 1``.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     k_cap: Optional[int] = None
+    max_count: Optional[int] = None
 
     def __post_init__(self) -> None:
         lower = np.asarray(self.lower, dtype=float)
@@ -54,19 +62,19 @@ class DominationCountBounds:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if np.any(lower > upper + 1e-9):
             raise ValueError("lower bounds must not exceed upper bounds")
+        stored = lower.shape[0] - 1
+        max_count = stored if self.max_count is None else int(self.max_count)
+        if stored not in (max_count, _stored_cells(max_count, self.k_cap) - 1):
+            raise ValueError("max_count disagrees with the number of stored cells")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "max_count", max_count)
 
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return int(self.lower.shape[0])
-
-    @property
-    def max_count(self) -> int:
-        """Largest representable domination count."""
-        return len(self) - 1
 
     def _valid_k(self, k: int) -> None:
         if k < 0:
@@ -112,7 +120,13 @@ class DominationCountBounds:
         """Total bound width ``sum_k (upper[k] - lower[k])``.
 
         This is the "accumulated uncertainty" quality measure the paper plots
-        in Figures 6(b) and 7.
+        in Figures 6(b) and 7.  For a truncated result it is the width over
+        the stored cells only — counts ``0..k_cap`` plus the overflow cell,
+        which stands in for what used to be up to ``max_count - k_cap``
+        vacuous cells — so it is not comparable with an untruncated width.
+        It feeds no query result document (threshold queries schedule and
+        stop on :meth:`less_than`); a truncated run stopped by
+        ``UncertaintyBelow`` sees the smaller number.
         """
         return float(np.sum(self.upper - self.lower))
 
@@ -155,6 +169,75 @@ class DominationCountBounds:
         return DominationCountBounds(lower=arr.copy(), upper=arr.copy())
 
 
+def _stored_cells(total_objects: int, k_cap: Optional[int]) -> int:
+    """Number of PMF cells kept for counts over ``total_objects`` objects.
+
+    Counts ``0..k_cap`` plus one overflow cell when the cap cuts the range;
+    the full ``total_objects + 1`` otherwise.
+    """
+    if k_cap is None:
+        return total_objects + 1
+    return min(total_objects, k_cap + 1) + 1
+
+
+def _resolve_truncation(
+    num_influence: int,
+    complete_count: int,
+    total_objects: Optional[int],
+    k_cap: Optional[int],
+) -> tuple[int, Optional[int]]:
+    """Validated ``(total_objects, k_cap of the unshifted UGF)``."""
+    if complete_count < 0:
+        raise ValueError("complete_count must be non-negative")
+    if total_objects is None:
+        total_objects = complete_count + num_influence
+    if total_objects < complete_count + num_influence:
+        raise ValueError("total_objects too small for the given counts")
+    if k_cap is None:
+        return total_objects, None
+    if k_cap < 0:
+        raise ValueError("k_cap must be non-negative")
+    if k_cap < complete_count:
+        # every representable count below the cap is impossible anyway
+        return total_objects, 0
+    return total_objects, min(num_influence, k_cap - complete_count)
+
+
+def _shift_right(
+    pmf_lower: np.ndarray,
+    pmf_upper: np.ndarray,
+    complete_count: int,
+    num_influence: int,
+    total_objects: int,
+    k_cap: Optional[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ShiftRight`` of Algorithm 1 into ``_stored_cells`` cells (last axis).
+
+    The UGF bounds land at ``[complete_count, complete_count + top)``; with
+    truncation that window is clipped to the stored cells — it lies wholly
+    outside them when more than ``k_cap + 1`` objects dominate completely.
+    """
+    length = _stored_cells(total_objects, k_cap)
+    shape = pmf_lower.shape[:-1] + (length,)
+    lower = np.zeros(shape)
+    upper = np.ones(shape)
+    # counts below the complete-domination count are impossible
+    upper[..., :complete_count] = 0.0
+    # counts above complete_count + num_influence are impossible as well
+    upper[..., complete_count + num_influence + 1 :] = 0.0
+
+    width = max(0, min(pmf_lower.shape[-1], length - complete_count))
+    lower[..., complete_count : complete_count + width] = pmf_lower[..., :width]
+    upper[..., complete_count : complete_count + width] = pmf_upper[..., :width]
+    if k_cap is not None:
+        # the overflow cell (if any) is intentionally vacuous
+        lower[..., k_cap + 1 :] = 0.0
+        upper[..., k_cap + 1 :] = (
+            1.0 if k_cap + 1 <= complete_count + num_influence else 0.0
+        )
+    return lower, upper
+
+
 def domination_count_bounds(
     lower_probs: Sequence[float],
     upper_probs: Sequence[float],
@@ -175,56 +258,31 @@ def domination_count_bounds(
         PMF bounds are shifted right by this amount (the ``ShiftRight`` step
         of Algorithm 1).
     total_objects:
-        Length of the output arrays minus one (defaults to
-        ``complete_count + len(lower_probs)``); pass the database size to get
-        bounds over the full count range.
+        Largest logically possible count, ``max_count`` of the result
+        (defaults to ``complete_count + len(lower_probs)``); pass the database
+        size to get bounds over the full count range.
     k_cap:
         Optional truncation bound *on the final (shifted) count* for kNN-style
-        predicates.  Counts above the cap get trivial ``[0, 1]`` bounds.
+        predicates.  The result then stores ``min(total_objects, k_cap + 1)
+        + 1`` cells: counts ``0..k_cap`` exactly as without a cap, plus one
+        vacuous overflow cell for "count ``> k_cap``" — no cell is allocated
+        per database object.
     """
     lower_arr = np.atleast_1d(np.asarray(lower_probs, dtype=float))
     upper_arr = np.atleast_1d(np.asarray(upper_probs, dtype=float))
     if lower_arr.shape != upper_arr.shape:
         raise ValueError("lower_probs and upper_probs must have the same length")
-    if complete_count < 0:
-        raise ValueError("complete_count must be non-negative")
-
     num_influence = lower_arr.shape[0]
-    if total_objects is None:
-        total_objects = complete_count + num_influence
-    if total_objects < complete_count + num_influence:
-        raise ValueError("total_objects too small for the given counts")
-    length = total_objects + 1
-
-    # effective truncation for the *unshifted* UGF
-    ugf_cap: Optional[int] = None
-    if k_cap is not None:
-        if k_cap < complete_count:
-            # every representable count below the cap is impossible anyway
-            ugf_cap = 0
-        else:
-            ugf_cap = min(num_influence, k_cap - complete_count)
-
+    total_objects, ugf_cap = _resolve_truncation(
+        num_influence, complete_count, total_objects, k_cap
+    )
     ugf = UncertainGeneratingFunction(lower_arr, upper_arr, k_cap=ugf_cap)
-    pmf_lower, pmf_upper = ugf.pmf_bounds()
-
-    lower = np.zeros(length)
-    upper = np.ones(length)
-    # counts below the complete-domination count are impossible
-    upper[:complete_count] = 0.0
-    # counts above complete_count + num_influence are impossible as well
-    upper[complete_count + num_influence + 1 :] = 0.0
-
-    top = pmf_lower.shape[0]
-    lower[complete_count : complete_count + top] = pmf_lower
-    upper[complete_count : complete_count + top] = pmf_upper
-    if k_cap is not None:
-        # beyond the cap the bounds are intentionally vacuous
-        lower[k_cap + 1 :] = 0.0
-        upper[k_cap + 1 :] = np.where(
-            np.arange(k_cap + 1, length) <= complete_count + num_influence, 1.0, 0.0
-        )
-    return DominationCountBounds(lower=lower, upper=upper, k_cap=k_cap)
+    lower, upper = _shift_right(
+        *ugf.pmf_bounds(), complete_count, num_influence, total_objects, k_cap
+    )
+    return DominationCountBounds(
+        lower=lower, upper=upper, k_cap=k_cap, max_count=total_objects
+    )
 
 
 def domination_count_bounds_batch(
@@ -241,8 +299,9 @@ def domination_count_bounds_batch(
     produced by the batched pair-bounds kernel.  The UGF expansion, the
     ``ShiftRight`` by ``complete_count`` and the ``k_cap`` truncation are all
     applied across the whole batch in one vectorised pass; row ``i`` of the
-    returned ``(num_pairs, total_objects + 1)`` arrays is bit-identical to
-    ``domination_count_bounds(lower_probs[i], upper_probs[i], ...)``.
+    returned ``(num_pairs, cells)`` arrays — ``cells = total_objects + 1``, or
+    ``min(total_objects, k_cap + 1) + 1`` under truncation — is bit-identical
+    to ``domination_count_bounds(lower_probs[i], upper_probs[i], ...)``.
 
     Unlike the scalar constructor this returns raw PMF-bound arrays (no
     per-row :class:`DominationCountBounds` instances); pass them to
@@ -252,39 +311,14 @@ def domination_count_bounds_batch(
     upper_arr = np.atleast_2d(np.asarray(upper_probs, dtype=float))
     if lower_arr.shape != upper_arr.shape or lower_arr.ndim != 2:
         raise ValueError("lower_probs and upper_probs must be matrices of equal shape")
-    if complete_count < 0:
-        raise ValueError("complete_count must be non-negative")
-
-    num_pairs, num_influence = lower_arr.shape
-    if total_objects is None:
-        total_objects = complete_count + num_influence
-    if total_objects < complete_count + num_influence:
-        raise ValueError("total_objects too small for the given counts")
-    length = total_objects + 1
-
-    ugf_cap: Optional[int] = None
-    if k_cap is not None:
-        if k_cap < complete_count:
-            ugf_cap = 0
-        else:
-            ugf_cap = min(num_influence, k_cap - complete_count)
-
+    num_influence = lower_arr.shape[1]
+    total_objects, ugf_cap = _resolve_truncation(
+        num_influence, complete_count, total_objects, k_cap
+    )
     pmf_lower, pmf_upper = ugf_pmf_bounds_batch(lower_arr, upper_arr, k_cap=ugf_cap)
-
-    lower = np.zeros((num_pairs, length))
-    upper = np.ones((num_pairs, length))
-    upper[:, :complete_count] = 0.0
-    upper[:, complete_count + num_influence + 1 :] = 0.0
-
-    top = pmf_lower.shape[1]
-    lower[:, complete_count : complete_count + top] = pmf_lower
-    upper[:, complete_count : complete_count + top] = pmf_upper
-    if k_cap is not None:
-        lower[:, k_cap + 1 :] = 0.0
-        upper[:, k_cap + 1 :] = np.where(
-            np.arange(k_cap + 1, length) <= complete_count + num_influence, 1.0, 0.0
-        )
-    return lower, upper
+    return _shift_right(
+        pmf_lower, pmf_upper, complete_count, num_influence, total_objects, k_cap
+    )
 
 
 def combine_weighted_bounds(
@@ -301,15 +335,16 @@ def combine_weighted_bounds(
     """
     if not parts:
         raise ValueError("parts must not be empty")
-    length = len(parts[0][1])
+    first = parts[0][1]
     for _, bounds in parts:
-        if len(bounds) != length:
-            raise ValueError("all parts must have the same length")
+        if len(bounds) != len(first) or bounds.max_count != first.max_count:
+            raise ValueError("all parts must have the same length and count range")
     return combine_weighted_bounds_arrays(
         np.array([weight for weight, _ in parts], dtype=float),
         np.stack([bounds.lower for _, bounds in parts]),
         np.stack([bounds.upper for _, bounds in parts]),
         k_cap=k_cap,
+        max_count=first.max_count,
     )
 
 
@@ -318,15 +353,19 @@ def combine_weighted_bounds_arrays(
     pmf_lower: np.ndarray,
     pmf_upper: np.ndarray,
     k_cap: Optional[int] = None,
+    max_count: Optional[int] = None,
 ) -> DominationCountBounds:
     """Matrix form of :func:`combine_weighted_bounds`.
 
-    ``pmf_lower`` / ``pmf_upper`` are ``(num_pairs, length)`` PMF-bound
+    ``pmf_lower`` / ``pmf_upper`` are ``(num_pairs, cells)`` PMF-bound
     matrices (one row per partition pair, e.g. from
     :func:`domination_count_bounds_batch`) and ``weights`` the per-pair
     ``P(B') * P(R')`` weights.  Rows are accumulated sequentially in pair
     order — the exact association the tuple-based API used — so both entry
-    points produce bit-identical results.
+    points produce bit-identical results.  The work is ``O(num_pairs *
+    cells)``, so truncated rows (``cells <= k_cap + 2``) cost ``O(k)`` per
+    pair whatever the database size; ``max_count`` names the logical count
+    range of such rows (see :class:`DominationCountBounds`).
     """
     weights = np.asarray(weights, dtype=float)
     pmf_lower = np.atleast_2d(np.asarray(pmf_lower, dtype=float))
@@ -354,4 +393,6 @@ def combine_weighted_bounds_arrays(
     if missing > 1e-12:
         upper += missing
     upper = np.minimum(upper, 1.0)
-    return DominationCountBounds(lower=lower, upper=upper, k_cap=k_cap)
+    return DominationCountBounds(
+        lower=lower, upper=upper, k_cap=k_cap, max_count=max_count
+    )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -34,7 +35,7 @@ import numpy as np
 from ..geometry import DominationCriterion
 from ..uncertain import DecompositionTree, UncertainDatabase, UncertainObject
 from ..uncertain.decomposition import AxisPolicy, csr_partitions_batch
-from .domination import complete_domination_filter
+from .domination import complete_domination_filter, reference_min_dists
 from .kernels import pdom_bounds_csr, resolve_backend
 from .domination_count import (
     DominationCountBounds,
@@ -157,7 +158,9 @@ class IDCA:
         with the iteration number.
     k_cap:
         Optional truncation bound for kNN/RkNN predicates (Section VI): PMF
-        bounds are only maintained exactly for counts ``<= k_cap``.
+        bounds are only maintained — and only stored — for counts
+        ``<= k_cap`` plus one overflow cell, so every iteration aggregates
+        ``O(k_cap)`` cells per partition pair whatever the database size.
     adaptive_candidate_refinement:
         When True, an influence object is only decomposed further while its
         aggregated domination-probability bound width still exceeds
@@ -232,6 +235,14 @@ class IDCA:
             tree_cache if tree_cache is not None else {}
         )
         self._pair_bounds: Optional[dict] = pair_bounds_cache
+        # (reference object, weakref to its database snapshot, MinDist profile)
+        self._reference_profile: Optional[tuple] = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the reference-distance profile (rebuilt on use)."""
+        state = self.__dict__.copy()
+        state["_reference_profile"] = None
+        return state
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -251,6 +262,30 @@ class IDCA:
             tree = DecompositionTree(obj, axis_policy=self.axis_policy)
             self._trees[key] = tree
         return tree
+
+    def _min_dists_to(self, reference: UncertainObject) -> np.ndarray:
+        """``MinDist(·, reference)`` over the current snapshot, one kept.
+
+        Every run of a kNN or ranking query filters against the same
+        reference object, so the profile the complete-domination filter
+        pre-screens with is computed once and reused.  It is matched by
+        *identity* of the reference object and of ``self.database``, so a
+        snapshot swapped in by a mutation can never be served the profile of
+        its predecessor; a new reference (every RkNN run) replaces it.
+        """
+        profile = self._reference_profile
+        if (
+            profile is None
+            or profile[0] is not reference
+            or profile[1]() is not self.database
+        ):
+            profile = (
+                reference,
+                weakref.ref(self.database),
+                reference_min_dists(self.database, reference, self.p),
+            )
+            self._reference_profile = profile
+        return profile[2]
 
     def _resolve(
         self, spec: ObjectOrIndex, exclude: set[int]
@@ -397,6 +432,7 @@ class IDCARun:
             exclude_indices=exclude,
             p=idca.p,
             criterion=idca.criterion,
+            min_dists=idca._min_dists_to(self.reference_obj),
         )
         self._complete_count = filter_result.complete_count
         self._influence = filter_result.influence_indices
@@ -413,7 +449,7 @@ class IDCARun:
             bounds=bounds,
             complete_count=self._complete_count,
             influence_indices=self._influence,
-            pruned_count=int(filter_result.pruned_indices.shape[0]),
+            pruned_count=filter_result.pruned_count,
             iterations=[
                 IterationStats(
                     iteration=0,
@@ -464,6 +500,7 @@ class IDCARun:
         ]
         num_candidates = len(self._influence_trees)
         self._candidate_depths = np.zeros(num_candidates, dtype=int)
+        # aggregated per-candidate bound widths: adaptive refinement only
         self._previous_widths = np.full(num_candidates, np.inf)
 
     # ------------------------------------------------------------------ #
@@ -577,15 +614,15 @@ class IDCARun:
         # matrix rows; zero-mass pairs carry no possible worlds and are
         # dropped exactly as the scalar loop skipped them
         pair_weights = (target_masses[:, None] * reference_masses[None, :]).ravel()
-        active: list[int] = []
-        widths = np.zeros(num_candidates)
-        for pair_idx in range(num_pairs):
-            weight = float(pair_weights[pair_idx])
-            if weight <= 0.0:
-                continue
-            widths += weight * (upper_matrix[pair_idx] - lower_matrix[pair_idx])
-            active.append(pair_idx)
-        self._previous_widths = widths
+        active = np.flatnonzero(pair_weights > 0.0)
+        if idca.adaptive_candidate_refinement:
+            # accumulated pair by pair, in pair order, like the bounds below
+            widths = np.zeros(num_candidates)
+            for pair_idx in active:
+                widths += float(pair_weights[pair_idx]) * (
+                    upper_matrix[pair_idx] - lower_matrix[pair_idx]
+                )
+            self._previous_widths = widths
 
         pmf_lower, pmf_upper = domination_count_bounds_batch(
             lower_matrix[active],
@@ -595,7 +632,11 @@ class IDCARun:
             k_cap=idca.k_cap,
         )
         bounds = combine_weighted_bounds_arrays(
-            pair_weights[active], pmf_lower, pmf_upper, k_cap=idca.k_cap
+            pair_weights[active],
+            pmf_lower,
+            pmf_upper,
+            k_cap=idca.k_cap,
+            max_count=self._total_objects,
         )
         self.result.bounds = bounds
         self.result.iterations.append(
@@ -603,7 +644,7 @@ class IDCARun:
                 iteration=iteration,
                 uncertainty=bounds.uncertainty(),
                 elapsed_seconds=time.perf_counter() - iter_start,
-                num_pairs=len(active),
+                num_pairs=int(active.shape[0]),
                 candidate_partitions=max_candidate_partitions,
                 cache_seconds=cache_seconds,
                 shared_hits=getattr(cache, "shared_hits", 0) - shared_before[0],

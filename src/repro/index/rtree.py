@@ -22,9 +22,9 @@ from .exclude import ExcludeSpec, exclude_set
 __all__ = ["RTreeNode", "RTree"]
 
 
-@dataclass
+@dataclass(eq=False)
 class RTreeNode:
-    """An internal or leaf node of the R-tree."""
+    """An internal or leaf node of the R-tree (compared by identity)."""
 
     mbr: np.ndarray  # shape (d, 2)
     children: list["RTreeNode"] = field(default_factory=list)

@@ -11,12 +11,16 @@ from repro.core import (
     pdom_bounds_from_partitions,
     probabilistic_domination_bounds,
 )
+from repro.core.domination import reference_min_dists
+from repro.datasets import random_reference_object, uniform_rectangle_database
+from repro.engine import KNNQuery, QueryEngine
 from repro.geometry import Rectangle
 from repro.uncertain import (
     BoxUniformObject,
     DecompositionTree,
     DiscreteObject,
     UncertainDatabase,
+    Update,
 )
 
 
@@ -109,6 +113,178 @@ class TestCompleteDominationFilter:
             + len(result.pruned_indices)
         )
         assert total == len(self.database) - 1
+
+
+def full_scan_filter(database, target, reference, exclude=(), p=2.0, criterion="optimal"):
+    """The plain filter: the exact test on every object, no pre-screen."""
+    dominating, dominated = complete_domination_scan(
+        database.mbrs(), target.mbr.to_array(), reference.mbr.to_array(),
+        p=p, criterion=criterion,
+    )
+    mask = np.ones(len(database), dtype=bool)
+    mask[[i for i in exclude if 0 <= i < len(database)]] = False
+    return (
+        int(np.count_nonzero(dominating & mask)),
+        np.flatnonzero(~dominating & ~dominated & mask),
+        np.flatnonzero(dominated & ~dominating & mask),
+    )
+
+
+def assert_filter_equals_full_scan(database, target, reference, exclude=(), **config):
+    result = complete_domination_filter(
+        database, target, reference, exclude_indices=set(exclude), **config
+    )
+    complete, influence, pruned = full_scan_filter(
+        database, target, reference, exclude, **config
+    )
+    assert result.complete_count == complete
+    np.testing.assert_array_equal(result.influence_indices, influence)
+    assert result.influence_indices.dtype == influence.dtype
+    np.testing.assert_array_equal(result.pruned_indices, pruned)
+    assert result.pruned_count == len(pruned)
+    return result
+
+
+class TestFilterPreScreenEquivalence:
+    """The distance pre-screen must never change the classification."""
+
+    @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("dimensions, seed", [(2, 0), (2, 1), (3, 2), (1, 3)])
+    def test_random_databases(self, dimensions, seed, p, criterion):
+        database = uniform_rectangle_database(
+            300, dimensions=dimensions, max_extent=0.08, seed=seed
+        )
+        rng = np.random.default_rng(seed)
+        outside = [
+            random_reference_object(dimensions=dimensions, extent=0.08, seed=seed + s)
+            for s in (10, 11)
+        ]
+        inside = [int(i) for i in rng.choice(len(database), size=3, replace=False)]
+        config = dict(p=p, criterion=criterion)
+        # target and reference both database members (the RkNN shape)
+        assert_filter_equals_full_scan(
+            database, database[inside[0]], database[inside[1]],
+            exclude=inside[:2], **config,
+        )
+        # target inside, reference outside (the kNN shape), extra exclusions
+        assert_filter_equals_full_scan(
+            database, database[inside[2]], outside[0],
+            exclude=[inside[2], 0, 299, 10_000, -4], **config,
+        )
+        # both outside, nothing excluded
+        assert_filter_equals_full_scan(database, outside[1], outside[0], **config)
+        # the target nearest to the reference: almost everything is pre-screened
+        nearest = int(np.argmin(reference_min_dists(database, outside[0], p)))
+        result = assert_filter_equals_full_scan(
+            database, database[nearest], outside[0], exclude=[nearest], **config
+        )
+        assert result.pruned_count > 0.5 * len(database)
+
+    @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+    def test_target_far_from_the_reference_keeps_everything(self, criterion):
+        database = uniform_rectangle_database(200, max_extent=0.05, seed=4)
+        reference = _box([0.45, 0.45], [0.5, 0.5])
+        target = _box([30.0, 30.0], [31.0, 31.0])
+        result = assert_filter_equals_full_scan(
+            database, target, reference, criterion=criterion
+        )
+        assert result.complete_count == len(database)
+        assert result.pruned_count == 0
+
+    @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_ties_at_the_pre_screen_boundary(self, p, criterion):
+        """``MinDist(A, R)`` equal to, one ulp around and just past ``MaxDist(B, R)``."""
+        reference = _box([0.0], [1.0])
+        target = _box([2.0], [3.0])  # MaxDist(B, R) = 3
+        edges = [3.0, np.nextafter(3.0, 0.0), np.nextafter(3.0, 9.0),
+                 3.0 + 1e-12, 3.0 + 1e-8, 3.5, 2.0, 1.0]
+        objects = [_box([1.0 + edge], [1.0 + edge + 0.25]) for edge in edges]
+        objects += [_box([-edge - 0.25], [-edge]) for edge in edges]  # other side
+        objects.append(_box([2.0], [3.0]))  # coincides with the target
+        objects.append(_box([4.0], [4.0]))  # zero extent, touching MaxDist
+        database = UncertainDatabase(objects)
+        assert_filter_equals_full_scan(database, target, reference, p=p, criterion=criterion)
+
+    def test_touching_rectangles_in_two_dimensions(self):
+        reference = _box([0.0, 0.0], [1.0, 1.0])
+        target = _box([1.0, 0.0], [2.0, 1.0])  # touches the reference
+        objects = [
+            _box([2.0, 0.0], [3.0, 1.0]),    # touches the target
+            _box([0.0, 1.0], [1.0, 2.0]),    # touches the reference
+            _box([0.25, 0.25], [0.5, 0.5]),  # inside the reference
+            _box([0.0, 3.0], [1.0, 4.0]),
+            _box([3.0, 3.0], [3.0, 3.0]),
+        ]
+        database = UncertainDatabase(objects)
+        for criterion in ("optimal", "minmax"):
+            assert_filter_equals_full_scan(database, target, reference, criterion=criterion)
+
+    def test_zero_reach_target_coinciding_with_point_reference(self):
+        reference = _box([0.5, 0.5], [0.5, 0.5])
+        target = _box([0.5, 0.5], [0.5, 0.5])
+        database = uniform_rectangle_database(50, max_extent=0.05, seed=6)
+        assert_filter_equals_full_scan(database, target, reference)
+
+    def test_supplied_profile_equals_computed_profile(self):
+        database = uniform_rectangle_database(150, max_extent=0.08, seed=8)
+        reference = random_reference_object(extent=0.08, seed=3)
+        profile = reference_min_dists(database, reference, p=2.0)
+        assert profile.shape == (len(database),)
+        for target_index in (0, 17, 149):
+            plain = complete_domination_filter(
+                database, database[target_index], reference, {target_index}
+            )
+            profiled = complete_domination_filter(
+                database, database[target_index], reference, {target_index},
+                min_dists=profile,
+            )
+            assert plain.complete_count == profiled.complete_count
+            np.testing.assert_array_equal(plain.influence_indices, profiled.influence_indices)
+
+    def test_profile_of_another_snapshot_size_is_rejected(self):
+        database = uniform_rectangle_database(20, seed=1)
+        with pytest.raises(ValueError):
+            complete_domination_filter(
+                database, database[0], database[1], min_dists=np.zeros(19)
+            )
+
+    def test_infinite_p_is_still_rejected(self):
+        database = uniform_rectangle_database(20, seed=1)
+        with pytest.raises(ValueError):
+            complete_domination_filter(database, database[0], database[1], p=float("inf"))
+
+    def test_mutated_snapshot_with_the_same_reference_object(self):
+        """The engine-side profile must follow the snapshot, not the reference."""
+        database = uniform_rectangle_database(200, max_extent=0.08, seed=9)
+        reference = random_reference_object(extent=0.08, seed=2)
+        request = KNNQuery(reference, k=3, tau=0.5, max_iterations=3)
+
+        def snapshot(result):
+            return [
+                (m.index, m.probability_lower, m.probability_upper, m.decision)
+                for bucket in (result.matches, result.undecided, result.rejected)
+                for m in bucket
+            ] + [result.pruned]
+
+        engine = QueryEngine(database)
+        before = snapshot(engine.evaluate_many([request])[0])
+        idca = engine.context.idca_for(engine.p, engine.criterion, k_cap=3,
+                                       kernel_backend=engine.kernel_backend)
+        profile_before = idca._min_dists_to(reference)
+        assert idca._min_dists_to(reference) is profile_before  # reused within a snapshot
+
+        # move the nearest neighbours of the query far away
+        nearest = [entry[0] for entry in before[:-1]][:2]
+        mutated = engine.apply_mutations(
+            [Update(i, _box([5.0 + i, 5.0], [5.1 + i, 5.1])) for i in nearest]
+        )
+        after = snapshot(engine.evaluate_many([request])[0])
+        assert idca._min_dists_to(reference) is not profile_before
+        fresh = QueryEngine(UncertainDatabase(list(mutated.objects)))
+        assert after == snapshot(fresh.evaluate_many([request])[0])
+        assert after != before
 
 
 class TestPDomBoundsFromPartitions:

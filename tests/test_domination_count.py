@@ -9,6 +9,7 @@ from repro.core import (
     domination_count_bounds,
     poisson_binomial_pmf,
 )
+from repro.core.generating_functions import UncertainGeneratingFunction
 
 
 class TestDominationCountBounds:
@@ -164,6 +165,154 @@ class TestDominationCountBuilder:
     def test_too_small_total_objects_raises(self):
         with pytest.raises(ValueError):
             domination_count_bounds([0.5, 0.5], [0.5, 0.5], complete_count=2, total_objects=3)
+
+
+def full_length_truncated(lower, upper, complete_count, total_objects, k_cap):
+    """The former layout of a truncated result: one cell per database object.
+
+    Kept here as the referee for the compact representation, which must be
+    exactly this array cut at index ``k_cap + 2``.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = lower.shape[0]
+    ugf_cap = 0 if k_cap < complete_count else min(n, k_cap - complete_count)
+    pmf_lower, pmf_upper = UncertainGeneratingFunction(
+        lower, upper, k_cap=ugf_cap
+    ).pmf_bounds()
+    out_lower = np.zeros(total_objects + 1)
+    out_upper = np.ones(total_objects + 1)
+    out_upper[:complete_count] = 0.0
+    out_upper[complete_count + n + 1 :] = 0.0
+    top = pmf_lower.shape[0]
+    out_lower[complete_count : complete_count + top] = pmf_lower
+    out_upper[complete_count : complete_count + top] = pmf_upper
+    out_lower[k_cap + 1 :] = 0.0
+    out_upper[k_cap + 1 :] = np.arange(k_cap + 1, total_objects + 1) <= complete_count + n
+    return out_lower, out_upper
+
+
+class TestTruncatedRepresentation:
+    """``k_cap`` results store ``min(total, k_cap + 1) + 1`` cells, not ``total + 1``."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.lower = rng.uniform(0.0, 0.5, size=4)
+        self.upper = self.lower + rng.uniform(0.0, 0.5, size=4)
+
+    @pytest.mark.parametrize(
+        "num_influence, complete_count, total_objects, k_cap",
+        [
+            (4, 0, 30, 2),    # the ordinary case: cap inside the influence range
+            (4, 7, 30, 3),    # k_cap < complete_count, window wholly outside
+            (4, 4, 30, 3),    # window starts on the overflow cell
+            (4, 2, 30, 3),    # window clipped by the overflow cell
+            (4, 1, 30, 9),    # complete_count + influence <= k_cap
+            (4, 1, 30, 5),    # complete_count + influence == k_cap
+            (0, 3, 30, 5),    # zero influence objects
+            (0, 3, 30, 1),    # zero influence objects below the cap
+            (4, 0, 30, 0),    # k_cap = 0
+            (4, 2, 30, 0),    # k_cap = 0 < complete_count
+            (4, 1, 5, 4),     # k_cap = total_objects - 1: last cell is the overflow
+        ],
+    )
+    def test_compact_is_the_full_length_array_cut_at_the_cap(
+        self, num_influence, complete_count, total_objects, k_cap
+    ):
+        lower, upper = self.lower[:num_influence], self.upper[:num_influence]
+        bounds = domination_count_bounds(
+            lower, upper, complete_count=complete_count,
+            total_objects=total_objects, k_cap=k_cap,
+        )
+        ref_lower, ref_upper = full_length_truncated(
+            lower, upper, complete_count, total_objects, k_cap
+        )
+        assert len(bounds) == k_cap + 2
+        assert bounds.max_count == total_objects
+        assert bounds.k_cap == k_cap
+        assert np.array_equal(bounds.lower, ref_lower[: k_cap + 2])
+        assert np.array_equal(bounds.upper, ref_upper[: k_cap + 2])
+        full = DominationCountBounds(ref_lower, ref_upper, k_cap=k_cap)
+        for k in range(k_cap + 2):
+            assert bounds.less_than(k) == full.less_than(k)
+        for k in range(k_cap + 1):
+            assert bounds.pmf_bounds(k) == full.pmf_bounds(k)
+            assert bounds.cdf_bounds(k) == full.cdf_bounds(k)
+        assert bounds.is_exact() == full.is_exact()
+
+    @pytest.mark.parametrize("k_cap", [5, 6, 40])
+    def test_cap_at_or_above_total_equals_untruncated(self, k_cap):
+        untruncated = domination_count_bounds(
+            self.lower, self.upper, complete_count=1, total_objects=5
+        )
+        capped = domination_count_bounds(
+            self.lower, self.upper, complete_count=1, total_objects=5, k_cap=k_cap
+        )
+        assert len(capped) == len(untruncated) == 6  # no overflow cell
+        assert np.array_equal(capped.lower, untruncated.lower)
+        assert np.array_equal(capped.upper, untruncated.upper)
+        assert capped.cdf_bounds(5) == (1.0, 1.0)
+
+    def test_overflow_cell_is_vacuous_or_impossible(self):
+        reachable = domination_count_bounds(
+            self.lower, self.upper, complete_count=2, total_objects=30, k_cap=3
+        )
+        assert (reachable.lower[-1], reachable.upper[-1]) == (0.0, 1.0)
+        unreachable = domination_count_bounds(
+            self.lower, self.upper, complete_count=1, total_objects=30, k_cap=5
+        )
+        assert (unreachable.lower[-1], unreachable.upper[-1]) == (0.0, 0.0)
+
+    def test_more_certain_dominators_than_the_cap_decides_at_once(self):
+        bounds = domination_count_bounds(
+            self.lower, self.upper, complete_count=50_000, total_objects=100_000, k_cap=5
+        )
+        assert len(bounds) == 7
+        assert np.array_equal(bounds.upper, [0, 0, 0, 0, 0, 0, 1])
+        assert not bounds.lower.any()
+        assert bounds.less_than(5) == (0.0, 0.0)
+        assert bounds.less_than(6) == (0.0, 0.0)
+
+    def test_queries_beyond_the_cap_still_raise(self):
+        bounds = domination_count_bounds(self.lower, self.upper, total_objects=30, k_cap=2)
+        with pytest.raises(ValueError):
+            bounds.pmf_bounds(3)
+        with pytest.raises(ValueError):
+            bounds.cdf_bounds(3)
+        with pytest.raises(ValueError):
+            bounds.expected_count_bounds()
+
+    def test_uncertainty_is_the_width_of_the_stored_cells(self):
+        bounds = domination_count_bounds(
+            self.lower, self.upper, complete_count=1, total_objects=1000, k_cap=2
+        )
+        assert bounds.uncertainty() == float(np.sum(bounds.upper - bounds.lower))
+        assert bounds.uncertainty() <= len(bounds)
+
+    def test_negative_cap_raises(self):
+        with pytest.raises(ValueError):
+            domination_count_bounds(self.lower, self.upper, k_cap=-1)
+
+    def test_max_count_must_agree_with_the_stored_cells(self):
+        DominationCountBounds(np.zeros(4), np.ones(4), k_cap=2, max_count=90)
+        DominationCountBounds(np.zeros(4), np.ones(4), k_cap=7, max_count=3)
+        assert DominationCountBounds(np.zeros(4), np.ones(4)).max_count == 3
+        with pytest.raises(ValueError):
+            DominationCountBounds(np.zeros(4), np.ones(4), max_count=90)
+        with pytest.raises(ValueError):
+            DominationCountBounds(np.zeros(4), np.ones(4), k_cap=5, max_count=90)
+
+    def test_combining_truncated_parts_keeps_the_logical_range(self):
+        parts = [
+            (0.5, domination_count_bounds(self.lower, self.upper, total_objects=30, k_cap=2)),
+            (0.5, domination_count_bounds(self.upper, self.upper, total_objects=30, k_cap=2)),
+        ]
+        combined = combine_weighted_bounds(parts, k_cap=2)
+        assert len(combined) == 4
+        assert combined.max_count == 30
+        other = domination_count_bounds(self.lower, self.upper, total_objects=31, k_cap=2)
+        with pytest.raises(ValueError):
+            combine_weighted_bounds([parts[0], (0.5, other)], k_cap=2)
 
 
 class TestCombineWeightedBounds:

@@ -71,6 +71,25 @@ class TestRTreeStructure:
         assert tree.root.is_leaf
 
 
+class TestRTreeDelete:
+    def test_emptied_node_is_pruned_wherever_it_sits_among_its_siblings(self):
+        """Deleting every entry of a non-first leaf must prune that leaf."""
+        database = uniform_rectangle_database(40, max_extent=0.01, seed=2)
+        tree = RTree(database.mbrs(), leaf_capacity=2, fanout=3)
+        rows = list(database.mbrs())
+        rng = np.random.default_rng(2)
+        while len(rows) > 1:
+            victim = int(rng.integers(len(rows)))
+            tree.delete(victim)
+            del rows[victim]
+            entries = sorted(
+                int(i) for node in tree.iter_nodes() if node.is_leaf for i in node.entries
+            )
+            assert entries == list(range(len(rows)))
+            window = Rectangle.from_bounds([0.0, 0.0], [1.0, 1.0])
+            assert sorted(tree.range_query(window)) == entries
+
+
 class TestRTreeRangeQuery:
     def test_matches_linear_scan(self, rtree, mbrs):
         rng = np.random.default_rng(0)

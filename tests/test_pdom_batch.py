@@ -569,6 +569,54 @@ class TestBatchedAggregation:
                 assert np.array_equal(batch_lower[i], ref.lower)
                 assert np.array_equal(batch_upper[i], ref.upper)
 
+    @pytest.mark.parametrize(
+        "num_influence, complete, total, k_cap",
+        [
+            (6, 9, 40, 3),    # k_cap < complete_count
+            (6, 4, 40, 3),    # window starts on the overflow cell
+            (6, 2, 40, 3),    # window clipped by the overflow cell
+            (6, 1, 40, 12),   # complete_count + influence <= k_cap
+            (6, 1, 7, 7),     # k_cap >= total_objects: no overflow cell
+            (6, 1, 7, 30),
+            (0, 3, 40, 5),    # zero influence objects
+            (6, 0, 40, 0),    # k_cap = 0
+            (6, 2, 40, 0),
+        ],
+    )
+    def test_truncated_batch_matches_scalar_row_for_row(
+        self, num_influence, complete, total, k_cap
+    ):
+        rng = np.random.default_rng(21)
+        lower = rng.uniform(0.0, 0.5, size=(5, num_influence))
+        upper = lower + rng.uniform(0.0, 0.5, size=(5, num_influence))
+        batch_lower, batch_upper = domination_count_bounds_batch(
+            lower, upper, complete_count=complete, total_objects=total, k_cap=k_cap
+        )
+        assert batch_lower.shape == batch_upper.shape == (5, min(total, k_cap + 1) + 1)
+        for i in range(lower.shape[0]):
+            ref = domination_count_bounds(
+                lower[i], upper[i], complete_count=complete,
+                total_objects=total, k_cap=k_cap,
+            )
+            assert np.array_equal(batch_lower[i], ref.lower)
+            assert np.array_equal(batch_upper[i], ref.upper)
+        combined = combine_weighted_bounds_arrays(
+            np.full(5, 0.2), batch_lower, batch_upper, k_cap=k_cap, max_count=total
+        )
+        assert len(combined) == batch_lower.shape[1]
+        assert combined.max_count == total
+
+    def test_truncated_cells_do_not_grow_with_the_database(self):
+        """Machine-independent gate on the aggregation work at Fig. 9b scale."""
+        rng = np.random.default_rng(22)
+        lower = rng.uniform(0.0, 0.5, size=(64, 10))
+        upper = lower + rng.uniform(0.0, 0.5, size=(64, 10))
+        for complete in (0, 3, 5, 6, 40_000):
+            pmf_lower, pmf_upper = domination_count_bounds_batch(
+                lower, upper, complete_count=complete, total_objects=100_000, k_cap=5
+            )
+            assert pmf_lower.shape == pmf_upper.shape == (64, 7)
+
     def test_combine_arrays_matches_tuple_api(self):
         rng = np.random.default_rng(13)
         lower = rng.uniform(0.0, 0.4, size=(4, 8))
