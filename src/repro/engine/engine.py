@@ -42,10 +42,10 @@ from ..queries.common import (
     resolve_object,
 )
 from ..queries.inverse_ranking import RankDistribution
-from ..queries.range import probability_within_range
+from ..queries.range import range_bounds_csr
 from ..queries.ranking import RankedObject, RankingResult
 from ..uncertain import UncertainDatabase
-from ..uncertain.decomposition import AxisPolicy
+from ..uncertain.decomposition import AxisPolicy, csr_partitions
 from .candidates import CandidateSource, make_candidate_source
 from .context import RefinementContext
 from .executor import (
@@ -324,7 +324,19 @@ class QueryEngine:
         query_tree = self.context.tree_for(query_obj)
         sequence = itertools.count()
         definite = {int(i) for i in classification.definite}
-        for index in sorted(definite | {int(i) for i in classification.refine}):
+        refine = sorted({int(i) for i in classification.refine} - definite)
+        bounds: dict[int, tuple[float, float]] = {}
+        if refine:
+            # every refine candidate x every partition pair in one array program
+            trees = [self.context.tree_for(self.database[index]) for index in refine]
+            lowers, uppers = range_bounds_csr(
+                csr_partitions(trees, [max_depth] * len(trees)),
+                *query_tree.partitions_arrays(max_depth),
+                epsilon,
+                self.p,
+            )
+            bounds = dict(zip(refine, zip(lowers.tolist(), uppers.tolist())))
+        for index in sorted(definite | bounds.keys()):
             if index in definite:
                 result.matches.append(
                     ProbabilisticMatch(
@@ -333,16 +345,7 @@ class QueryEngine:
                     )
                 )
                 continue
-            obj = self.database[index]
-            lower, upper = probability_within_range(
-                obj,
-                query_obj,
-                epsilon,
-                p=self.p,
-                max_depth=max_depth,
-                object_tree=self.context.tree_for(obj),
-                query_tree=query_tree,
-            )
+            lower, upper = bounds[index]
             passes = lower > tau or (not strict and lower >= tau)
             fails = upper < tau or (strict and upper <= tau)
             match = ProbabilisticMatch(

@@ -69,10 +69,11 @@ def knn_candidates(
     min_dists = min_dist_arrays(mbrs, query_arr, p)
     max_dists = max_dist_arrays(mbrs, query_arr, p)
     valid = ~exclude_mask(exclude, mbrs.shape[0])
-    valid_max = np.sort(max_dists[valid])
+    valid_max = max_dists[valid]
     if valid_max.shape[0] <= k:
         return np.flatnonzero(valid)
-    threshold = valid_max[k - 1]
+    # the k-th smallest MaxDist: a selection, not a full sort
+    threshold = np.partition(valid_max, k - 1)[k - 1]
     return np.flatnonzero(valid & (min_dists <= threshold))
 
 

@@ -10,6 +10,7 @@ from .decomposition import (
     DecompositionTree,
     Partition,
     clear_csr_cache,
+    csr_partitions,
     csr_partitions_batch,
     decompose_object,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "DecompositionTree",
     "Partition",
     "clear_csr_cache",
+    "csr_partitions",
     "csr_partitions_batch",
     "decompose_object",
     "discretise_database",

@@ -28,6 +28,7 @@ __all__ = [
     "DecompositionNode",
     "DecompositionTree",
     "CSRPartitionBatch",
+    "csr_partitions",
     "csr_partitions_batch",
     "clear_csr_cache",
     "decompose_object",
@@ -325,10 +326,10 @@ def csr_partitions_batch(
 
     ``depths[i]`` is the requested decomposition depth for ``trees[i]``
     (clamped by each tree's ``max_depth``, exactly like
-    :meth:`DecompositionTree.partitions_arrays`).  The concatenation is built
-    from the per-depth cached base arrays — no pad copies — and is itself
-    cached per depth-set, so an iteration whose frontier set is unchanged
-    reuses the previous iteration's batch outright.
+    :meth:`DecompositionTree.partitions_arrays`).  The batch is built by
+    :func:`csr_partitions` and cached per depth-set, so an IDCA iteration
+    whose frontier set is unchanged reuses the previous iteration's batch
+    outright.
 
     Returns a :class:`CSRPartitionBatch` whose arrays are read-only; an empty
     ``trees`` list yields a zero-candidate batch with ``offsets == [0]``.
@@ -345,7 +346,25 @@ def csr_partitions_batch(
     cached = _CSR_BATCH_CACHE.get(key)
     if cached is not None:
         return cached
+    batch = csr_partitions(trees, depths)
+    if len(_CSR_BATCH_CACHE) >= _CSR_BATCH_CACHE_MAX:
+        _evict_csr_tenth()
+    _CSR_BATCH_CACHE[key] = batch
+    return batch
 
+
+def csr_partitions(
+    trees: list["DecompositionTree"], depths: list[int]
+) -> CSRPartitionBatch:
+    """Uncached ragged CSR concatenation of several trees' partition sets.
+
+    Same layout and depth clamping as :func:`csr_partitions_batch`, built
+    from the per-depth cached base arrays (no pad copies).  Callers whose
+    batches never recur — a range query batches its own refine candidates —
+    use this directly so one-off batches do not fill the shared cache.
+    """
+    if len(trees) != len(depths):
+        raise ValueError("trees and depths must have the same length")
     parts = [tree.partitions_arrays(int(depth)) for tree, depth in zip(trees, depths)]
     offsets = np.zeros(len(trees) + 1, dtype=np.int64)
     for i, (_, masses) in enumerate(parts):
@@ -361,11 +380,7 @@ def csr_partitions_batch(
     regions.setflags(write=False)
     masses.setflags(write=False)
     offsets.setflags(write=False)
-    batch = CSRPartitionBatch(regions=regions, masses=masses, offsets=offsets)
-    if len(_CSR_BATCH_CACHE) >= _CSR_BATCH_CACHE_MAX:
-        _evict_csr_tenth()
-    _CSR_BATCH_CACHE[key] = batch
-    return batch
+    return CSRPartitionBatch(regions=regions, masses=masses, offsets=offsets)
 
 
 def decompose_object(

@@ -162,6 +162,35 @@ class TestKNNCandidates:
         excluded = rtree.knn_candidates(query, 3, exclude={int(full[0])})
         assert int(full[0]) not in excluded
 
+    def test_selection_matches_full_sort_with_ties_and_exclusions(self):
+        """The k-th smallest MaxDist by selection equals the sorted pick."""
+
+        def sorted_reference(boxes, query, k, exclude):
+            q = query.to_array()
+            valid = np.ones(boxes.shape[0], dtype=bool)
+            valid[list(exclude)] = False
+            valid_max = np.sort(max_dist_arrays(boxes, q)[valid])
+            if valid_max.shape[0] <= k:
+                return np.flatnonzero(valid)
+            mins = min_dist_arrays(boxes, q)
+            return np.flatnonzero(valid & (mins <= valid_max[k - 1]))
+
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            # integer-grid boxes: many exactly tied Min/MaxDists
+            lows = rng.integers(0, 4, size=(n, 2)).astype(float)
+            boxes = np.stack([lows, lows + rng.integers(0, 2, size=(n, 2))], axis=-1)
+            corner = rng.integers(0, 4, 2).astype(float)
+            query = Rectangle.from_bounds(corner, corner + rng.integers(0, 2, 2))
+            exclude = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+            for k in (1, 2, 5, n - len(exclude), n + 3):
+                if k <= 0:
+                    continue
+                expected = sorted_reference(boxes, query, k, exclude)
+                actual = knn_candidates(boxes, query, k, exclude=exclude)
+                np.testing.assert_array_equal(actual, expected)
+
     def test_k_larger_than_database_returns_all(self, mbrs):
         query = Rectangle.from_center_extent([0.5, 0.5], 0.02)
         assert knn_candidates(mbrs, query, mbrs.shape[0] + 5).shape[0] == mbrs.shape[0]
