@@ -117,7 +117,7 @@ from .engine import (
     ServiceBatch,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     # core

@@ -210,17 +210,21 @@ def _shift_right(
     num_influence: int,
     total_objects: int,
     k_cap: Optional[int],
+    upper_fill: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``ShiftRight`` of Algorithm 1 into ``_stored_cells`` cells (last axis).
 
     The UGF bounds land at ``[complete_count, complete_count + top)``; with
     truncation that window is clipped to the stored cells — it lies wholly
     outside them when more than ``k_cap + 1`` objects dominate completely.
+    Upper cells outside the window that are possible but unbounded get
+    ``upper_fill`` (1 for one partition pair; the summed pair weight once the
+    pairs are combined, see :func:`_combine_windows`).
     """
     length = _stored_cells(total_objects, k_cap)
     shape = pmf_lower.shape[:-1] + (length,)
     lower = np.zeros(shape)
-    upper = np.ones(shape)
+    upper = np.full(shape, upper_fill)
     # counts below the complete-domination count are impossible
     upper[..., :complete_count] = 0.0
     # counts above complete_count + num_influence are impossible as well
@@ -233,9 +237,37 @@ def _shift_right(
         # the overflow cell (if any) is intentionally vacuous
         lower[..., k_cap + 1 :] = 0.0
         upper[..., k_cap + 1 :] = (
-            1.0 if k_cap + 1 <= complete_count + num_influence else 0.0
+            upper_fill if k_cap + 1 <= complete_count + num_influence else 0.0
         )
     return lower, upper
+
+
+def _filter_step_bounds(
+    num_influence: int,
+    complete_count: int,
+    total_objects: int,
+    k_cap: Optional[int],
+) -> DominationCountBounds:
+    """Bounds after the filter step alone: every influence object in ``[0, 1]``.
+
+    Closed form of ``domination_count_bounds(zeros(n), ones(n), ...)``: the
+    UGF of ``n`` variables bounded by ``[0, 1]`` puts all its mass on "none
+    certain, all ``n`` possible", so its lower bound is ``e_0`` when ``n ==
+    0`` and 0 otherwise, and its upper bound is 1 on every count ``0..top``.
+    """
+    total_objects, ugf_cap = _resolve_truncation(
+        num_influence, complete_count, total_objects, k_cap
+    )
+    top = num_influence if ugf_cap is None else min(num_influence, ugf_cap)
+    pmf_lower = np.zeros(top + 1)
+    if num_influence == 0:
+        pmf_lower[0] = 1.0
+    lower, upper = _shift_right(
+        pmf_lower, np.ones(top + 1), complete_count, num_influence, total_objects, k_cap
+    )
+    return DominationCountBounds(
+        lower=lower, upper=upper, k_cap=k_cap, max_count=total_objects
+    )
 
 
 def domination_count_bounds(
@@ -367,28 +399,84 @@ def combine_weighted_bounds_arrays(
     pair whatever the database size; ``max_count`` names the logical count
     range of such rows (see :class:`DominationCountBounds`).
     """
+    lower, upper, total_weight = _fold_weighted(
+        weights,
+        np.atleast_2d(np.asarray(pmf_lower, dtype=float)),
+        np.atleast_2d(np.asarray(pmf_upper, dtype=float)),
+    )
+    return _fill_missing_weight(lower, upper, total_weight, k_cap, max_count)
+
+
+def _combine_windows(
+    weights: np.ndarray,
+    window_lower: np.ndarray,
+    window_upper: np.ndarray,
+    complete_count: int,
+    num_influence: int,
+    total_objects: int,
+    k_cap: Optional[int],
+) -> DominationCountBounds:
+    """Combine raw per-pair UGF windows, then ``ShiftRight`` once.
+
+    ``window_lower`` / ``window_upper`` are ``(num_pairs, top + 1)`` raw UGF
+    PMF bounds, before any shift.  The result equals, bit for bit,
+    ``combine_weighted_bounds_arrays(weights,
+    *domination_count_bounds_batch(...))`` on the same pairs.  Every shifted
+    row holds the same constant, 0 or 1, in each cell outside the window, so
+    that cell's weighted fold is exactly 0 or the folded weight ``W``: the
+    window rows are folded alone and the shift fills the rest with 0 or
+    ``W``.  The work is ``O(num_pairs * top)`` whatever ``total_objects``.
+    """
+    lower, upper, total_weight = _fold_weighted(weights, window_lower, window_upper)
+    lower, upper = _shift_right(
+        lower,
+        upper,
+        complete_count,
+        num_influence,
+        total_objects,
+        k_cap,
+        upper_fill=total_weight,
+    )
+    return _fill_missing_weight(lower, upper, total_weight, k_cap, total_objects)
+
+
+def _fold_weighted(
+    weights: np.ndarray, pmf_lower: np.ndarray, pmf_upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Left folds ``sum_i weights[i] * row_i`` in pair order, plus the total weight.
+
+    ``np.add.accumulate`` is a strict sequence of IEEE additions, so each
+    fold equals the row-by-row loop ``acc += weight * row`` bit for bit; the
+    weights are folded in the same order.
+    """
     weights = np.asarray(weights, dtype=float)
-    pmf_lower = np.atleast_2d(np.asarray(pmf_lower, dtype=float))
-    pmf_upper = np.atleast_2d(np.asarray(pmf_upper, dtype=float))
     if weights.ndim != 1 or weights.shape[0] == 0:
         raise ValueError("parts must not be empty")
     if pmf_lower.shape != pmf_upper.shape or pmf_lower.shape[0] != weights.shape[0]:
         raise ValueError("weights and bound matrices disagree on the number of pairs")
-    length = pmf_lower.shape[1]
-    lower = np.zeros(length)
-    upper = np.zeros(length)
-    total_weight = 0.0
-    for i in range(weights.shape[0]):
-        weight = float(weights[i])
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        lower += weight * pmf_lower[i]
-        upper += weight * pmf_upper[i]
-        total_weight += weight
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    total_weight = float(np.add.accumulate(weights)[-1])
     if total_weight > 1.0 + 1e-9:
         raise ValueError("partition-pair weights must not exceed 1")
-    # any missing weight (dropped zero-mass partitions) contributes vacuous
-    # bounds: nothing to the lower bounds, full mass to the upper bounds
+    column = weights[:, None]
+    lower = np.add.accumulate(column * pmf_lower, axis=0)[-1].copy()
+    upper = np.add.accumulate(column * pmf_upper, axis=0)[-1].copy()
+    return lower, upper, total_weight
+
+
+def _fill_missing_weight(
+    lower: np.ndarray,
+    upper: np.ndarray,
+    total_weight: float,
+    k_cap: Optional[int],
+    max_count: Optional[int],
+) -> DominationCountBounds:
+    """Final step of the Section IV-E combination.
+
+    Any missing weight (dropped zero-mass partitions) contributes vacuous
+    bounds: nothing to the lower bounds, full mass to the upper bounds.
+    """
     missing = max(0.0, 1.0 - total_weight)
     if missing > 1e-12:
         upper += missing

@@ -20,6 +20,17 @@ object ``B`` and a reference object ``R``, it
 
 The result carries the final conservative/progressive PMF bounds of
 ``DomCount(B, R)`` plus per-iteration statistics used by the experiments.
+
+One iteration of many runs — the round a scheduler drives — goes through
+:func:`step_runs`, and :meth:`IDCARun.step` is that function on one run.
+Each run makes its own kernel call; the UGF expansions of all runs whose rows
+can share one are done together (see :func:`_expand_windows`).
+
+The module is longer than the repository's ~600-line guideline on purpose:
+the driver, the incremental run and the batched step share the run's private
+state, and the step calls the kernel and the UGF expansion through the names
+imported here, which is where ``bench/tracing.py`` attributes ``kernels`` and
+``aggregate`` time.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import itertools
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,13 +50,15 @@ from .domination import complete_domination_filter, reference_min_dists
 from .kernels import pdom_bounds_csr, resolve_backend
 from .domination_count import (
     DominationCountBounds,
-    combine_weighted_bounds_arrays,
-    domination_count_bounds,
+    _combine_windows,
+    _filter_step_bounds,
+    _resolve_truncation,
+    combine_weighted_bounds_arrays,  # noqa: F401 - the bench tracer's "aggregate.combine" target
     domination_count_bounds_batch,
 )
 from .stop_criteria import StopCriterion
 
-__all__ = ["IDCA", "IDCARun", "IDCAResult", "IterationStats"]
+__all__ = ["IDCA", "IDCARun", "IDCAResult", "IterationStats", "step_runs"]
 
 ObjectOrIndex = Union[UncertainObject, int, np.integer]
 
@@ -70,6 +83,12 @@ class IterationStats:
     wall-clock spent inside the CSR kernel itself, zero when every candidate
     column was served from the memo.  Backends are bit-identical, so these
     fields only attribute time — they never explain a result difference.
+
+    When several runs step together (:func:`step_runs`), one UGF expansion
+    can serve rows of many runs; its time is split across those runs by
+    their share of its rows, so no time of the round is counted twice in
+    the runs' ``elapsed_seconds``.  Every other field describes this run
+    alone.
     """
 
     iteration: int
@@ -438,12 +457,11 @@ class IDCARun:
         self._influence = filter_result.influence_indices
         self._total_objects = len(idca.database) - len(exclude)
 
-        bounds = domination_count_bounds(
-            np.zeros(self._influence.shape[0]),
-            np.ones(self._influence.shape[0]),
-            complete_count=self._complete_count,
-            total_objects=self._total_objects,
-            k_cap=idca.k_cap,
+        bounds = _filter_step_bounds(
+            self._influence.shape[0],
+            self._complete_count,
+            self._total_objects,
+            idca.k_cap,
         )
         self.result = IDCAResult(
             bounds=bounds,
@@ -510,6 +528,23 @@ class IDCARun:
         """Execute one refinement iteration; returns False when finished."""
         if self._finished:
             return False
+        step_runs([self])
+        return True
+
+    def run(self) -> IDCAResult:
+        """Drain the run: step until finished, then return the result."""
+        while self.step():
+            pass
+        return self.result
+
+    def _plan(self) -> "_Iteration":
+        """First half of an iteration: partitions, memo and the kernel call.
+
+        Only reads the run's iteration state — :meth:`_complete` commits the
+        new depths, widths and bounds — so an iteration abandoned between the
+        halves (a deadline) is as if it never started; memo entries it stored
+        are deterministic and stay valid.
+        """
         idca = self.idca
         if self._influence_trees is None:
             self._materialise_trees()
@@ -517,7 +552,7 @@ class IDCARun:
         iter_start = time.perf_counter()
         target_depth = min(iteration, idca.max_target_depth)
         reference_depth = min(iteration, idca.max_reference_depth)
-        candidate_depths = self._candidate_depths
+        candidate_depths = self._candidate_depths.copy()
         if idca.adaptive_candidate_refinement:
             # only objects that still contribute bound width get refined
             candidate_depths[self._previous_widths > idca.adaptive_width_threshold] += 1
@@ -615,44 +650,70 @@ class IDCARun:
         # dropped exactly as the scalar loop skipped them
         pair_weights = (target_masses[:, None] * reference_masses[None, :]).ravel()
         active = np.flatnonzero(pair_weights > 0.0)
+        widths = None
         if idca.adaptive_candidate_refinement:
-            # accumulated pair by pair, in pair order, like the bounds below
+            # accumulated pair by pair, in pair order, like the bounds
             widths = np.zeros(num_candidates)
             for pair_idx in active:
                 widths += float(pair_weights[pair_idx]) * (
                     upper_matrix[pair_idx] - lower_matrix[pair_idx]
                 )
-            self._previous_widths = widths
 
-        pmf_lower, pmf_upper = domination_count_bounds_batch(
-            lower_matrix[active],
-            upper_matrix[active],
-            complete_count=self._complete_count,
-            total_objects=self._total_objects,
-            k_cap=idca.k_cap,
+        _, ugf_cap = _resolve_truncation(
+            num_candidates, self._complete_count, self._total_objects, idca.k_cap
         )
-        bounds = combine_weighted_bounds_arrays(
-            pair_weights[active],
-            pmf_lower,
-            pmf_upper,
-            k_cap=idca.k_cap,
-            max_count=self._total_objects,
+        return _Iteration(
+            run=self,
+            iteration=iteration,
+            candidate_depths=candidate_depths,
+            widths=widths,
+            weights=pair_weights[active],
+            lower=lower_matrix[active],
+            upper=upper_matrix[active],
+            ugf_cap=ugf_cap,
+            candidate_partitions=max_candidate_partitions,
+            cache_seconds=cache_seconds,
+            shared=(
+                getattr(cache, "shared_hits", 0) - shared_before[0],
+                getattr(cache, "shared_misses", 0) - shared_before[1],
+                getattr(cache, "shared_publishes", 0) - shared_before[2],
+            ),
+            kernel_backend=kernel_backend,
+            kernel_seconds=kernel_seconds,
+            seconds=time.perf_counter() - iter_start,
         )
+
+    def _complete(self, planned: "_Iteration") -> None:
+        """Second half of an iteration: combine the pairs' UGF windows."""
+        start = time.perf_counter()
+        bounds = _combine_windows(
+            planned.weights,
+            planned.window_lower,
+            planned.window_upper,
+            self._complete_count,
+            planned.lower.shape[1],
+            self._total_objects,
+            self.idca.k_cap,
+        )
+        iteration = planned.iteration
+        self._candidate_depths = planned.candidate_depths
+        if planned.widths is not None:
+            self._previous_widths = planned.widths
         self.result.bounds = bounds
+        shared_hits, shared_misses, shared_publishes = planned.shared
         self.result.iterations.append(
             IterationStats(
                 iteration=iteration,
                 uncertainty=bounds.uncertainty(),
-                elapsed_seconds=time.perf_counter() - iter_start,
-                num_pairs=int(active.shape[0]),
-                candidate_partitions=max_candidate_partitions,
-                cache_seconds=cache_seconds,
-                shared_hits=getattr(cache, "shared_hits", 0) - shared_before[0],
-                shared_misses=getattr(cache, "shared_misses", 0) - shared_before[1],
-                shared_publishes=getattr(cache, "shared_publishes", 0)
-                - shared_before[2],
-                kernel_backend=kernel_backend,
-                kernel_seconds=kernel_seconds,
+                elapsed_seconds=planned.seconds + (time.perf_counter() - start),
+                num_pairs=int(planned.weights.shape[0]),
+                candidate_partitions=planned.candidate_partitions,
+                cache_seconds=planned.cache_seconds,
+                shared_hits=shared_hits,
+                shared_misses=shared_misses,
+                shared_publishes=shared_publishes,
+                kernel_backend=planned.kernel_backend,
+                kernel_seconds=planned.kernel_seconds,
             )
         )
         self._iteration = iteration
@@ -664,10 +725,131 @@ class IDCARun:
         elif iteration >= self.max_iterations:
             self._finished = True
         self.result.decision = getattr(self.stop, "decision", None)
-        return True
 
-    def run(self) -> IDCAResult:
-        """Drain the run: step until finished, then return the result."""
-        while self.step():
-            pass
-        return self.result
+
+@dataclass(eq=False)
+class _Iteration:
+    """One planned iteration of one run, between the kernel and the UGF.
+
+    ``lower`` / ``upper`` are the run's ``(active pairs, influence objects)``
+    domination-bound rows; the UGF expansion fills ``window_lower`` /
+    ``window_upper`` with their raw ``(active pairs, top + 1)`` PMF windows.
+    """
+
+    run: IDCARun
+    iteration: int
+    candidate_depths: np.ndarray
+    widths: Optional[np.ndarray]
+    weights: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    ugf_cap: Optional[int]
+    candidate_partitions: int
+    cache_seconds: float
+    shared: tuple[int, int, int]
+    kernel_backend: str
+    kernel_seconds: float
+    seconds: float
+    window_lower: Optional[np.ndarray] = None
+    window_upper: Optional[np.ndarray] = None
+
+    def ugf_cells(self) -> int:
+        """Coefficient cells of this iteration's UGF expansion."""
+        num_influence = self.lower.shape[1]
+        cap = num_influence if self.ugf_cap is None else min(num_influence, self.ugf_cap + 1)
+        return self.lower.shape[0] * (cap + 1) ** 2
+
+
+#: Most UGF coefficient cells one chunk of a round expands together.  A round
+#: is planned and completed chunk by chunk, so this also bounds the bound
+#: rows and windows alive at once; a run larger than the budget goes alone.
+_ROUND_CHUNK_CELLS = 1 << 16
+
+
+def step_runs(
+    runs: Sequence[IDCARun], check: Optional[Callable[[], None]] = None
+) -> None:
+    """Execute one refinement iteration of every unfinished run in ``runs``.
+
+    Each run plans its iteration — partitions, memo lookups and its own
+    :func:`~repro.core.kernels.pdom_bounds_csr` call — in list order.  The
+    rows of runs that can share a UGF expansion then get one
+    (:func:`_expand_windows`), and each run combines its pairs' windows and
+    applies its stop rule.  Every run's outcome is bit-identical to stepping
+    it alone.  Runs are taken in chunks of at most :data:`_ROUND_CHUNK_CELLS`
+    UGF coefficient cells.
+
+    ``check``, when given, is called before every run's iteration; an
+    exception it raises abandons the round, and runs whose iteration was
+    planned but not completed keep their previous state.
+    """
+    chunk: list[_Iteration] = []
+    cells = 0
+    for run in runs:
+        if run.finished:
+            continue
+        if check is not None:
+            check()
+        planned = run._plan()
+        planned_cells = planned.ugf_cells()
+        if chunk and cells + planned_cells > _ROUND_CHUNK_CELLS:
+            _complete_chunk(chunk)
+            chunk, cells = [], 0
+        chunk.append(planned)
+        cells += planned_cells
+    if chunk:
+        _complete_chunk(chunk)
+
+
+def _complete_chunk(chunk: list[_Iteration]) -> None:
+    _expand_windows(chunk)
+    for planned in chunk:
+        planned.run._complete(planned)
+
+
+def _expand_windows(chunk: list[_Iteration]) -> None:
+    """Raw UGF windows of every planned iteration, one expansion per group.
+
+    Rows share an expansion when it is bit-identical to their own.  Padding
+    a row with ``p_lb = p_ub = 0`` variables multiplies every coefficient by
+    exactly 1 and adds exact zeros, but the expansion's cap, ``top`` and
+    overflow row depend on the row width ``n`` and ``ugf_cap``: rows with the
+    same ``ugf_cap`` and ``n >= ugf_cap + 2`` are padded to one width, all
+    other rows (including untruncated ones) are grouped by exact ``n``.  The
+    expansion's time is split across the group by row share.
+    """
+    groups: dict[tuple, list[_Iteration]] = {}
+    for planned in chunk:
+        width = planned.lower.shape[1]
+        cap = planned.ugf_cap
+        padded = cap is not None and width >= cap + 2
+        groups.setdefault((cap, None if padded else width), []).append(planned)
+    for (cap, _), members in groups.items():
+        start = time.perf_counter()
+        width = max(planned.lower.shape[1] for planned in members)
+        if len(members) == 1:
+            lower, upper = members[0].lower, members[0].upper
+        else:
+            rows = sum(planned.lower.shape[0] for planned in members)
+            lower = np.zeros((rows, width))
+            upper = np.zeros((rows, width))
+            row = 0
+            for planned in members:
+                count, n = planned.lower.shape
+                lower[row : row + count, :n] = planned.lower
+                upper[row : row + count, :n] = planned.upper
+                row += count
+        # with complete_count=0 and total_objects=width the first top + 1
+        # cells of each row are exactly the raw UGF window
+        pmf_lower, pmf_upper = domination_count_bounds_batch(
+            lower, upper, complete_count=0, total_objects=width, k_cap=cap
+        )
+        top = width if cap is None else min(width, cap)
+        seconds = time.perf_counter() - start
+        row = 0
+        for planned in members:
+            count = planned.lower.shape[0]
+            planned.window_lower = pmf_lower[row : row + count, : top + 1]
+            planned.window_upper = pmf_upper[row : row + count, : top + 1]
+            planned.seconds += seconds * count / lower.shape[0]
+            row += count

@@ -129,11 +129,23 @@ class ScanCandidateSource(_DatabaseCandidateSource):
     """Candidate generation via the vectorised linear scan."""
 
     def knn_candidates(
-        self, query: Rectangle, k: int, p: float, exclude: ExcludeSpec
+        self,
+        query: Rectangle,
+        k: int,
+        p: float,
+        exclude: ExcludeSpec,
+        *,
+        min_dists: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Conservative kNN candidates via one vectorised MinDist/MaxDist pass."""
+        """Conservative kNN candidates via one vectorised MinDist/MaxDist pass.
+
+        ``min_dists`` optionally supplies the MinDist half of that pass (the
+        query's ``reference_min_dists`` profile over this snapshot).
+        """
         mask, _ = normalize_exclude(exclude, len(self.database))
-        return scan_knn_candidates(self.database.mbrs(), query, k, p=p, exclude=mask)
+        return scan_knn_candidates(
+            self.database.mbrs(), query, k, p=p, exclude=mask, min_dists=min_dists
+        )
 
     def range_classify(
         self, query: Rectangle, epsilon: float, p: float, exclude: ExcludeSpec

@@ -46,7 +46,7 @@ from ..queries.range import range_bounds_csr
 from ..queries.ranking import RankedObject, RankingResult
 from ..uncertain import UncertainDatabase
 from ..uncertain.decomposition import AxisPolicy, csr_partitions
-from .candidates import CandidateSource, make_candidate_source
+from .candidates import CandidateSource, ScanCandidateSource, make_candidate_source
 from .context import RefinementContext
 from .executor import (
     BatchReport,
@@ -227,10 +227,22 @@ class QueryEngine:
         start = time.perf_counter()
         exclude: set[int] = set()
         query_obj = resolve_object(self.database, query, exclude)
+        supplied = idca
         idca = self._threshold_idca(idca, k)
-        candidates = self.candidate_source.knn_candidates(
-            query_obj.mbr, k, self.p, exclude
-        )
+        if (
+            supplied is None
+            and idca.database is self.database
+            and isinstance(self.candidate_source, ScanCandidateSource)
+        ):
+            # one MinDist(·, query) pass feeds the scan and every run's
+            # domination pre-screen (the IDCA keeps it as its profile)
+            candidates = self.candidate_source.knn_candidates(
+                query_obj.mbr, k, self.p, exclude, min_dists=idca._min_dists_to(query_obj)
+            )
+        else:
+            candidates = self.candidate_source.knn_candidates(
+                query_obj.mbr, k, self.p, exclude
+            )
         result = ThresholdQueryResult(
             k=k, tau=tau, pruned=len(self.database) - len(exclude) - candidates.shape[0]
         )

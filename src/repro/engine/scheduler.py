@@ -15,6 +15,13 @@ per-candidate results are identical to arrival-order evaluation.  With
 ``global_iteration_budget`` set, the scheduler degrades gracefully — the
 budget is spent on the most uncertain candidates first, which is exactly the
 behaviour the paper's iterative scheme is after.
+
+Without a budget the work is therefore done in *rounds*: every unfinished
+run takes one iteration per round through :func:`~repro.core.idca.step_runs`,
+which shares UGF expansions across runs, and the priority heap is replayed
+afterwards over the priorities each run had after each of its iterations.
+The replay reports finished runs in exactly the order the heap would have
+stepped them.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import time
 from typing import Callable, Optional, Sequence
 
 from ..core import IDCARun
+from ..core.idca import step_runs
 from .errors import DeadlineExceeded
 
 __all__ = ["RefinementScheduler"]
@@ -85,8 +93,11 @@ class RefinementScheduler:
         first) and is re-evaluated after every step, so a candidate whose
         bounds tighten quickly falls down the queue while stubborn candidates
         keep receiving iterations until they decide or exhaust their budget.
-        ``on_finished`` is invoked each time a stepped run finishes — callers
-        use it to record the order in which evaluations concluded.
+        ``on_finished`` is invoked once per stepped run that finishes, in the
+        order the priority heap concludes them — callers use it to record
+        the order in which evaluations concluded.  Without a budget the
+        iterations happen in rounds and ``on_finished`` is called after the
+        last round; with one, each call follows the run's final iteration.
 
         With :attr:`deadline_epoch` set, every iteration first checks the
         wall clock and raises
@@ -96,30 +107,91 @@ class RefinementScheduler:
         the deadline aborts the query: partial results under a wall-clock
         race would not be reproducible, so none are returned.
         """
-        counter = itertools.count()
-        heap: list[tuple[float, int, IDCARun]] = []
-        for run in runs:
-            if not run.finished:
-                heapq.heappush(heap, (-priority(run), next(counter), run))
-        steps = 0
-        budget = self.global_iteration_budget
-        while heap:
-            if budget is not None and steps >= budget:
-                break
-            if self.deadline_epoch is not None and time.time() >= self.deadline_epoch:
-                self.steps_taken += steps
-                raise DeadlineExceeded(
-                    f"refinement passed its deadline after {steps} iterations"
-                )
-            _, _, run = heapq.heappop(heap)
-            if run.finished:
-                continue
-            run.step()
-            steps += 1
-            if run.finished:
-                if on_finished is not None:
-                    on_finished(run)
+        # each run once, in arrival order
+        pending = list({id(run): run for run in runs if not run.finished}.values())
+        before = sum(run.iteration for run in pending)
+
+        def steps() -> int:
+            return sum(run.iteration for run in pending) - before
+
+        check = None
+        if self.deadline_epoch is not None:
+            deadline = self.deadline_epoch
+
+            def check() -> None:
+                if time.time() >= deadline:
+                    raise DeadlineExceeded(
+                        f"refinement passed its deadline after {steps()} iterations"
+                    )
+
+        try:
+            if self.global_iteration_budget is None:
+                _refine_in_rounds(pending, priority, on_finished, check)
             else:
-                heapq.heappush(heap, (-priority(run), next(counter), run))
-        self.steps_taken += steps
-        return steps
+
+                def step(run: IDCARun) -> Optional[float]:
+                    step_runs([run], check)
+                    return None if run.finished else priority(run)
+
+                _heap_order(
+                    pending, priority, step, on_finished, self.global_iteration_budget
+                )
+        finally:
+            taken = steps()
+            self.steps_taken += taken
+        return taken
+
+
+def _refine_in_rounds(pending, priority, on_finished, check) -> None:
+    """Step every unfinished run once per round, then replay the heap.
+
+    The replay is :func:`_heap_order` with each iteration replaced by
+    reading the priority that iteration left behind.
+    """
+    recorded = {id(run): [priority(run)] for run in pending}
+    active = pending
+    while active:
+        step_runs(active, check)
+        active = [run for run in active if not run.finished]
+        for run in active:
+            recorded[id(run)].append(priority(run))
+    if on_finished is None:
+        return
+    taken = dict.fromkeys(recorded, 0)
+
+    def replay(run: IDCARun) -> Optional[float]:
+        taken[id(run)] += 1
+        values = recorded[id(run)]
+        return values[taken[id(run)]] if taken[id(run)] < len(values) else None
+
+    _heap_order(pending, lambda run: recorded[id(run)][0], replay, on_finished)
+
+
+def _heap_order(
+    pending: Sequence[IDCARun],
+    first: PriorityFn,
+    advance: Callable[[IDCARun], Optional[float]],
+    on_finished: Optional[Callable[[IDCARun], None]],
+    budget: Optional[int] = None,
+) -> None:
+    """The priority heap: pop the most urgent run, advance it, push it back.
+
+    ``first`` gives a run's priority before its first iteration; ``advance``
+    executes (or replays) the run's next iteration and returns its new
+    priority, or ``None`` once the run has finished.  Ties go to the run
+    pushed first.  At most ``budget`` iterations are advanced.
+    """
+    counter = itertools.count()
+    heap: list[tuple[float, int, IDCARun]] = []
+    for run in pending:
+        heapq.heappush(heap, (-first(run), next(counter), run))
+    spent = 0
+    while heap and (budget is None or spent < budget):
+        _, _, run = heapq.heappop(heap)
+        urgency = advance(run)
+        spent += 1
+        if urgency is None:
+            if on_finished is not None:
+                on_finished(run)
+        else:
+            heapq.heappush(heap, (-urgency, next(counter), run))

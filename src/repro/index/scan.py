@@ -36,6 +36,8 @@ def knn_candidates(
     k: int,
     p: float = 2.0,
     exclude: ExcludeSpec = None,
+    *,
+    min_dists: np.ndarray | None = None,
 ) -> np.ndarray:
     """Conservative kNN candidate set based on MinDist / MaxDist.
 
@@ -57,6 +59,9 @@ def knn_candidates(
         any iterable of positions (see :func:`repro.index.normalize_exclude`);
         excluded objects are neither returned nor used for the pruning
         distance (e.g. the query itself).
+    min_dists:
+        Optional precomputed ``min_dist_arrays(mbrs, query.to_array(), p)``,
+        for callers that need the same profile elsewhere.
 
     Returns
     -------
@@ -66,7 +71,10 @@ def knn_candidates(
     if k <= 0:
         raise ValueError("k must be positive")
     query_arr = query.to_array()
-    min_dists = min_dist_arrays(mbrs, query_arr, p)
+    if min_dists is None:
+        min_dists = min_dist_arrays(mbrs, query_arr, p)
+    elif min_dists.shape != (mbrs.shape[0],):
+        raise ValueError("min_dists must hold one distance per MBR")
     max_dists = max_dist_arrays(mbrs, query_arr, p)
     valid = ~exclude_mask(exclude, mbrs.shape[0])
     valid_max = max_dists[valid]

@@ -33,7 +33,7 @@ from repro.uncertain import DiscreteObject
 
 class TestPublicAPI:
     def test_version(self):
-        assert repro.__version__ == "1.11.0"
+        assert repro.__version__ == "1.12.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
