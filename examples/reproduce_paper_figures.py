@@ -2,9 +2,8 @@
 
 This script runs the experiment behind each figure of Section VII with
 laptop-friendly parameters, prints the resulting tables and optionally saves
-them as CSV files for plotting.  The benchmark suite under ``benchmarks/``
-runs the same experiments with assertions on the expected shapes; this script
-is the human-readable counterpart referenced from ``EXPERIMENTS.md``.
+them as CSV files for plotting.  ``tests/test_experiments.py`` runs the
+same experiments at smaller sizes with assertions on the expected shapes.
 
 Run with::
 

@@ -160,9 +160,9 @@ def resolve_backend(requested: Optional[str]) -> str:
 def kernel_environment() -> dict:
     """Environment metadata for benchmark reports.
 
-    Records what a ``BENCH_*.json`` number was measured *with* — CPU count,
-    numpy/numba versions and the backend the ladder resolves to — so
-    trajectory comparisons across machines are interpretable.
+    Records what a number in the bench environment block was measured
+    *with* — CPU count, numpy/numba versions and the backend the ladder
+    resolves to — so comparisons across machines are interpretable.
     """
     numba_version = None
     if _NUMBA_AVAILABLE:

@@ -5,8 +5,9 @@ returns an :class:`~repro.experiments.harness.ExperimentTable` whose rows are
 the plotted points.  The default parameters are scaled down so the whole
 suite runs on a laptop within seconds; the docstring of every function states
 the parameters the paper used.  Absolute runtimes differ from the paper's
-testbed — the benchmarks compare *shapes* (who wins, how trends evolve), which
-is what ``EXPERIMENTS.md`` records.
+testbed — what carries over is the *shape* (who wins, how trends evolve):
+``examples/reproduce_paper_figures.py`` prints every table and
+``tests/test_experiments.py`` asserts the shapes at small sizes.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Every figure of the paper's evaluation section has a corresponding experiment
 function in :mod:`repro.experiments.figures`.  Those functions return
 :class:`ExperimentTable` instances — plain tabular data (one row per plotted
-point) that the benchmark suite executes, that ``EXPERIMENTS.md`` documents
-and that users can export to CSV for plotting.
+point) that ``examples/reproduce_paper_figures.py`` prints, that
+``tests/test_experiments.py`` checks and that users can export to CSV for
+plotting.
 
 :func:`run_query_batch` is the harness-level entry point into the engine's
 batch API: it evaluates a request workload against one shared refinement

@@ -1,9 +1,8 @@
 """Closed- and open-loop HTTP load generation against the gateway.
 
 The harness behind the gateway soak test (``tests/test_gateway_soak.py``)
-and ``benchmarks/bench_gateway.py`` — and the closed-loop driver every
-later performance PR can point at the service, per the ROADMAP.  Three
-entry points, all synchronous (each spins up a private event loop):
+and the load-ramp test in ``tests/test_gateway.py``.  Three entry points,
+all synchronous (each spins up a private event loop):
 
 * :func:`run_closed_loop` — ``concurrency`` workers, each holding one
   keep-alive connection and issuing its next request the moment the
@@ -77,7 +76,7 @@ class LoadReport:
         return self.status_counts.get(200, 0) / self.completed
 
     def as_dict(self) -> dict:
-        """JSON-safe representation (for BENCH reports)."""
+        """JSON-safe representation (for load reports)."""
         return {
             "mode": self.mode,
             "concurrency": self.concurrency,

@@ -554,11 +554,27 @@ def test_repeated_batches_hit_store_and_stay_identical(
         for round_ in range(3):
             assert _snapshot(service.evaluate_many(batch)) == serial_snapshot
             report = service.last_batch_report
-            if round_ >= 1:
+            if round_ == 0:
+                assert report.shared_publishes > 0
+            else:
                 # batch 2+: the duplicate work is served, not recomputed
                 assert report.shared_hit_rate >= 0.5
         stats = service.bound_store_stats()
         assert stats["filled_slots"] > 0
+
+
+@pytest.mark.parametrize("claims", [True, False], ids=["claims", "no-claims"])
+def test_cold_batch_identical_with_and_without_claims(
+    database, batch, serial_snapshot, claims
+):
+    with QueryService(
+        QueryEngine(database),
+        ExecutorConfig(workers=4, chunking="contiguous"),
+        store_claims=claims,
+    ) as service:
+        assert _snapshot(service.evaluate_many(batch + batch)) == (
+            serial_snapshot + serial_snapshot
+        )
 
 
 # --------------------------------------------------------------------- #

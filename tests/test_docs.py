@@ -5,7 +5,8 @@ Three guarantees, enforced in CI by the docs job:
 1. every fenced ``python`` code block in ``README.md`` and ``docs/*.md``
    executes without error (so the quickstart and the worked examples can be
    pasted verbatim);
-2. every relative markdown link in those files points at a path that exists
+2. every relative markdown link in those files, and every repository path a
+   step of ``.github/workflows/ci.yml`` names, points at a path that exists
    in the repository;
 3. every public name exported by the ``repro.engine`` package — and every
    public method those classes define — carries a docstring stating its
@@ -29,6 +30,16 @@ DOC_FILES = sorted(
 PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
+CI_WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+#: Repository paths named in the CI workflow: scripts under a directory
+#: (``tests/…py``, ``.github/scripts/…``) and JSON files.  Names a step
+#: generates (``counts-$workload-$run.json``) hold a ``$`` or ``{`` and do
+#: not match.
+CI_PATH = re.compile(
+    r"(?<![\w${}./-])((?:[\w.-]+/)+[\w.-]+\.(?:py|sh)|\w[\w./-]*\.json)\b"
+)
+LINKING_FILES = [*DOC_FILES, CI_WORKFLOW]
+
 
 def _python_blocks(path: Path) -> list[tuple[int, str]]:
     text = path.read_text()
@@ -39,8 +50,8 @@ def _python_blocks(path: Path) -> list[tuple[int, str]]:
     return blocks
 
 
-def _doc_file_ids():
-    return [path.relative_to(REPO_ROOT).as_posix() for path in DOC_FILES]
+def _doc_file_ids(paths=DOC_FILES):
+    return [path.relative_to(REPO_ROOT).as_posix() for path in paths]
 
 
 # --------------------------------------------------------------------- #
@@ -65,15 +76,22 @@ def test_readme_has_runnable_snippets():
 # --------------------------------------------------------------------- #
 # 2. relative links resolve
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("path", DOC_FILES, ids=_doc_file_ids())
+def _relative_targets(path: Path) -> tuple[Path, list[str]]:
+    """The paths ``path`` refers to, and the directory they are relative to."""
+    text = path.read_text()
+    if path == CI_WORKFLOW:
+        return REPO_ROOT, CI_PATH.findall(text)  # steps run at the checkout root
+    external = ("http://", "https://", "mailto:", "#")
+    links = MARKDOWN_LINK.findall(text)
+    return path.parent, [target for target in links if not target.startswith(external)]
+
+
+@pytest.mark.parametrize("path", LINKING_FILES, ids=_doc_file_ids(LINKING_FILES))
 def test_relative_links_resolve(path):
-    broken = []
-    for target in MARKDOWN_LINK.findall(path.read_text()):
-        if target.startswith(("http://", "https://", "mailto:", "#")):
-            continue
-        resolved = (path.parent / target.split("#")[0]).resolve()
-        if not resolved.exists():
-            broken.append(target)
+    base, targets = _relative_targets(path)
+    broken = [
+        target for target in targets if not (base / target.split("#")[0]).resolve().exists()
+    ]
     assert not broken, f"broken relative links in {path.name}: {broken}"
 
 

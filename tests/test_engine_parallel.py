@@ -113,6 +113,13 @@ def test_results_identical_across_chunkings(
     assert got == serial_snapshot
 
 
+def test_serial_engine_repeats_batches_identically(database, requests, serial_snapshot):
+    # later batches are served from the warm shared context: same results
+    engine = QueryEngine(database)
+    for _ in range(3):
+        assert _snapshot(engine.evaluate_many(requests)) == serial_snapshot
+
+
 def test_serial_config_matches_no_config(database, requests, serial_snapshot):
     engine = QueryEngine(database)
     config = ExecutorConfig(mode="serial", workers=4)

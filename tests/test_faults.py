@@ -177,6 +177,7 @@ def test_kill_later_chunk_still_recovers(database, requests, serial_snapshot):
             got = _snapshot(service.evaluate_many(requests, chunk_size=1))
             assert got == serial_snapshot
             assert service.last_batch_report.worker_respawns >= 1
+            assert service.last_batch_report.chunk_retries >= 1
 
 
 def test_unsupervised_pool_surfaces_worker_crash(database, requests):
@@ -272,6 +273,9 @@ def test_batch_without_deadline_is_unaffected(database, requests, serial_snapsho
     with _service(database, workers=2) as service:
         got = _snapshot(service.evaluate_many(requests, deadline=300.0))
         assert got == serial_snapshot
+        # a clean run neither respawns a lane nor retries a chunk
+        report = service.last_batch_report
+        assert report.worker_respawns == report.chunk_retries == 0
 
 
 # --------------------------------------------------------------------- #

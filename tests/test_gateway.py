@@ -27,6 +27,7 @@ from repro.gateway import (
     encode_result,
 )
 from repro.testing.faults import ANY_LANE, FaultPlan, inject_faults
+from repro.testing.load import run_ramp
 
 #: One document per query kind, all over database positions (so the serial
 #: expectation can be computed with ``decode_query`` + ``QueryEngine``).
@@ -91,7 +92,8 @@ def _serial_payload(database, document):
 def test_all_kinds_bit_identical_to_serial(gateway_database, workers):
     with QueryService(gateway_database, ExecutorConfig(workers=workers)) as service:
         with GatewayServer(service) as server:
-            for document in QUERY_DOCS:
+            # the second round is served from warm caches: same bytes
+            for document in QUERY_DOCS + QUERY_DOCS:
                 status, _headers, body = _post(server, "/v1/query", document)
                 assert status == 200, body
                 expected = b'{"result":' + _serial_payload(
@@ -129,6 +131,26 @@ def test_concurrent_clients_all_served(shared_server, gateway_database):
     for (status, _headers, body), doc_index in outcomes.values():
         assert status == 200
         assert body == expected[doc_index]
+
+
+def test_load_ramp_is_clean(shared_server):
+    host, port = shared_server.address
+
+    def factory(index):
+        return "/v1/query", {
+            "type": "knn", "query": index % 16, "k": 3, "tau": 0.5,
+            "max_iterations": 3,
+        }
+
+    reports = run_ramp(
+        host, port, factory, concurrencies=(1, 2, 4), requests_per_step=8,
+        timeout=60.0,
+    )
+    assert [report.concurrency for report in reports] == [1, 2, 4]
+    for report in reports:
+        assert report.transport_errors == 0
+        assert report.completed == report.offered == 8
+        assert report.status_counts.get(200, 0) == report.completed
 
 
 def test_keep_alive_connection_reuse(shared_server):

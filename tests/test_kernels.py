@@ -298,8 +298,10 @@ class TestEngineBackendParity:
         engine = QueryEngine(database, kernel_backend="numpy")
         config = ExecutorConfig(workers=workers, shared_bounds=shared_bounds)
         with QueryService(engine, config) as service:
-            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+            for _ in range(2):
+                assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+                if not shared_bounds:
+                    assert service.last_batch_report.shared_hits == 0
 
     def test_forced_numpy_env_is_bit_identical(
         self, database, requests, serial_snapshot, monkeypatch

@@ -331,6 +331,26 @@ def test_rtree_engine_advances_incrementally(database, requests):
         )
 
 
+def test_rtree_service_matches_fresh_scan_across_mutations(database, requests):
+    config = ExecutorConfig(workers=2, start_method=START_METHOD)
+    engine = QueryEngine(database, rtree=RTree(database.mbrs()))
+    with QueryService(engine, config) as service:
+        service.evaluate_many(requests)
+        for step in _mutation_steps(np.random.default_rng(95)):
+            service.apply(step)
+            # lanes advance their R-tree copies from the shipped deltas
+            assert _snapshot(service.evaluate_many(requests)) == _fresh_snapshot(
+                service.engine.database, requests
+            )
+        current = service.engine.database
+    # a service over an R-tree bulk-loaded from the final content agrees too
+    rebuilt = UncertainDatabase(list(current.objects))
+    with QueryService(QueryEngine(rebuilt, rtree=RTree(rebuilt.mbrs())), config) as fresh:
+        assert _snapshot(fresh.evaluate_many(requests)) == _fresh_snapshot(
+            current, requests
+        )
+
+
 # --------------------------------------------------------------------- #
 # incremental R-tree maintenance: parity with a fresh bulk load
 # --------------------------------------------------------------------- #
@@ -484,26 +504,30 @@ def test_shared_store_stays_warm_across_small_mutations(database):
         for _ in range(3)
         for query in distinct
     ]
-    # mutate <= 10% of the objects (3 of 30), updates only so positions of
-    # the untouched objects — and therefore their store keys — are stable
-    step = [
-        Update(int(position), _box(rng.uniform(0.1, 0.9, size=2)))
-        for position in rng.choice(len(database), size=3, replace=False)
-    ]
     with _service(database, workers=4) as service:
         if not service.shared_bounds:
             pytest.skip("shared bounds store disabled in this configuration")
         service.evaluate_many(batch)  # publish the epoch-0 columns
-        service.apply(step)
-        results = service.evaluate_many(batch)
-        report = service.last_batch_report
-        # zero stale hits: bit-identity with a fresh build is only possible
-        # if no column computed against the old snapshot was served
-        assert _snapshot(results) == _fresh_snapshot(service.engine.database, batch)
-        # warm columns: of the lookups the worker-local tier missed, at
-        # least half are served by the store even though the epoch changed
-        assert report.shared_hits + report.shared_misses > 0
-        assert report.shared_hit_rate >= 0.5, str(report)
+        for _ in range(3):
+            # mutate <= 10% of the objects (3 of 30), updates only so positions
+            # of the untouched objects — and therefore their store keys — are
+            # stable
+            step = [
+                Update(int(position), _box(rng.uniform(0.1, 0.9, size=2)))
+                for position in rng.choice(len(database), size=3, replace=False)
+            ]
+            service.apply(step)
+            results = service.evaluate_many(batch)
+            report = service.last_batch_report
+            # zero stale hits: bit-identity with a fresh build is only possible
+            # if no column computed against the old snapshot was served
+            assert _snapshot(results) == _fresh_snapshot(
+                service.engine.database, batch
+            )
+            # warm columns: of the lookups the worker-local tier missed, at
+            # least half are served by the store even though the epoch changed
+            assert report.shared_hits + report.shared_misses > 0
+            assert report.shared_hit_rate >= 0.5, str(report)
 
 
 # --------------------------------------------------------------------- #

@@ -25,14 +25,19 @@ from repro.core import (
     ugf_pmf_bounds_batch,
 )
 from repro.core.generating_functions import UncertainGeneratingFunction
-from repro.core.kernels import _pdom_csr_numba, _pdom_csr_numpy, pdom_bounds_csr
+from repro.core.kernels import (
+    _pdom_csr_numba,
+    _pdom_csr_numpy,
+    available_backends,
+    pdom_bounds_csr,
+)
 from repro.datasets import (
     discrete_sample_database,
     random_reference_object,
     uniform_rectangle_database,
 )
 from repro.geometry import domination_bulk
-from repro.uncertain import DecompositionTree, csr_partitions_batch
+from repro.uncertain import DecompositionTree, clear_csr_cache, csr_partitions_batch
 
 
 def _random_rects(rng, shape):
@@ -440,6 +445,54 @@ class TestCSRKernelParity:
         )
         np.testing.assert_allclose(lower, lower_pad, rtol=0, atol=1e-12)
         np.testing.assert_allclose(upper, upper_pad, rtol=0, atol=1e-12)
+
+    def _grid_fixture(self, depths, seed=13):
+        """Candidates at ``depths`` against a 4 x 4 target/reference pair grid."""
+        database = uniform_rectangle_database(len(depths), max_extent=0.05, seed=seed)
+        trees = [DecompositionTree(obj) for obj in database]
+        target = DecompositionTree(random_reference_object(extent=0.05, seed=seed + 1))
+        reference = DecompositionTree(random_reference_object(extent=0.05, seed=seed + 2))
+        return trees, target.partitions_arrays(2)[0], reference.partitions_arrays(2)[0]
+
+    @pytest.mark.parametrize("depth", [5, 6])
+    def test_padded_matches_scalar_at_deep_candidate_depths(self, depth):
+        """32 and 64 partitions per candidate: the padded kernel stays within
+        summation re-association of the scalar loop."""
+        depths = [depth] * 8
+        trees, target_regions, reference_regions = self._grid_fixture(depths)
+        lower, upper = _padded_reference(
+            trees, depths, target_regions, reference_regions, 2.0, "optimal"
+        )
+        parts = [t.partitions_arrays(depth) for t in trees]
+        lower_ref, upper_ref = _scalar_reference(parts, target_regions, reference_regions)
+        np.testing.assert_allclose(lower, lower_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(upper, upper_ref, rtol=0, atol=1e-12)
+
+    def test_csr_cache_cold_and_warm_match_padded(self):
+        """Depths cycling 1..5 (2..32 partitions): every backend returns the
+        same bounds from a rebuilt and from a cached CSR batch, within
+        re-association of the padded kernel."""
+        depths = [1 + (i % 5) for i in range(15)]
+        trees, target_regions, reference_regions = self._grid_fixture(depths)
+        lower_pad, upper_pad = _padded_reference(
+            trees, depths, target_regions, reference_regions, 2.0, "optimal"
+        )
+
+        def csr(backend):
+            batch = csr_partitions_batch(trees, depths)
+            return pdom_bounds_csr(
+                batch.regions, batch.masses, batch.offsets,
+                target_regions, reference_regions, backend=backend,
+            )
+
+        for backend in available_backends():
+            clear_csr_cache()
+            cold = csr(backend)
+            warm = csr(backend)
+            assert np.array_equal(cold[0], warm[0])
+            assert np.array_equal(cold[1], warm[1])
+            np.testing.assert_allclose(cold[0], lower_pad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cold[1], upper_pad, rtol=0, atol=1e-12)
 
     def test_zero_partition_candidate_gets_scalar_bounds(self):
         """An empty CSR segment yields the (0, 0) bounds of the scalar path."""

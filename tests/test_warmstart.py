@@ -161,6 +161,7 @@ def test_orderly_restart_reuses_disk_backed_store(tmp_path):
     assert os.path.exists(path)  # close() keeps a persistent backing
     with _service(database, bounds_store_path=path) as service:
         assert service.store_warm_started
+        assert service.bound_store_stats()["rejected_store"] is None
         assert _snapshot(service.evaluate_many(batch)) == serial
         assert service.last_batch_report.shared_hit_rate >= 0.5
 
