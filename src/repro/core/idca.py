@@ -73,10 +73,10 @@ class IterationStats:
     therefore the kernel-plus-aggregation time, so profiling can attribute a
     regression to the memo layer or to the arithmetic.
 
-    ``shared_hits``/``shared_misses``/``shared_publishes`` describe the
-    cross-worker shared bounds store (``repro/engine/boundstore.py``) during
-    this iteration: columns served from / missed in / published to the store.
-    They stay zero when no store is attached — e.g. on the serial path.
+    ``shared_hits``/``shared_misses``/``shared_publishes`` describe a worker
+    lane's warm-start file (``repro/engine/boundstore.py``) during this
+    iteration: columns served from / missed in / appended to the file.  They
+    stay zero when no file is attached — e.g. on the serial path.
 
     ``kernel_backend`` names the pair-bounds kernel backend the iteration
     resolved to (``"numpy"`` or ``"numba"``); ``kernel_seconds`` is the

@@ -37,8 +37,8 @@ backends produce **bit-identical bounds by construction**, on every machine.
 for-operation, including numpy's ``x ** 2.0 == x * x`` power fast path; for
 exotic ``p`` a verdict could in principle differ by one ULP exactly at a
 tie, which the seeded parity suite in ``tests/test_kernels.py`` guards.)
-Because the backends agree bitwise, the pair-bounds memo and the cross-worker
-shared bounds store deliberately exclude the backend from their keys.
+Because the backends agree bitwise, the pair-bounds memo and the warm-start
+file deliberately exclude the backend from their keys.
 
 Per-call wall-clock is accumulated in process-local counters
 (:func:`total_kernel_seconds`, :func:`kernel_stats`) so the executor's

@@ -17,12 +17,6 @@ batches can carry deadlines, and admission control bounds the queue — with
 the failure contract expressed by the typed errors of ``engine/errors.py``.
 """
 
-from .boundstore import (
-    BoundStoreClient,
-    BoundStoreHandle,
-    SharedBoundStore,
-    bound_store_available,
-)
 from .candidates import (
     CandidateSource,
     RangeClassification,
@@ -63,8 +57,6 @@ from .service import MutationTicket, QueryService, ServiceBatch
 
 __all__ = [
     "BatchReport",
-    "BoundStoreClient",
-    "BoundStoreHandle",
     "CacheStats",
     "CandidateSource",
     "ChunkStats",
@@ -89,14 +81,12 @@ __all__ = [
     "ServiceClosedError",
     "ServiceError",
     "ServiceOverloadedError",
-    "SharedBoundStore",
     "TieredPairBoundsCache",
     "WorkerCrashError",
     "WorkerPool",
     "adaptive_chunk_size",
     "affine_partition",
     "affinity_lane",
-    "bound_store_available",
     "make_candidate_source",
     "partition_requests",
 ]

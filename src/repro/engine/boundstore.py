@@ -1,207 +1,78 @@
-"""Cross-worker shared pair-bounds store.
+"""Stable pair-bounds keys and the warm-start file.
 
-Since PR 1 the engine memoises the domination-bound matrix columns the
-batched kernel produces — but only per process: with ``w`` workers the
-parallel path recomputes up to ``w`` copies of every column the serial path
-computes once.  This module extends the PR-4 shared-memory machinery
-(``repro/uncertain/sharedmem.py``) from *shipping the dataset* to *sharing
-the read-mostly bounds cache itself*: one worker computes a column, every
-worker serves it.
+The engine memoises the domination-bound matrix columns the batched kernel
+produces per process (``engine/context.py``), keyed by process-unique tree
+tokens.  This module holds what lets a column outlive its process:
 
-Design (the "Shared refinement cache" section of ``docs/architecture.md``
-documents the same protocol from the consumer's point of view):
+* **Stable keys.**  :func:`stable_object_key` translates each participating
+  object into a process-independent identity — its database position and
+  generation for members, a content digest for ad-hoc query objects — and
+  :func:`encode_stable_key` turns a whole memo key into bytes.  A column is
+  a deterministic function of its key, so serving it from anywhere is
+  bit-identical to recomputing it.  The gateway builds its request keys from
+  the same identities.
+* **The warm-start file.**  A :class:`~repro.engine.service.QueryService`
+  given a ``bounds_store_path`` directory gives every worker lane one
+  append-only file there.  A lane appends each column it computes to its
+  own file — one writer per file, so no lock — and, when it spawns, loads
+  the validated records of every lane's file into its local memo.  A
+  restarted service, or a lane respawned after a crash, therefore starts
+  with the columns its predecessors computed.
 
-* **One block, four regions.**  A single shared block (POSIX shared memory,
-  or a disk-backed mmap for stores that must survive reboots) holds a fixed
-  header, a fixed-slot hash index (open addressing, 8 bytes per slot), a
-  small table of in-flight *claims*, and one append-only *data segment per
-  worker*.
-* **Stable keys.**  The process-local memo keys the engine uses are built
-  from process-unique tree tokens, so they cannot cross a process boundary.
-  :func:`stable_object_key` translates each participating object into a
-  process-independent identity — its database position for members, a
-  content digest for ad-hoc query objects — and
-  :meth:`~repro.engine.context.RefinementContext` derives the shared key
-  ``(axis_policy, (candidate, depth), (target, depth), (reference, depth),
-  (p, criterion))`` from it.  Entries are deterministic functions of their
-  key, so a shared hit is bit-identical to recomputation.
-* **Single-writer publish.**  Every worker appends records only to its own
-  segment, so record payloads are never written concurrently.  A record is
-  fully written — and the segment's append cursor durably advanced past it —
-  *before* its index slot is published, and slot publishes are serialised by
-  one writer lock, so the index never holds a pointer to a half-written
-  record; a writer that dies between the append and the publish leaves only
-  an orphaned record (wasted bytes), never a dangling pointer.
-* **Claim leases.**  Before computing a missing column a writer publishes an
-  in-flight *claim* (key fingerprint + pid + monotonic lease stamp) in the
-  claims table, so a concurrent worker that misses on the same key can
-  *wait briefly or skip* instead of duplicating the kernel work.  A claim
-  whose holder died — or whose lease expired — is **stolen** by the next
-  claimant, so a SIGKILLed worker can never wedge a column.  Claims are an
-  optimisation only: a saturated claim table fails open (everyone computes)
-  and the publish-time duplicate check keeps the index exact.
-* **Lock-free validated reads.**  Readers never take the lock: they read the
-  8-byte slot word, follow it into the segment and *validate* the record
-  (segment generation, magic, key length, CRC of the key bytes, full key
-  comparison, payload bounds) before trusting it.  A reader that loses every
-  race still returns either ``None`` or a fully consistent column — torn
-  reads are structurally impossible because published records are immutable
-  while their generation holds and validation rejects anything else.
-* **Generation-based recycling.**  Every segment carries a generation
-  counter (stamped into each slot word at publish time and re-checked on
-  every read), so the owner can *reclaim* a segment — bump its generation,
-  reset its cursor, tombstone its slots — and recycle the space instead of
-  letting the append-only store latch into local-memoisation fallback.
-  Clients observe the header's reclaim counter and reset their ``full``
-  latches when space frees.
-* **Warm-start persistence.**  The versioned header carries a content
-  handshake (database digest + axis/config fingerprint, CRC-protected), so
-  a re-spawned service can attach a previous incarnation's block by name —
-  or open a disk-backed mmap that survives reboots — and serve the
-  previous lifetime's columns from the first batch.  A truncated, torn or
-  digest-mismatched backing is detected by the validation ladder and
-  discarded (the store rebuilds from empty); it is never served.
-* **Graceful fallback.**  When shared memory is unavailable (platform,
-  ``REPRO_DISABLE_SHARED_MEMORY``/``REPRO_DISABLE_SHARED_BOUNDS``), the
-  store is full, the index probe limit is exhausted, or a worker arrives
-  after every segment is claimed, publishing simply stops (or never starts)
-  and the engine falls back to the process-local memo — results stay
-  bit-identical either way, only duplicate work returns.
+File layout (little-endian)::
+
+    header   magic "RWS1" | u32 version | 16 B database digest | 16 B config fingerprint
+    record   u32 key length | u32 pairs | u32 CRC-32 | key | f8 lower[pairs] | f8 upper[pairs]
+
+The CRC covers the two lengths, the key and both columns.
+
+The header is a handshake: a file whose header does not match the expected
+magic, version, :func:`database_digest` and :func:`config_fingerprint` is
+rejected whole and rebuilt empty.  The loader serves only records whose
+frame and CRC validate and stops at the first one that does not, so a torn
+tail (a lane killed mid-append) or a scribbled byte costs the records from
+there on, never a wrong column.  A lane truncates a torn tail off its own
+file before appending.  An append that would take a file past
+:data:`MAX_FILE_BYTES` is skipped.  Appends are unbuffered writes, so they survive the
+death of the writing process; a host crash may lose the unflushed tail,
+which the loader then discards.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
-import itertools
-import multiprocessing
 import os
 import pickle
 import struct
-import time
 import weakref
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-
-from ..uncertain.sharedmem import (
-    _OWNED_NAMES,
-    FileBackedBlock,
-    _attach_block,
-    _cleanup_block,
-    _shared_memory,
-    shared_memory_available,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..uncertain import UncertainDatabase, UncertainObject
 
 __all__ = [
-    "BoundStoreClient",
-    "BoundStoreHandle",
-    "SharedBoundStore",
-    "bound_store_available",
+    "MAX_FILE_BYTES",
+    "WarmStartFile",
     "config_fingerprint",
     "database_digest",
     "encode_stable_key",
+    "inspect_warm_start",
+    "lane_file",
+    "read_warm_file",
     "stable_object_key",
 ]
 
-#: Extra kill-switch for just the bounds store (the dataset transport keeps
-#: honouring ``REPRO_DISABLE_SHARED_MEMORY``, which disables both).
-DISABLE_BOUNDS_ENV = "REPRO_DISABLE_SHARED_BOUNDS"
+#: Size cap of one lane's warm-start file; appends beyond it are skipped.
+MAX_FILE_BYTES = 16 << 20
 
-#: Default number of index slots (8 bytes each).
-DEFAULT_SLOTS = 8192
-
-#: Default bytes of append-only record space per worker segment.
-DEFAULT_SEGMENT_BYTES = 4 << 20
-
-#: Default number of claim-table entries (24 bytes each).  In-flight claims
-#: are bounded by how many columns the pool's workers compute concurrently,
-#: so a small table suffices; overflow fails open (see :meth:`claim`).
-DEFAULT_CLAIMS = 1024
-
-#: Open-addressing probe limit; lookups and publishes give up after this many
-#: consecutive slots (the fallback is the process-local memo, never an error).
-PROBE_LIMIT = 32
-
-#: Claim-table probe limit; an exhausted window fails open.
-CLAIM_PROBE_LIMIT = 8
-
-#: Seconds an in-flight claim stays honoured after its last stamp.  A claim
-#: older than this is presumed abandoned (wedged or dead holder) and is
-#: stolen by the next claimant.  Liveness of the holder pid is checked
-#: first, so a *crashed* holder is stolen immediately, not after the lease.
-CLAIM_LEASE_SECONDS = 5.0
-
-#: Wall-clock budget a reader spends waiting on someone else's claim before
-#: giving up and computing the column itself.  Deliberately short: the
-#: holder computes whole kernel frontiers per call, so a long wait would
-#: cost more than the duplicate compute it avoids.
-CLAIM_WAIT_SECONDS = 0.02
-
-#: Poll interval while waiting on a claim.
-CLAIM_POLL_SECONDS = 0.002
-
-#: Fraction of a segment's records that must be stale (superseded database
-#: generations) before :meth:`SharedBoundStore.reclaim_stale` retires it.
-STALE_RECLAIM_FRACTION = 0.5
-
-_HEADER_BYTES = 128
-_SLOT_BYTES = 8
-_CLAIM_BYTES = 24
-_SEGMENT_HEADER_BYTES = 16
-_RECORD_HEADER_BYTES = 16
-#: Leftover segment space below this is treated as exhausted (header plus a
-#: short key plus a one-pair column — no real record is smaller).
-_MIN_RECORD_BYTES = _RECORD_HEADER_BYTES + 64
-
-#: Consecutive probe-window exhaustions after which a writer stops trying to
-#: publish — a saturated index would otherwise cost every future publish a
-#: payload copy plus a full probe scan under the writer lock.  The latch is
-#: *not* permanent: it resets when the header's reclaim counter advances
-#: (see :meth:`BoundStoreClient._resync`).
-_INDEX_FULL_LATCH = 8
-_STORE_MAGIC = 0x42535452  # "BSTR"
-_STORE_VERSION = 2
-_RECORD_MAGIC = 0x52454342  # "RECB"
-_PRESENT = 1 << 63
-#: Slot value of a scrubbed (reclaimed) entry: probes skip it without
-#: terminating — deleting to zero would break open-addressing chains —
-#: and publishes may reuse it.
-_TOMBSTONE = 1
-
-# mutable header fields live *after* the CRC-covered identity prefix
-_H_NEXT_SEGMENT = 68
-_H_RECLAIMS = 72
-_H_CRC = 64
-_H_DIGEST = 32
-_H_CONFIG = 48
-
-#: Environment variable of the fault-injection harness (mirrors
-#: ``executor.FAULT_PLAN_ENV``; duplicated as a literal to avoid importing
-#: the executor from this lower layer).
-_FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-_block_counter = itertools.count()
-
-
-def bound_store_available() -> bool:
-    """Whether the cross-worker shared bounds store can be used here.
-
-    Requires working ``multiprocessing.shared_memory`` (and honours the
-    ``REPRO_DISABLE_SHARED_MEMORY`` kill-switch through
-    :func:`~repro.uncertain.sharedmem.shared_memory_available`); the
-    dedicated ``REPRO_DISABLE_SHARED_BOUNDS`` variable disables only the
-    bounds store while keeping the dataset transport active.
-    """
-    if not shared_memory_available():
-        return False
-    if os.environ.get(DISABLE_BOUNDS_ENV):
-        return False
-    return True
+_MAGIC = b"RWS1"
+_VERSION = 1
+_HEADER = struct.Struct("<4sI16s16s")
+_FRAME = struct.Struct("<III")
 
 
 # --------------------------------------------------------------------- #
@@ -211,25 +82,17 @@ def stable_object_key(database: "UncertainDatabase", obj: "UncertainObject") -> 
     """Process-independent identity of ``obj`` relative to ``database``.
 
     Database members key by position *and generation*
-    (``("db", index, generation)``) — positions and generations are
-    identical in every process that received the same database snapshot,
-    including workers that *mapped* it through shared memory or advanced it
-    by replaying mutation deltas.  Folding the generation in is what makes
-    the store survive mutations with per-column granularity: an untouched
-    object keeps its key (and therefore its published columns) across
-    epochs, while a mutated object gets a fresh generation and its stale
-    columns simply become unreachable — generations are unique per object
-    content within a snapshot lineage, so a ``(position, generation)`` pair
-    can never alias two different contents even after deletes shift
-    positions.  Ad-hoc objects (e.g. query objects shipped inside requests)
-    key by a content digest of their pickle (``("pickle", hexdigest)``):
-    the worker's unpickled copy digests to the same value as the parent's
-    original, so both sides derive the same shared-store key.  The digest
-    is memoised in a weak side table — never written onto the object, which
+    (``("db", index, generation)``) — identical in every process that holds
+    the same snapshot, including workers that mapped it through shared
+    memory or advanced it by replaying mutation deltas.  A mutated object
+    gets a fresh generation, so the columns of its old content become
+    unreachable while untouched objects keep their keys.  Ad-hoc objects
+    (e.g. query objects shipped inside requests) key by a content digest of
+    their pickle (``("pickle", hexdigest)``): a worker's unpickled copy
+    digests to the same value as the parent's original.  The digest is
+    memoised in a weak side table — never written onto the object, which
     would change its future pickles and therefore the digests other
-    processes compute.  A digest mismatch can only ever cause a cache
-    *miss*, never a wrong hit, because the full key is verified on every
-    read.
+    processes compute.
     """
     position = database.position_of(obj)
     if position is not None:
@@ -253,10 +116,7 @@ def encode_stable_key(key: tuple) -> bytes:
 
     The key is a nested tuple of strings, ints and floats; ``repr`` is
     deterministic for those across processes of the same interpreter, and
-    the result is only ever compared for equality (and, for the
-    staleness scan of :meth:`SharedBoundStore.reclaim_stale`, parsed back
-    with :func:`ast.literal_eval` — which the same value domain makes
-    exact).
+    the result is only ever compared for equality.
     """
     return repr(key).encode()
 
@@ -266,11 +126,8 @@ def database_digest(database: "UncertainDatabase") -> bytes:
 
     Hashes every member's generation and pickled content in position order
     — exactly the inputs ``("db", position, generation)`` keys depend on —
-    so two databases agree on the digest iff columns published against one
-    are valid for the other.  The snapshot *epoch* is deliberately
-    excluded: generation-folded keys already make superseded columns
-    unreachable, so a store persisted at any epoch of the same lineage
-    stays safe to serve.
+    so two databases agree on the digest iff columns computed against one
+    are valid for the other.
     """
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(struct.pack("<Q", len(database)))
@@ -281,1215 +138,161 @@ def database_digest(database: "UncertainDatabase") -> bytes:
 
 
 def config_fingerprint(axis_policy, key_schema: str = "pb1") -> bytes:
-    """16-byte fingerprint of everything shared keys depend on besides data.
+    """16-byte fingerprint of everything stable keys depend on besides data.
 
     Covers the key-schema version and the context's ``axis_policy`` (the
-    partition arrays — and therefore every published column — depend on
-    it).  A persisted store whose fingerprint differs was built by an
-    incompatible configuration and must be rebuilt from empty.
+    partition arrays — and therefore every column — depend on it).  A
+    warm-start file whose fingerprint differs was written under an
+    incompatible configuration and is rebuilt empty.
     """
     return hashlib.blake2b(
         repr((key_schema, axis_policy)).encode(), digest_size=16
     ).digest()
 
 
-def _fingerprint(key_bytes: bytes) -> int:
-    """64-bit content fingerprint used for slot addressing and tagging."""
-    return int.from_bytes(
-        hashlib.blake2b(key_bytes, digest_size=8).digest(), "little"
+# --------------------------------------------------------------------- #
+# the warm-start file
+# --------------------------------------------------------------------- #
+def lane_file(directory: str, lane: int) -> str:
+    """Path of worker lane ``lane``'s warm-start file inside ``directory``."""
+    return os.path.join(directory, f"lane-{lane}.warm")
+
+
+def _lane_files(directory: str) -> list[str]:
+    return sorted(glob.glob(os.path.join(glob.escape(directory), "lane-*.warm")))
+
+
+def read_warm_file(
+    path: str, digest: bytes, config: bytes
+) -> tuple[list[tuple[bytes, np.ndarray, np.ndarray]], int, Optional[str]]:
+    """Load the validated records of one warm-start file.
+
+    Returns ``(records, end, rejected)``: the ``(key, lower, upper)``
+    records in file order up to the first one that fails its frame or CRC
+    check, the byte offset just past the last of them, and ``None`` — or,
+    when the header fails the handshake, no records, ``end == 0`` and the
+    reason (``"truncated-header"``, ``"bad-magic"``, ``"version-mismatch"``,
+    ``"digest-mismatch"`` or ``"config-mismatch"``).  A missing file reads
+    as empty and not rejected.  At most :data:`MAX_FILE_BYTES` are read.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_FILE_BYTES)
+    except FileNotFoundError:
+        return [], 0, None
+    if len(data) < _HEADER.size:
+        return [], 0, "truncated-header"
+    magic, version, file_digest, file_config = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        return [], 0, "bad-magic"
+    if version != _VERSION:
+        return [], 0, "version-mismatch"
+    if file_digest != digest:
+        return [], 0, "digest-mismatch"
+    if file_config != config:
+        return [], 0, "config-mismatch"
+    records = []
+    offset = _HEADER.size
+    while offset + _FRAME.size <= len(data):
+        key_len, pairs, crc = _FRAME.unpack_from(data, offset)
+        body = offset + _FRAME.size
+        end = body + key_len + 16 * pairs
+        if end > len(data):
+            break
+        if zlib.crc32(data[body:end], zlib.crc32(data[offset : offset + 8])) != crc:
+            break
+        key = data[body : body + key_len]
+        columns = np.frombuffer(data, dtype="<f8", count=2 * pairs, offset=body + key_len)
+        records.append((key, columns[:pairs].copy(), columns[pairs:].copy()))
+        offset = end
+    return records, offset, None
+
+
+def _record(key: bytes, lower: np.ndarray, upper: np.ndarray) -> bytes:
+    pairs = int(lower.shape[0])
+    lengths = struct.pack("<II", len(key), pairs)
+    body = (
+        key
+        + np.ascontiguousarray(lower, dtype="<f8").tobytes()
+        + np.ascontiguousarray(upper, dtype="<f8").tobytes()
     )
+    return lengths + struct.pack("<I", zlib.crc32(body, zlib.crc32(lengths))) + body
 
 
-def _pad8(n: int) -> int:
-    return -(-n // 8) * 8
+class WarmStartFile:
+    """One worker lane's warm-start state: loaded columns plus its own file.
 
+    Construction loads the validated records of every lane's file in
+    ``directory`` into :attr:`columns` (the first copy of a key wins), then
+    opens this lane's file for appending: a file that failed the handshake,
+    or does not exist yet, is rewritten with a fresh header, and a torn
+    tail is truncated away so later appends stay reachable.  Only this
+    lane ever writes its file.
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (EPERM counts as alive)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user pid: alive
-        return True
-    return True
-
-
-class _StoreRejected(Exception):
-    """An existing persisted backing failed the validation ladder."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-# --------------------------------------------------------------------- #
-# handle
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BoundStoreHandle:
-    """What crosses the process boundary instead of the store.
-
-    Carries the block name (or file path for disk-backed stores), the store
-    geometry and the writer lock.  The lock is a :mod:`multiprocessing`
-    primitive created from the worker pool's own context, so it travels to
-    workers through the pool's normal process-creation channel (inherited
-    under ``fork``, pickled by the spawn machinery otherwise) — exactly
-    like the pool's other initargs.
-
-    Attributes
-    ----------
-    shm_name:
-        Name of the shared-memory block holding the store (``""`` for
-        disk-backed stores).
-    num_slots:
-        Number of 8-byte hash-index slots.
-    num_segments:
-        Number of per-worker data segments.
-    segment_bytes:
-        Bytes per data segment (including its small header).
-    lock:
-        Writer lock serialising segment claims, claim-table updates and
-        index-slot publishes.  Readers never touch it.
-    num_claims:
-        Number of claim-table entries (0 disables claim leases).
-    path:
-        Filesystem path of a disk-backed store (``None`` for shm stores).
+    :meth:`append` writes a column once per key until the file reaches
+    :data:`MAX_FILE_BYTES`; an ``OSError`` while writing (e.g. a full disk)
+    stops appending for the rest of the lane's life.  Loading and appending
+    never change results: every record is a column some lane computed for
+    the same stable key.
     """
 
-    shm_name: str
-    num_slots: int
-    num_segments: int
-    segment_bytes: int
-    lock: object
-    num_claims: int = 0
-    path: Optional[str] = None
-
-
-# --------------------------------------------------------------------- #
-# client (reader in any process, writer in workers that claimed a segment)
-# --------------------------------------------------------------------- #
-class BoundStoreClient:
-    """Per-process accessor of a shared bounds store.
-
-    Reads are lock-free and allowed from any process that can attach the
-    block.  Writes require a claimed segment: :meth:`from_handle` claims the
-    next free one under the handle's lock (workers that arrive after all
-    segments are taken become read-only — a graceful degradation, not an
-    error).  All counters are process-local.
-    """
-
-    #: Seconds an in-flight claim is honoured before it may be stolen.
-    lease_seconds = CLAIM_LEASE_SECONDS
-
-    def __init__(
-        self,
-        shm,
-        handle: BoundStoreHandle,
-        segment: Optional[int],
-        owns_mapping: bool = True,
-    ):
-        self._shm = shm
-        self._buf = shm.buf
-        self._handle = handle
-        self._segment = segment
-        # reader() clients borrow the owner's mapping and must never close
-        # it; from_handle() clients attached their own and should
-        self._owns_mapping = owns_mapping
-        self._index_offset = _HEADER_BYTES
-        self._claims_offset = _HEADER_BYTES + handle.num_slots * _SLOT_BYTES
-        self._segments_offset = (
-            self._claims_offset + handle.num_claims * _CLAIM_BYTES
-        )
-        self._append = _SEGMENT_HEADER_BYTES
-        self._gen = 0
-        if segment is not None:
-            base = self._segment_base(segment)
-            (cursor,) = struct.unpack_from("<Q", self._buf, base)
-            # a warm-started segment resumes appending where the previous
-            # incarnation stopped; a fresh (zero-filled) one starts at the
-            # segment header
-            if _SEGMENT_HEADER_BYTES <= cursor <= handle.segment_bytes:
-                self._append = int(cursor)
-            (self._gen,) = struct.unpack_from("<I", self._buf, base + 8)
-        self._full = False
-        self._index_full_streak = 0
-        (self._reclaims_seen,) = struct.unpack_from(
-            "<Q", self._buf, _H_RECLAIMS
-        )
-        #: Successful shared lookups (validated records returned).
-        self.hits = 0
-        #: Lookups that found no valid record.
-        self.misses = 0
-        #: Columns this client published into the index.
-        self.publishes = 0
-        #: Publishes skipped because another worker already published the key.
-        self.duplicates = 0
-        #: Publishes rejected because the segment or the index was full.
-        self.rejected = 0
-        #: Claims this client acquired (it computes the column).
-        self.claim_acquires = 0
-        #: Claims found held by a live holder (this client waits or skips).
-        self.claim_conflicts = 0
-        #: Claims stolen from a dead or lease-expired holder.
-        self.claim_steals = 0
-        #: Records a validated read rejected as corrupt (bad magic, CRC
-        #: mismatch, or an out-of-bounds geometry field).  Distinct from a
-        #: fingerprint collision or a reclaimed-generation record, which
-        #: are benign and keep probing.
-        self.corruptions = 0
-        #: Latched on the first detected corruption: the client demotes
-        #: itself to read-nothing/write-nothing and the tiered cache falls
-        #: back to process-local memoisation (see ``context.py``).
-        self._demoted = False
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_handle(cls, handle: BoundStoreHandle) -> "BoundStoreClient":
-        """Attach to the store named by ``handle`` and claim a segment.
-
-        Called inside worker processes by the pool initializer.  The
-        segment claim (a read-increment-write of the header counter) runs
-        under the handle's writer lock; when every segment is already
-        claimed the client attaches read-only.  Attaching never adopts
-        unlink responsibility — the creating process owns the block.
-        """
-        if handle.path is not None:
-            shm = FileBackedBlock(handle.path)
+    def __init__(self, directory: str, lane: int, digest: bytes, config: bytes):
+        #: Columns by encoded stable key: everything loaded plus appended.
+        self.columns: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        own = lane_file(directory, lane)
+        own_end = 0  # also what a rejected or missing file reads as
+        for path in _lane_files(directory):
+            records, end, _rejected = read_warm_file(path, digest, config)
+            for key, lower, upper in records:
+                self.columns.setdefault(key, (lower, upper))
+            if path == own:
+                own_end = end
+        self._file = open(own, "ab+", buffering=0)
+        if own_end == 0:
+            self._file.truncate(0)
+            self._file.write(_HEADER.pack(_MAGIC, _VERSION, digest, config))
+            own_end = _HEADER.size
         else:
-            shm = _attach_block(handle.shm_name)
-        segment: Optional[int] = None
-        with handle.lock:
-            (next_segment,) = struct.unpack_from("<I", shm.buf, _H_NEXT_SEGMENT)
-            if next_segment < handle.num_segments:
-                struct.pack_into(
-                    "<I", shm.buf, _H_NEXT_SEGMENT, next_segment + 1
-                )
-                segment = next_segment
-        return cls(shm, handle, segment)
+            self._file.truncate(own_end)
+        self._size = own_end
 
-    @property
-    def writable(self) -> bool:
-        """Whether this client owns a segment and can still publish into it.
-
-        Checking resyncs against the header's reclaim counter first, so a
-        ``full`` latch taken before a reclaim freed space releases here —
-        the fix for the permanent-demotion failure mode of the append-only
-        store.
-        """
-        if self._segment is not None and not self._demoted:
-            self._resync()
-        return self._segment is not None and not self._full and not self._demoted
-
-    @property
-    def demoted(self) -> bool:
-        """Whether this client saw store corruption and dropped to local-only.
-
-        The validated-read path (generation + magic + key CRC +
-        bounds-checked geometry) makes a corrupt record unreadable, never a
-        wrong answer; but a store someone scribbled on cannot be trusted for
-        *future* records either, so the first detected corruption latches
-        the client off.  The worker keeps serving batches from its
-        process-local caches — graceful degradation, surfaced as
-        ``shared_degraded`` in :class:`ChunkStats`.
-        """
-        return self._demoted
-
-    def _note_corruption(self) -> None:
-        self.corruptions += 1
-        self._demoted = True
-
-    @property
-    def segment(self) -> Optional[int]:
-        """Index of the claimed data segment (``None`` for read-only clients)."""
-        return self._segment
-
-    @property
-    def claims_enabled(self) -> bool:
-        """Whether the store carries a claim table (``num_claims > 0``)."""
-        return self._handle.num_claims > 0
-
-    # ------------------------------------------------------------------ #
-    # geometry helpers
-    # ------------------------------------------------------------------ #
-    def _slot_offset(self, slot: int) -> int:
-        return self._index_offset + _SLOT_BYTES * slot
-
-    def _segment_base(self, segment: int) -> int:
-        return self._segments_offset + segment * self._handle.segment_bytes
-
-    def _segment_generation(self, segment: int) -> int:
-        (generation,) = struct.unpack_from(
-            "<I", self._buf, self._segment_base(segment) + 8
-        )
-        return generation
-
-    def _resync(self) -> None:
-        """Adopt reclaim-driven state changes (cursor reset, latch release).
-
-        Cheap — one header read per call — and only meaningful for writers:
-        when the owner reclaimed any segment since the last check, the
-        client re-reads its own segment's cursor and generation (its own
-        segment may have been the one recycled) and releases the ``full``
-        latches, because a reclaim by definition freed index slots and
-        possibly segment space.
-        """
-        (reclaims,) = struct.unpack_from("<Q", self._buf, _H_RECLAIMS)
-        if reclaims == self._reclaims_seen:
-            return
-        self._reclaims_seen = reclaims
-        if self._segment is not None:
-            base = self._segment_base(self._segment)
-            (cursor,) = struct.unpack_from("<Q", self._buf, base)
-            if _SEGMENT_HEADER_BYTES <= cursor <= self._handle.segment_bytes:
-                self._append = int(cursor)
-            else:
-                self._append = _SEGMENT_HEADER_BYTES
-            (self._gen,) = struct.unpack_from("<I", self._buf, base + 8)
-        self._full = False
-        self._index_full_streak = 0
-
-    def _read_record(self, word: int, key_bytes: bytes, with_payload: bool = True):
-        """Resolve an index word to its validated record, or ``None``.
-
-        Validation order matters: every field is bounds-checked before it is
-        used to address memory, so even an (astronomically unlikely) torn
-        slot word can only produce a rejected lookup, never a torn read.
-        Returns ``None`` for invalid records and ``False`` for valid records
-        of a *different* key (fingerprint collision — keep probing) **and**
-        for records whose segment generation moved on (a reclaimed segment:
-        benign staleness, not corruption).  With ``with_payload=False`` a
-        key match returns ``True`` without copying the column out — used by
-        the publish path's duplicate check, which runs under the writer
-        lock and must stay short.
-        """
-        handle = self._handle
-        segment = (word >> 32) & 0xFF
-        offset = word & 0xFFFFFFFF
-        if segment >= handle.num_segments:
-            return None
-        if offset < _SEGMENT_HEADER_BYTES:
-            return None
-        if offset + _RECORD_HEADER_BYTES > handle.segment_bytes:
-            return None
-        # seqlock-style generation check: the slot word carries the low 8
-        # bits of the segment generation it was published under; a mismatch
-        # means the segment was reclaimed and the record bytes may be gone
-        generation = self._segment_generation(segment)
-        if (word >> 40) & 0xFF != generation & 0xFF:
+    def append(self, key: bytes, lower: np.ndarray, upper: np.ndarray) -> bool:
+        """Persist one freshly computed column; returns whether it was written."""
+        if self._file is None or key in self.columns:
             return False
-        base = self._segment_base(segment) + offset
-        magic, key_len, num_pairs, key_crc = struct.unpack_from(
-            "<IIII", self._buf, base
-        )
-        if magic != _RECORD_MAGIC:
-            return None
-        if key_len != len(key_bytes):
+        record = _record(key, lower, upper)
+        if self._size + len(record) > MAX_FILE_BYTES:
             return False
-        payload_offset = _RECORD_HEADER_BYTES + _pad8(key_len)
-        record_bytes = payload_offset + 16 * num_pairs
-        if offset + record_bytes > handle.segment_bytes:
-            return None
-        stored_key = bytes(self._buf[base + _RECORD_HEADER_BYTES : base + _RECORD_HEADER_BYTES + key_len])
-        if zlib.crc32(stored_key) != key_crc:
-            return None
-        if stored_key != key_bytes:
-            return False
-        if not with_payload:
-            return True
-        lower = np.frombuffer(
-            self._buf, dtype="<f8", count=num_pairs, offset=base + payload_offset
-        ).copy()
-        upper = np.frombuffer(
-            self._buf,
-            dtype="<f8",
-            count=num_pairs,
-            offset=base + payload_offset + 8 * num_pairs,
-        ).copy()
-        # re-check the generation *after* the copy: if a reclaim raced the
-        # read, the copied bytes cannot be trusted — a benign miss, because
-        # the reclaim already scrubbed the slot for future probes
-        if self._segment_generation(segment) != generation:
-            return False
-        return lower, upper
-
-    def _lookup(self, key_bytes: bytes):
-        """Uncounted probe behind :meth:`get` (shared with :meth:`wait_for`)."""
-        fingerprint = _fingerprint(key_bytes)
-        tag = (fingerprint >> 48) & 0x7FFF
-        num_slots = self._handle.num_slots
-        home = fingerprint % num_slots
-        for i in range(PROBE_LIMIT):
-            (word,) = struct.unpack_from(
-                "<Q", self._buf, self._slot_offset((home + i) % num_slots)
-            )
-            if word == 0:
-                break
-            if not word & _PRESENT or ((word >> 48) & 0x7FFF) != tag:
-                continue  # tombstones and foreign tags: keep probing
-            record = self._read_record(word, key_bytes)
-            if record is False:
-                continue  # benign collision or reclaimed generation
-            if record is None:
-                # validation failed — someone scribbled on the store.  The
-                # lookup stays safe (nothing was returned), but the client
-                # stops trusting the store from here on.
-                self._note_corruption()
-                continue
-            return record
-        return None
-
-    # ------------------------------------------------------------------ #
-    # read path (lock-free)
-    # ------------------------------------------------------------------ #
-    def get(self, key_bytes: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Look one bounds column up; returns ``(lower, upper)`` or ``None``.
-
-        Lock-free: probes up to :data:`PROBE_LIMIT` index slots from the
-        key's home slot, stopping at the first empty slot (tombstones left
-        by a reclaim are skipped, never terminal).  Returned arrays are
-        private copies — they stay valid after the store unlinks.
-        """
-        record = self._lookup(key_bytes)
-        if record is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    # ------------------------------------------------------------------ #
-    # claim leases (in-flight computation markers)
-    # ------------------------------------------------------------------ #
-    def claim(self, key_bytes: bytes) -> str:
-        """Announce the intent to compute ``key_bytes``'s column.
-
-        Returns ``"acquired"`` (this client should compute — either the
-        claim table recorded the claim, the claim was already this
-        process's, or the table's probe window was saturated and the claim
-        *fails open*), ``"stolen"`` (acquired by taking over a dead or
-        lease-expired holder's claim) or ``"held"`` (a live holder is
-        computing — wait briefly via :meth:`wait_for` or compute anyway).
-
-        Claims are advisory: every outcome keeps results bit-identical
-        because the publish path's duplicate check is the actual
-        synchronisation point.  They exist to cut *duplicate work*, which
-        is why failing open on saturation is correct.
-        """
-        handle = self._handle
-        if handle.num_claims <= 0:
-            return "acquired"
-        fingerprint = _fingerprint(key_bytes)
-        mine = os.getpid()
-        now = time.monotonic()
-        outcome: Optional[str] = None
-        with handle.lock:
-            free = None
-            for i in range(CLAIM_PROBE_LIMIT):
-                offset = self._claims_offset + _CLAIM_BYTES * (
-                    (fingerprint + i) % handle.num_claims
-                )
-                entry_fp, pid, _pad, stamp = struct.unpack_from(
-                    "<QIId", self._buf, offset
-                )
-                if pid == 0:
-                    if free is None:
-                        free = offset
-                    continue
-                if entry_fp != fingerprint:
-                    continue
-                if pid == mine:
-                    # refresh our own lease (a long compute must not be
-                    # stolen out from under us between frontiers)
-                    struct.pack_into(
-                        "<QIId", self._buf, offset, fingerprint, mine, 0, now
-                    )
-                    outcome = "acquired"
-                elif _pid_alive(pid) and now - stamp < self.lease_seconds:
-                    self.claim_conflicts += 1
-                    return "held"
-                else:
-                    struct.pack_into(
-                        "<QIId", self._buf, offset, fingerprint, mine, 0, now
-                    )
-                    outcome = "stolen"
-                break
-            if outcome is None and free is not None:
-                struct.pack_into(
-                    "<QIId", self._buf, free, fingerprint, mine, 0, now
-                )
-                outcome = "acquired"
-        if outcome is None:
-            # probe window saturated: fail open.  The duplicate check at
-            # publish time keeps the index exact; the only cost is possible
-            # duplicate compute — exactly the pre-claims behaviour.
-            self.claim_acquires += 1
-            return "acquired"
-        if outcome == "stolen":
-            self.claim_steals += 1
-        else:
-            self.claim_acquires += 1
-        # fire the chaos hook only with an entry actually recorded, and only
-        # after the lock is released — a kill while holding the writer lock
-        # would wedge every store in the pool, which is not the fault model
-        if os.environ.get(_FAULT_PLAN_ENV):  # chaos tests only
-            from ..testing.faults import claim_fault_hook
-
-            claim_fault_hook()
-        return outcome
-
-    def release(self, key_bytes: bytes) -> bool:
-        """Drop this process's claim on ``key_bytes`` (idempotent).
-
-        Safe to call for keys never claimed (or claimed and then stolen):
-        only an entry carrying *this* pid and the key's fingerprint is
-        cleared.  Returns whether an entry was released.
-        """
-        handle = self._handle
-        if handle.num_claims <= 0:
-            return False
-        fingerprint = _fingerprint(key_bytes)
-        mine = os.getpid()
-        with handle.lock:
-            for i in range(CLAIM_PROBE_LIMIT):
-                offset = self._claims_offset + _CLAIM_BYTES * (
-                    (fingerprint + i) % handle.num_claims
-                )
-                entry_fp, pid, _pad, _stamp = struct.unpack_from(
-                    "<QIId", self._buf, offset
-                )
-                if pid == mine and entry_fp == fingerprint:
-                    self._buf[offset : offset + _CLAIM_BYTES] = bytes(_CLAIM_BYTES)
-                    return True
-        return False
-
-    def wait_for(
-        self, key_bytes: bytes, budget: float = CLAIM_WAIT_SECONDS
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Briefly poll for a column someone else claimed; ``None`` on timeout.
-
-        The budget is deliberately small (see :data:`CLAIM_WAIT_SECONDS`):
-        when it expires the caller simply computes the column itself —
-        bounded duplicate work, never a stall.
-        """
-        deadline = time.monotonic() + budget
-        while True:
-            record = self._lookup(key_bytes)
-            if record is not None:
-                return record
-            if time.monotonic() >= deadline or self._demoted:
-                return None
-            time.sleep(CLAIM_POLL_SECONDS)
-
-    # ------------------------------------------------------------------ #
-    # write path (single writer per segment; slot publish under the lock)
-    # ------------------------------------------------------------------ #
-    def put(self, key_bytes: bytes, lower: np.ndarray, upper: np.ndarray) -> bool:
-        """Publish one bounds column; returns True when it entered the index.
-
-        The record is appended to this client's own segment *first* (no
-        other process writes there) and the segment's append cursor is
-        durably advanced past it **before** the index slot is published
-        under the writer lock — so a concurrent reader either finds the
-        complete record or nothing, and a writer killed mid-publish leaves
-        at worst an orphaned record that a warm-started successor simply
-        never points at.  Returns False without error when the client is
-        read-only, the segment or the probe window is full, or another
-        worker already published the same key (the cursor is then rolled
-        back, reclaiming the space — safe because this segment has exactly
-        one writer).
-        """
-        if self._segment is not None:
-            self._resync()
-        if self._segment is None or self._full:
-            self.rejected += 1
-            return False
-        lower = np.ascontiguousarray(lower, dtype="<f8")
-        upper = np.ascontiguousarray(upper, dtype="<f8")
-        num_pairs = int(lower.shape[0])
-        if upper.shape[0] != num_pairs:
-            raise ValueError("lower and upper bounds must have the same length")
-        handle = self._handle
-        payload_offset = _RECORD_HEADER_BYTES + _pad8(len(key_bytes))
-        record_bytes = payload_offset + 16 * num_pairs
-        if self._append + record_bytes > handle.segment_bytes:
-            # this record does not fit, but smaller columns still might —
-            # only stop trying once the leftover space is below any
-            # plausible record size
-            if handle.segment_bytes - self._append < _MIN_RECORD_BYTES:
-                self._full = True
-            self.rejected += 1
-            return False
-        segment_base = self._segment_base(self._segment)
-        base = segment_base + self._append
-        struct.pack_into(
-            "<IIII",
-            self._buf,
-            base,
-            _RECORD_MAGIC,
-            len(key_bytes),
-            num_pairs,
-            zlib.crc32(key_bytes),
-        )
-        self._buf[base + _RECORD_HEADER_BYTES : base + _RECORD_HEADER_BYTES + len(key_bytes)] = key_bytes
-        np.frombuffer(
-            self._buf, dtype="<f8", count=num_pairs, offset=base + payload_offset
-        )[:] = lower
-        np.frombuffer(
-            self._buf,
-            dtype="<f8",
-            count=num_pairs,
-            offset=base + payload_offset + 8 * num_pairs,
-        )[:] = upper
-
-        # durably advance the cursor past the record *before* the slot
-        # exists: a crash in the publish window leaves an orphaned record,
-        # never a successor appending over a slot-referenced one
-        previous_append = self._append
-        self._append += record_bytes
-        struct.pack_into("<Q", self._buf, segment_base, self._append)
-        if os.environ.get(_FAULT_PLAN_ENV):  # chaos tests only
-            from ..testing.faults import publish_fault_hook
-
-            publish_fault_hook()
-
-        fingerprint = _fingerprint(key_bytes)
-        tag = (fingerprint >> 48) & 0x7FFF
-        num_slots = handle.num_slots
-        home = fingerprint % num_slots
-        word = (
-            _PRESENT
-            | (tag << 48)
-            | ((self._gen & 0xFF) << 40)
-            | (self._segment << 32)
-            | previous_append
-        )
-
-        def _rollback() -> None:
-            self._append = previous_append
-            struct.pack_into("<Q", self._buf, segment_base, self._append)
-
-        with handle.lock:
-            reusable = None
-            for i in range(PROBE_LIMIT):
-                slot_offset = self._slot_offset((home + i) % num_slots)
-                (existing,) = struct.unpack_from("<Q", self._buf, slot_offset)
-                if existing == 0:
-                    if reusable is None:
-                        reusable = slot_offset
-                    break
-                if not existing & _PRESENT:
-                    # tombstone: reusable, but keep scanning for duplicates
-                    if reusable is None:
-                        reusable = slot_offset
-                    continue
-                if (existing >> 48) & 0x7FFF == tag:
-                    if self._read_record(existing, key_bytes, with_payload=False) is True:
-                        # someone else computed the same deterministic column
-                        _rollback()
-                        self.duplicates += 1
-                        self._index_full_streak = 0
-                        return False
-            if reusable is not None:
-                struct.pack_into("<Q", self._buf, reusable, word)
-                self.publishes += 1
-                self._index_full_streak = 0
-                return True
-        # probe window exhausted: the index region is (locally) saturated.
-        # A latch after several consecutive exhaustions stops future
-        # publishes from paying the payload copy plus a full probe scan
-        # under the writer lock just to fail again; a later reclaim
-        # releases the latch through _resync().
-        _rollback()
-        self.rejected += 1
-        self._index_full_streak += 1
-        if self._index_full_streak >= _INDEX_FULL_LATCH:
-            self._full = True
-        return False
-
-    # ------------------------------------------------------------------ #
-    # introspection / lifecycle
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict:
-        """Process-local counters plus this client's segment occupancy."""
-        used = None
-        if self._segment is not None:
-            used = self._append - _SEGMENT_HEADER_BYTES
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "publishes": self.publishes,
-            "duplicates": self.duplicates,
-            "rejected": self.rejected,
-            "corruptions": self.corruptions,
-            "claim_acquires": self.claim_acquires,
-            "claim_conflicts": self.claim_conflicts,
-            "claim_steals": self.claim_steals,
-            "demoted": self._demoted,
-            "segment": self._segment,
-            "segment_used_bytes": used,
-        }
-
-    def close(self) -> None:
-        """Detach this client (never unlinks — the creator owns that).
-
-        Only closes the underlying mapping when this client attached it
-        itself; a client borrowed from :meth:`SharedBoundStore.reader`
-        leaves the owner's mapping intact.
-        """
-        self._buf = None
-        if self._owns_mapping:
-            try:
-                self._shm.close()
-            except Exception:  # pragma: no cover - already detached
-                pass
-
-
-# --------------------------------------------------------------------- #
-# parent-side owner
-# --------------------------------------------------------------------- #
-class SharedBoundStore:
-    """Parent-side owner of one shared bounds block.
-
-    Created by :class:`~repro.engine.service.QueryService` (one per service)
-    before its worker pool starts; the :attr:`handle` travels to every
-    worker through the pool initializer, where
-    :meth:`BoundStoreClient.from_handle` attaches and claims a segment.
-
-    Three backing flavours, selected by ``path`` / ``name``:
-
-    * **ephemeral** (default): an anonymous POSIX shm block, unlinked on
-      :meth:`close` (with a :mod:`weakref` finalizer backing
-      interpreter-exit and GC paths, like the dataset export);
-    * **named persistent shm** (``name=..., persistent=True``): attaches
-      the existing block of a previous incarnation when its content
-      handshake validates, creates it otherwise; :meth:`close` detaches
-      without unlinking (call :meth:`destroy` to delete);
-    * **disk-backed** (``path=...``): a file mmap that survives reboots;
-      :meth:`close` flushes and detaches, :meth:`destroy` deletes the file.
-
-    For the persistent flavours, :attr:`warm_started` reports whether an
-    existing backing was adopted and :attr:`rejected_store` the validation
-    ladder's reason when one was found but discarded (truncated, torn,
-    wrong digest/config — the store then rebuilds from empty; a bad
-    backing is never served).
-    """
-
-    def __init__(
-        self,
-        num_slots: int = DEFAULT_SLOTS,
-        num_segments: int = 2,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        mp_context=None,
-        num_claims: int = DEFAULT_CLAIMS,
-        path: Optional[str] = None,
-        name: Optional[str] = None,
-        persistent: bool = False,
-        content_digest: bytes = b"",
-        config_fingerprint: bytes = b"",
-    ):
-        if not bound_store_available():
-            raise RuntimeError(
-                "the shared bounds store is unavailable "
-                f"(no shared memory, or disabled via {DISABLE_BOUNDS_ENV})"
-            )
-        if num_slots < 64:
-            raise ValueError("num_slots must be at least 64")
-        if not 1 <= num_segments <= 255:
-            raise ValueError("num_segments must be between 1 and 255")
-        if segment_bytes < 4096:
-            raise ValueError("segment_bytes must be at least 4096")
-        if segment_bytes > 0xFFFFFFFF:
-            raise ValueError("segment_bytes must fit 32-bit record offsets")
-        if not 0 <= num_claims <= 65535:
-            raise ValueError("num_claims must be between 0 and 65535")
-        if path is not None and name is not None:
-            raise ValueError("pass either path or name, not both")
-        digest = self._pad16(content_digest)
-        config = self._pad16(config_fingerprint)
-        self._path = path
-        self._persistent = persistent or path is not None or name is not None
-        #: Whether an existing persisted backing was adopted (content
-        #: handshake validated) instead of starting empty.
-        self.warm_started = False
-        #: Validation-ladder reason an existing backing was discarded
-        #: (``None`` when none existed or it was adopted).
-        self.rejected_store = None
-        if path is not None:
-            self._shm = self._open_file(
-                path, num_slots, num_segments, segment_bytes, num_claims,
-                digest, config,
-            )
-        elif name is not None:
-            self._shm = self._open_named(
-                name, num_slots, num_segments, segment_bytes, num_claims,
-                digest, config,
-            )
-        else:
-            total = self._total_bytes(
-                num_slots, num_segments, segment_bytes, num_claims
-            )
-            block_name = f"repro_bs_{os.getpid()}_{next(_block_counter)}"
-            self._shm = _shared_memory.SharedMemory(
-                create=True, size=total, name=block_name
-            )
-            self._write_header(
-                self._shm.buf, num_slots, num_segments, segment_bytes,
-                num_claims, digest, config,
-            )
-        if self.warm_started:
-            # adopt the backing's geometry (authoritative for the mapped
-            # bytes) and reset the incarnation-scoped state: segment claims
-            # restart at zero and stale in-flight claims are cleared
-            buf = self._shm.buf
-            _magic, _version, num_slots, num_segments = struct.unpack_from(
-                "<IIII", buf, 0
-            )
-            (segment_bytes,) = struct.unpack_from("<Q", buf, 16)
-            (num_claims,) = struct.unpack_from("<I", buf, 24)
-            struct.pack_into("<I", buf, _H_NEXT_SEGMENT, 0)
-            claims_offset = _HEADER_BYTES + num_slots * _SLOT_BYTES
-            buf[claims_offset : claims_offset + num_claims * _CLAIM_BYTES] = (
-                bytes(num_claims * _CLAIM_BYTES)
-            )
-        context = mp_context if mp_context is not None else multiprocessing
-        self.handle = BoundStoreHandle(
-            shm_name=getattr(self._shm, "name", "") if path is None else "",
-            num_slots=num_slots,
-            num_segments=num_segments,
-            segment_bytes=int(segment_bytes),
-            lock=context.Lock(),
-            num_claims=num_claims,
-            path=path,
-        )
-        #: Total bytes of the shared block (header + index + claims +
-        #: segments).
-        self.nbytes = self._total_bytes(
-            num_slots, num_segments, int(segment_bytes), num_claims
-        )
-        self._active = True
-        self._reclaim_next = 0
-        if path is None and not self._persistent:
-            _OWNED_NAMES.add(self._shm.name)
-            self._finalizer = weakref.finalize(self, _cleanup_block, self._shm)
-        else:
-            # persistent backings must survive this process: the finalizer
-            # only detaches the mapping, never unlinks
-            self._finalizer = weakref.finalize(self, _close_block, self._shm)
-
-    # ------------------------------------------------------------------ #
-    # layout / creation helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _pad16(value: bytes) -> bytes:
-        if len(value) > 16:
-            raise ValueError("digests must be at most 16 bytes")
-        return value.ljust(16, b"\x00")
-
-    @staticmethod
-    def _total_bytes(
-        num_slots: int, num_segments: int, segment_bytes: int, num_claims: int
-    ) -> int:
-        return (
-            _HEADER_BYTES
-            + num_slots * _SLOT_BYTES
-            + num_claims * _CLAIM_BYTES
-            + num_segments * segment_bytes
-        )
-
-    @staticmethod
-    def _write_header(
-        buf, num_slots, num_segments, segment_bytes, num_claims, digest, config
-    ) -> None:
-        struct.pack_into(
-            "<IIII", buf, 0, _STORE_MAGIC, _STORE_VERSION, num_slots, num_segments
-        )
-        struct.pack_into("<Q", buf, 16, segment_bytes)
-        struct.pack_into("<I", buf, 24, num_claims)
-        buf[_H_DIGEST : _H_DIGEST + 16] = digest
-        buf[_H_CONFIG : _H_CONFIG + 16] = config
-        struct.pack_into("<I", buf, _H_CRC, zlib.crc32(bytes(buf[:_H_CRC])))
-
-    @classmethod
-    def _validate_existing(cls, buf, size: int, digest: bytes, config: bytes):
-        """The corruption-rejection ladder for a persisted backing.
-
-        Every check runs before any derived value is trusted; the first
-        failure raises :class:`_StoreRejected` with a stable reason string
-        (surfaced through :attr:`rejected_store` and the service metrics).
-        """
-        if size < _HEADER_BYTES:
-            raise _StoreRejected("truncated-header")
-        magic, version, num_slots, num_segments = struct.unpack_from(
-            "<IIII", buf, 0
-        )
-        if magic != _STORE_MAGIC:
-            raise _StoreRejected("bad-magic")
-        if version != _STORE_VERSION:
-            raise _StoreRejected("version-mismatch")
-        (segment_bytes,) = struct.unpack_from("<Q", buf, 16)
-        (num_claims,) = struct.unpack_from("<I", buf, 24)
-        (stored_crc,) = struct.unpack_from("<I", buf, _H_CRC)
-        if zlib.crc32(bytes(buf[:_H_CRC])) != stored_crc:
-            raise _StoreRejected("corrupt-header")
-        if not (
-            64 <= num_slots
-            and 1 <= num_segments <= 255
-            and 4096 <= segment_bytes <= 0xFFFFFFFF
-            and 0 <= num_claims <= 65535
-        ):
-            raise _StoreRejected("corrupt-header")
-        expected = cls._total_bytes(
-            num_slots, num_segments, segment_bytes, num_claims
-        )
-        if size < expected:
-            raise _StoreRejected("truncated")
-        stored_digest = bytes(buf[_H_DIGEST : _H_DIGEST + 16])
-        if digest != b"\x00" * 16 and stored_digest != digest:
-            raise _StoreRejected("digest-mismatch")
-        stored_config = bytes(buf[_H_CONFIG : _H_CONFIG + 16])
-        if config != b"\x00" * 16 and stored_config != config:
-            raise _StoreRejected("config-mismatch")
-        # per-segment sanity: a torn cursor would point appends (and the
-        # staleness scan) outside the segment — reject the whole backing
-        segments_offset = (
-            _HEADER_BYTES + num_slots * _SLOT_BYTES + num_claims * _CLAIM_BYTES
-        )
-        for segment in range(num_segments):
-            (cursor,) = struct.unpack_from(
-                "<Q", buf, segments_offset + segment * segment_bytes
-            )
-            if cursor != 0 and not (
-                _SEGMENT_HEADER_BYTES <= cursor <= segment_bytes
-            ):
-                raise _StoreRejected("corrupt-segment-cursor")
-
-    def _open_file(
-        self, path, num_slots, num_segments, segment_bytes, num_claims,
-        digest, config,
-    ):
-        total = self._total_bytes(num_slots, num_segments, segment_bytes, num_claims)
-        if os.path.exists(path):
-            try:
-                block = FileBackedBlock(path)
-            except (ValueError, OSError):
-                # unmappable (e.g. truncated to zero bytes): same treatment
-                # as a failed ladder — rebuild from empty
-                self.rejected_store = "truncated-header"
-            else:
-                try:
-                    self._validate_existing(block.buf, block.size, digest, config)
-                except _StoreRejected as rejected:
-                    self.rejected_store = rejected.reason
-                    block.close()
-                else:
-                    self.warm_started = True
-                    return block
-        block = FileBackedBlock(path, size=total, create=True)
-        self._write_header(
-            block.buf, num_slots, num_segments, segment_bytes, num_claims,
-            digest, config,
-        )
-        return block
-
-    def _open_named(
-        self, name, num_slots, num_segments, segment_bytes, num_claims,
-        digest, config,
-    ):
-        total = self._total_bytes(num_slots, num_segments, segment_bytes, num_claims)
         try:
-            block = _attach_block(name)
-        except FileNotFoundError:
-            block = None
-        if block is not None:
-            try:
-                self._validate_existing(block.buf, block.size, digest, config)
-            except _StoreRejected as rejected:
-                self.rejected_store = rejected.reason
-                try:
-                    block.unlink()
-                except FileNotFoundError:  # pragma: no cover - raced
-                    pass
-                block.close()
-            else:
-                self.warm_started = True
-                return block
-        block = _shared_memory.SharedMemory(create=True, size=total, name=name)
-        self._write_header(
-            block.buf, num_slots, num_segments, segment_bytes, num_claims,
-            digest, config,
-        )
-        return block
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def active(self) -> bool:
-        """Whether the block is still mapped (clients can attach)."""
-        return self._active
-
-    @property
-    def path(self) -> Optional[str]:
-        """Filesystem path of a disk-backed store (``None`` for shm)."""
-        return self._path
-
-    @property
-    def persistent(self) -> bool:
-        """Whether :meth:`close` keeps the backing for a next incarnation."""
-        return self._persistent
-
-    @property
-    def _segments_offset(self) -> int:
-        handle = self.handle
-        return (
-            _HEADER_BYTES
-            + handle.num_slots * _SLOT_BYTES
-            + handle.num_claims * _CLAIM_BYTES
-        )
-
-    @property
-    def reclaim_count(self) -> int:
-        """Total segment reclaims over the store's whole (persisted) life."""
-        (count,) = struct.unpack_from("<Q", self._shm.buf, _H_RECLAIMS)
-        return int(count)
-
-    def reader(self) -> BoundStoreClient:
-        """A read-only client over the owner's own mapping (for stats/tests).
-
-        The client borrows this store's mapping: closing it does not unmap
-        the owner's block.
-        """
-        return BoundStoreClient(
-            self._shm, self.handle, segment=None, owns_mapping=False
-        )
-
-    def stats(self) -> dict:
-        """Global occupancy: filled slots, per-segment usage, reclaims."""
-        handle = self.handle
-        buf = self._shm.buf
-        # one vectorised read instead of num_slots unpack calls; the
-        # snapshot is racy against concurrent publishes but monotonic.
-        # Tombstones (no present bit) do not count as filled.
-        words = np.frombuffer(
-            buf, dtype="<u8", count=handle.num_slots, offset=_HEADER_BYTES
-        )
-        filled = int(np.count_nonzero(words >> 63))
-        (claimed,) = struct.unpack_from("<I", buf, _H_NEXT_SEGMENT)
-        segments_offset = self._segments_offset
-        used = []
-        generations = []
-        for segment in range(min(claimed, handle.num_segments)):
-            base = segments_offset + segment * handle.segment_bytes
-            (cursor,) = struct.unpack_from("<Q", buf, base)
-            (generation,) = struct.unpack_from("<I", buf, base + 8)
-            used.append(max(0, cursor - _SEGMENT_HEADER_BYTES))
-            generations.append(int(generation))
-        active_claims = 0
-        if handle.num_claims:
-            claims_offset = _HEADER_BYTES + handle.num_slots * _SLOT_BYTES
-            pids = np.frombuffer(
-                buf,
-                dtype="<u4",
-                count=handle.num_claims * (_CLAIM_BYTES // 4),
-                offset=claims_offset,
-            )[2 :: _CLAIM_BYTES // 4]
-            active_claims = int(np.count_nonzero(pids))
-        return {
-            "num_slots": handle.num_slots,
-            "filled_slots": filled,
-            "occupancy": filled / handle.num_slots,
-            "claimed_segments": int(claimed),
-            "segment_used_bytes": used,
-            "segment_generations": generations,
-            "num_claims": handle.num_claims,
-            "active_claims": active_claims,
-            "reclaim_count": self.reclaim_count,
-            "warm_started": self.warm_started,
-            "rejected_store": self.rejected_store,
-            "persistent": self._persistent,
-            "path": self._path,
-            "nbytes": self.nbytes,
-        }
-
-    # ------------------------------------------------------------------ #
-    # generation-based segment recycling
-    # ------------------------------------------------------------------ #
-    def _segment_records(self, segment: int) -> Iterator[bytes]:
-        """Yield the encoded key of every record in ``segment``, in order.
-
-        Walks the append-only layout from the segment header to the cursor;
-        stops early at anything inconsistent (a torn tail cannot derail the
-        scan).  Owner-side only — callers coordinate with writers (the
-        service runs this from its dispatcher, between jobs).
-        """
-        handle = self.handle
-        buf = self._shm.buf
-        base = self._segments_offset + segment * handle.segment_bytes
-        (cursor,) = struct.unpack_from("<Q", buf, base)
-        cursor = min(int(cursor), handle.segment_bytes)
-        offset = _SEGMENT_HEADER_BYTES
-        while offset + _RECORD_HEADER_BYTES <= cursor:
-            magic, key_len, num_pairs, key_crc = struct.unpack_from(
-                "<IIII", buf, base + offset
-            )
-            if magic != _RECORD_MAGIC:
-                break
-            payload_offset = _RECORD_HEADER_BYTES + _pad8(key_len)
-            record_bytes = payload_offset + 16 * num_pairs
-            if offset + record_bytes > cursor:
-                break
-            key_bytes = bytes(
-                buf[base + offset + _RECORD_HEADER_BYTES :
-                    base + offset + _RECORD_HEADER_BYTES + key_len]
-            )
-            if zlib.crc32(key_bytes) != key_crc:
-                break
-            yield key_bytes
-            offset += record_bytes
-
-    def reclaim_segment(self, segment: int) -> None:
-        """Recycle one segment: bump its generation, scrub its slots.
-
-        Under the writer lock: the segment's generation advances (so every
-        already-published slot word pointing into it fails the read-side
-        generation check), its slots are overwritten with tombstones (so
-        probe chains stay intact while the slots become reusable), its
-        cursor resets, and the header's reclaim counter advances — which is
-        what releases every client's ``full`` latch on their next write
-        attempt.  Callers must quiesce writers first (the service calls
-        this from its dispatcher thread, between jobs — a natural barrier);
-        concurrent *readers* are safe at any time thanks to the generation
-        re-check after payload copy.
-        """
-        handle = self.handle
-        if not 0 <= segment < handle.num_segments:
-            raise ValueError(f"segment {segment} out of range")
-        buf = self._shm.buf
-        with handle.lock:
-            base = self._segments_offset + segment * handle.segment_bytes
-            (generation,) = struct.unpack_from("<I", buf, base + 8)
-            struct.pack_into("<I", buf, base + 8, (generation + 1) & 0xFFFFFFFF)
-            struct.pack_into("<Q", buf, base, _SEGMENT_HEADER_BYTES)
-            words = np.frombuffer(
-                buf, dtype="<u8", count=handle.num_slots, offset=_HEADER_BYTES
-            )
-            stale = ((words >> 63) > 0) & (((words >> 32) & 0xFF) == segment)
-            words[stale] = _TOMBSTONE
-            (reclaims,) = struct.unpack_from("<Q", buf, _H_RECLAIMS)
-            struct.pack_into("<Q", buf, _H_RECLAIMS, reclaims + 1)
-
-    def reclaim_round_robin(self) -> Optional[int]:
-        """Recycle the next claimed segment in rotation; returns its index.
-
-        The saturation-pressure path: when publishes are being rejected the
-        owner retires one segment per call, cycling through the claimed
-        segments so every worker's oldest columns are evicted in turn —
-        FIFO-ish eviction without per-record bookkeeping.  ``None`` when no
-        segment has been claimed yet (nothing to free).
-        """
-        (claimed,) = struct.unpack_from("<I", self._shm.buf, _H_NEXT_SEGMENT)
-        claimed = min(int(claimed), self.handle.num_segments)
-        if claimed == 0:
-            return None
-        segment = self._reclaim_next % claimed
-        self._reclaim_next += 1
-        self.reclaim_segment(segment)
-        return segment
-
-    def reclaim_stale(
-        self,
-        identity_is_current: Callable[[tuple], bool],
-        threshold: float = STALE_RECLAIM_FRACTION,
-    ) -> list[int]:
-        """Recycle segments dominated by superseded-generation columns.
-
-        Decodes every record key (the ``repr``-encoded tuples of
-        :func:`encode_stable_key`) and asks ``identity_is_current`` about
-        each participating object identity — the service passes a predicate
-        over its database's per-position generations, so ``("db", position,
-        generation)`` identities that a mutation superseded (PR 9 made
-        their keys structurally unreachable) count as stale.  A segment
-        whose stale fraction reaches ``threshold`` is reclaimed.  Returns
-        the reclaimed segment indices.
-        """
-        import ast
-
-        reclaimed = []
-        (claimed,) = struct.unpack_from("<I", self._shm.buf, _H_NEXT_SEGMENT)
-        for segment in range(min(int(claimed), self.handle.num_segments)):
-            total = 0
-            stale = 0
-            for key_bytes in self._segment_records(segment):
-                total += 1
-                try:
-                    key = ast.literal_eval(key_bytes.decode())
-                    identities = [part[0] for part in key[2:5]]
-                except (ValueError, SyntaxError, IndexError, TypeError):
-                    continue  # foreign key shape: never count as stale
-                if any(not identity_is_current(identity) for identity in identities):
-                    stale += 1
-            if total > 0 and stale / total >= threshold:
-                self.reclaim_segment(segment)
-                reclaimed.append(segment)
-        return reclaimed
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Detach (idempotent); ephemeral stores also unlink their block.
-
-        Persistent stores (``path=`` or ``name=``/``persistent=True``)
-        flush and keep their backing so a next incarnation can warm-start
-        from it — POSIX keeps shm blocks alive until unlinked, and the
-        page cache carries file-backed dirty pages even past a SIGKILL of
-        this process.  Use :meth:`destroy` to delete a persistent backing.
-        """
-        if not self._active:
-            return
-        self._active = False
-        self._finalizer.detach()
-        if self._persistent:
-            _close_block(self._shm)
-        else:
-            _cleanup_block(self._shm)
-
-    def destroy(self) -> None:
-        """Delete a persistent backing (file or named block); then close."""
-        if self._path is not None:
+            self._file.write(record)
+        except OSError:
             self.close()
-            try:
-                os.unlink(self._path)
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            return
-        if self._active:
-            self._active = False
-            self._finalizer.detach()
-            _cleanup_block(self._shm)
+            return False
+        self._size += len(record)
+        self.columns[key] = (lower, upper)
+        return True
 
-    def __enter__(self) -> "SharedBoundStore":
-        """Context-manager entry: the store itself."""
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: close the store."""
-        self.close()
+    def close(self) -> None:
+        """Stop appending and close the file (idempotent)."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
 
-def _close_block(shm) -> None:
-    """Detach-only cleanup for persistent backings (never unlinks)."""
-    try:
-        flush = getattr(shm, "flush", None)
-        if flush is not None:
-            flush()
-    except Exception:  # pragma: no cover - backing already gone
-        pass
-    try:
-        shm.close()
-    except Exception:  # pragma: no cover - already detached
-        pass
+def inspect_warm_start(directory: str, digest: bytes, config: bytes) -> dict:
+    """Parent-side summary of the warm-start files in ``directory``.
+
+    ``warm_started`` says whether at least one file passed the handshake
+    with records to serve, ``rejected_store`` names the first rejection
+    reason found (``None`` when every file passed), and ``records`` counts
+    the validated records across all files.
+    """
+    loaded = [read_warm_file(path, digest, config) for path in _lane_files(directory)]
+    reasons = [rejected for _records, _end, rejected in loaded if rejected]
+    total = sum(len(records) for records, _end, _rejected in loaded)
+    return {
+        "path": directory,
+        "warm_started": total > 0,
+        "rejected_store": reasons[0] if reasons else None,
+        "records": total,
+    }

@@ -17,12 +17,13 @@ IDCA performs per candidate is positionally identical across those runs:
 to them, so every run launched through the same context — including every
 query of a batch — amortises the decomposition and bound computations.
 
-Since PR 5 the pair-bounds memo is **tiered**: worker processes attach a
-:class:`~repro.engine.boundstore.BoundStoreClient` over the service's shared
-bounds store, and :class:`TieredPairBoundsCache` reads through to it on local
-misses and writes freshly computed columns back.  Shared entries are
-deterministic functions of their (process-independent) key, so the tier only
-ever removes recomputation — results are bit-identical with or without it.
+A worker lane of a service with a warm-start directory attaches its
+:class:`~repro.engine.boundstore.WarmStartFile`
+(:meth:`RefinementContext.attach_warm_start`); the pair-bounds memo then
+becomes a :class:`TieredPairBoundsCache` that serves local misses from the
+file's columns and appends freshly computed ones.  Columns are deterministic
+functions of their (process-independent) key, so results are bit-identical
+with or without the file.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..uncertain.decomposition import AxisPolicy
 from .boundstore import encode_stable_key, stable_object_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .boundstore import BoundStoreClient
+    from .boundstore import WarmStartFile
 
 __all__ = ["CacheStats", "RefinementContext", "TieredPairBoundsCache"]
 
@@ -67,106 +68,73 @@ class CacheStats(dict):
             self.hits += 1
         return value
 
+    def reset_counters(self) -> None:
+        """Zero the hit/miss counters (cache contents untouched)."""
+        self.hits = 0
+        self.misses = 0
+
 
 class TieredPairBoundsCache(CacheStats):
-    """Pair-bounds memo with an optional shared cross-worker tier.
+    """Pair-bounds memo backed by a lane's warm-start file.
 
-    Tier 1 is the ordinary process-local dict (``hits``/``misses`` keep
-    their PR-2 meaning: local-tier outcomes).  When the owning context has a
-    shared store attached, a local miss falls through to the store
-    (``shared_hits``/``shared_misses``), and every locally inserted column
-    is published back (``shared_publishes``).  Shared hits are installed
-    into the local dict so follow-up lookups stay in tier 1.
-
-    The shared tier can only serve a column that some worker deterministically
-    computed for the *same* stable key, so consulting it never changes
-    results — the fallback (store missing, full, or key untranslatable)
-    is always "compute locally", exactly the pre-store behaviour.
+    ``hits``/``misses`` count the local dict.  A local miss is looked up in
+    the file's columns (``shared_hits``/``shared_misses``) and a hit is
+    installed locally; every locally inserted column is appended to the
+    file (``shared_publishes`` counts the appends).  The file only holds
+    columns some lane computed for the same stable key, so consulting it
+    never changes results.
     """
 
-    def __init__(self, context: "RefinementContext") -> None:
+    def __init__(self, context: "RefinementContext", warm: "WarmStartFile") -> None:
         super().__init__()
         self._context = context
+        self._warm = warm
         self.shared_hits = 0
         self.shared_misses = 0
         self.shared_publishes = 0
-        self.claim_waits = 0
 
     def get(self, key, default=None):
-        """Tiered lookup: local dict first, then the shared store.
-
-        On a shared miss by a *writable* client the store's claim protocol
-        runs: the client claims the key (announcing it will compute the
-        column) — unless another live worker already holds the claim, in
-        which case this worker briefly waits for that worker's publish
-        instead of duplicating the kernel work.  A timed-out wait falls
-        through to local compute, so claims never stall a batch; the claim
-        itself is released when :meth:`__setitem__` publishes.
-        """
+        """Local dict first, then the warm-start columns."""
         value = dict.get(self, key, default)
         if value is not default:
             self.hits += 1
             return value
-        store = self._context.shared_store
-        if store is not None and not store.demoted:
-            encoded = self._context.stable_pair_key(key)
-            if encoded is not None:
-                entry = store.get(encoded)
-                if entry is None and store.claims_enabled and store.writable:
-                    if store.claim(encoded) == "held":
-                        entry = store.wait_for(encoded)
-                        if entry is not None:
-                            self.claim_waits += 1
-                if entry is not None:
-                    self.shared_hits += 1
-                    # install locally so hot keys stay in tier 1, evicting
-                    # like the compute path does — never skipping, which
-                    # would re-fetch hot columns from shm forever
-                    _evict_oldest_tenth(self, _PAIR_BOUNDS_CACHE_MAX)
-                    dict.__setitem__(self, key, entry)
-                    return entry
-                self.shared_misses += 1
+        encoded = self._context.stable_pair_key(key)
+        if encoded is not None:
+            entry = self._warm.columns.get(encoded)
+            if entry is not None:
+                self.shared_hits += 1
+                # install locally, evicting like the compute path does
+                _evict_oldest_tenth(self, _PAIR_BOUNDS_CACHE_MAX)
+                dict.__setitem__(self, key, entry)
+                return entry
+            self.shared_misses += 1
         self.misses += 1
         return default
 
     def __setitem__(self, key, value) -> None:
-        """Insert locally, publish to the shared store, release any claim."""
+        """Insert locally and append the column to the warm-start file."""
         dict.__setitem__(self, key, value)
-        store = self._context.shared_store
-        if store is None:
-            return
-        encoded = None
-        if store.writable:
-            encoded = self._context.stable_pair_key(key)
-            if encoded is not None and store.put(encoded, value[0], value[1]):
-                self.shared_publishes += 1
-        if store.claims_enabled and not store.demoted:
-            # idempotent: only an entry carrying this pid is cleared, so
-            # releasing keys that were never claimed (local hits that
-            # re-enter, failed publishes) is safe
-            if encoded is None:
-                encoded = self._context.stable_pair_key(key)
-            if encoded is not None:
-                store.release(encoded)
+        encoded = self._context.stable_pair_key(key)
+        if encoded is not None and self._warm.append(encoded, value[0], value[1]):
+            self.shared_publishes += 1
 
     def reset_counters(self) -> None:
-        """Zero all hit/miss/publish counters (cache contents untouched)."""
-        self.hits = 0
-        self.misses = 0
+        """Zero all hit/miss/append counters (cache contents untouched)."""
+        super().reset_counters()
         self.shared_hits = 0
         self.shared_misses = 0
         self.shared_publishes = 0
-        self.claim_waits = 0
 
 
 class _RegisteringTreeCache(dict):
     """Tree cache that reports every admitted tree to its context.
 
     The context needs a ``tree token -> stable object key`` translation to
-    derive shared-store keys, and trees enter the cache from two places
+    derive warm-start keys, and trees enter the cache from two places
     (:meth:`RefinementContext.tree_for` and ``IDCA._tree_for``, which share
     this mapping).  Hooking ``__setitem__``/``__delitem__`` catches both
-    without the IDCA layer knowing the store exists.
+    without the IDCA layer knowing the file exists.
     """
 
     def __init__(self, context: "RefinementContext") -> None:
@@ -206,12 +174,13 @@ class RefinementContext:
     ):
         self.database = database
         self.axis_policy: AxisPolicy = axis_policy
-        self.tree_cache: dict[int, DecompositionTree] = _RegisteringTreeCache(self)
-        self.pair_bounds_cache = TieredPairBoundsCache(self)
-        #: Optional :class:`~repro.engine.boundstore.BoundStoreClient` — the
-        #: cross-worker shared tier.  ``None`` means purely local memoisation.
-        self.shared_store: Optional["BoundStoreClient"] = None
-        self._token_keys: dict[int, tuple] = {}
+        self.tree_cache: dict[int, DecompositionTree] = {}
+        self.pair_bounds_cache: CacheStats = CacheStats()
+        #: The lane's :class:`~repro.engine.boundstore.WarmStartFile`, or
+        #: ``None`` for purely local memoisation.
+        self.warm_start: Optional["WarmStartFile"] = None
+        self._warm_generations = 0
+        self._token_keys: dict[int, Optional[tuple]] = {}
         self._encoded_keys: dict[tuple, Optional[bytes]] = {}
         self._idca_instances: dict[tuple, IDCA] = {}
 
@@ -227,9 +196,8 @@ class RefinementContext:
         (see ``engine/executor.py``).  Memoised bounds are deterministic, so
         rebuilding them locally never changes results.
 
-        The shared-store client is likewise never shipped: workers attach
-        their own through the pool initializer (the handle travels as an
-        initarg, not inside the engine payload).  The database itself decides
+        A warm-start file is likewise never shipped: worker lanes open
+        their own through the pool initializer.  The database itself decides
         its own transport: with an active shared-memory export
         (``UncertainDatabase.share_memory``) it pickles to a lightweight
         handle that workers *attach* — so shipping a context costs kilobytes
@@ -287,40 +255,55 @@ class RefinementContext:
         return idca
 
     # ------------------------------------------------------------------ #
-    # shared bounds store (cross-worker tier)
+    # warm-start file
     # ------------------------------------------------------------------ #
-    def attach_shared_store(self, client: "BoundStoreClient") -> None:
-        """Install a shared bounds store as the cache's second tier.
+    def attach_warm_start(self, warm: "WarmStartFile") -> None:
+        """Back the pair-bounds memo with a lane's warm-start file.
 
-        Called by the worker-pool initializer after the engine is unpickled
-        (the handle travels next to the engine payload, never inside it).
-        Trees created before attachment are registered retroactively so
-        their tokens translate too.
+        Called by the worker-pool initializer on a freshly unpickled context,
+        before any mutation delta is replayed, so :attr:`database` is the
+        snapshot whose digest the file's handshake checked.  Only columns
+        whose database members all belong to that snapshot (generation below
+        its largest one plus one) are read from or appended to the file: a
+        generation issued by a later mutation names different content in a
+        restarted service that mutates differently.  Swaps both caches for
+        their warm-start versions and forgets handed-out IDCA instances,
+        which hold the old ones.
         """
-        self.shared_store = client
-        self._encoded_keys.clear()  # drop "stay local" verdicts cached pre-attach
-        for tree in self.tree_cache.values():
-            self._register_tree(tree)
+        self.warm_start = warm
+        self._warm_generations = max(self.database.generations()) + 1
+        trees = self.tree_cache
+        self.tree_cache = _RegisteringTreeCache(self)
+        for key, tree in trees.items():
+            self.tree_cache[key] = tree
+        self.pair_bounds_cache = TieredPairBoundsCache(self, warm)
+        self._encoded_keys.clear()
+        self._idca_instances.clear()
 
     def _register_tree(self, tree: DecompositionTree) -> None:
-        """Record the stable identity behind a tree's process-unique token."""
-        if self.shared_store is None:
+        """Record the stable identity behind a tree's process-unique token.
+
+        Identities the warm-start file must not hold register as ``None``.
+        """
+        if tree.token in self._token_keys:
             return
-        if tree.token not in self._token_keys:
-            self._token_keys[tree.token] = stable_object_key(self.database, tree.obj)
+        identity = stable_object_key(self.database, tree.obj)
+        if identity[0] == "db" and identity[2] >= self._warm_generations:
+            identity = None
+        self._token_keys[tree.token] = identity
 
     def stable_pair_key(self, key: tuple) -> Optional[bytes]:
-        """Translate a process-local memo key into encoded shared-store bytes.
+        """Translate a process-local memo key into encoded stable-key bytes.
 
         The local key is ``((candidate token, depth), (target token, depth),
         (reference token, depth), (p, criterion))``; each token is swapped
         for the stable identity registered at tree creation.  Returns
-        ``None`` — "stay local" — when any token is unknown, which can only
-        happen for trees created outside this context's caches.
+        ``None`` — "stay local" — when any token is unknown (a tree created
+        outside this context's caches) or registered as ``None``.
 
         The translation is memoised per local key (bounded), because the
         tiered cache encodes each cold key twice — once on the lookup miss
-        and once when publishing the freshly computed column.
+        and once when appending the freshly computed column.
         """
         if key in self._encoded_keys:
             return self._encoded_keys[key]
@@ -360,14 +343,14 @@ class RefinementContext:
         the local pair-bounds columns whose key references those trees'
         tokens.  Everything else stays warm — which is the whole point of the
         snapshot model; a wholesale :meth:`clear` would throw away every
-        column the shared store could keep serving.
+        column that is still valid.
 
-        Staleness is structurally impossible on both tiers: local pair keys
-        use process-unique tree tokens (a replaced object's new tree gets a
-        new token), and shared keys fold the per-object generation (a
+        Staleness is structurally impossible: local pair keys use
+        process-unique tree tokens (a replaced object's new tree gets a new
+        token), and warm-start keys fold the per-object generation (a
         replaced object gets a fresh generation), so a lookup for the new
         content can never land on a column computed for the old content.
-        The evictions here reclaim memory and unregister dead token
+        The evictions here free memory and unregister dead token
         translations; the token translations of surviving trees are
         recomputed against the new snapshot because a delete may have
         shifted member positions.
@@ -394,7 +377,7 @@ class RefinementContext:
                 dict.__delitem__(cache, key)
         self._token_keys.clear()
         self._encoded_keys.clear()
-        if self.shared_store is not None:
+        if self.warm_start is not None:
             for tree in self.tree_cache.values():
                 self._register_tree(tree)
         for idca in self._idca_instances.values():
@@ -406,31 +389,19 @@ class RefinementContext:
     def stats(self) -> dict:
         """Cache occupancy and hit counters (used by the batch reports).
 
-        ``pair_bounds_hits``/``pair_bounds_misses`` describe the local tier;
-        the ``shared_*`` counters describe the cross-worker tier (all zero
-        while no store is attached).  ``shared_corruptions`` counts store
-        records the client's validated reads rejected, and
-        ``shared_degraded`` says whether the client has demoted itself to
-        local-only memoisation as a result — the graceful-degradation
-        signal the chunk stats surface per worker.
+        ``pair_bounds_hits``/``pair_bounds_misses`` describe the local memo;
+        the ``shared_*`` counters describe the warm-start file (all zero
+        while none is attached).
         """
         cache = self.pair_bounds_cache
-        store = self.shared_store
         return {
             "trees": len(self.tree_cache),
             "pair_bounds": len(cache),
             "pair_bounds_hits": cache.hits,
             "pair_bounds_misses": cache.misses,
-            "shared_hits": cache.shared_hits,
-            "shared_misses": cache.shared_misses,
-            "shared_publishes": cache.shared_publishes,
-            "shared_store": store is not None,
-            "shared_corruptions": store.corruptions if store is not None else 0,
-            "shared_degraded": bool(store is not None and store.demoted),
-            "shared_rejected": store.rejected if store is not None else 0,
-            "shared_duplicates": store.duplicates if store is not None else 0,
-            "claim_steals": store.claim_steals if store is not None else 0,
-            "claim_waits": cache.claim_waits,
+            "shared_hits": getattr(cache, "shared_hits", 0),
+            "shared_misses": getattr(cache, "shared_misses", 0),
+            "shared_publishes": getattr(cache, "shared_publishes", 0),
         }
 
     def clear(self) -> None:

@@ -131,7 +131,7 @@ class QueryEngine:
         database and moves every engine component to the resulting snapshot
         with per-object granularity: the refinement context evicts only the
         trees and pair-bounds columns of replaced objects (untouched columns
-        stay warm, locally and in the shared store), and an R-tree candidate
+        stay warm), and an R-tree candidate
         source maintains its tree incrementally.  Returns the new snapshot.
 
         Callers must not run queries concurrently with this method — the

@@ -75,9 +75,8 @@ class WorkerCrashError(ServiceError):
     """Raised when a crashed worker lane exhausted its chunk retries.
 
     A single crash never surfaces as this error: the pool respawns the lane
-    and re-drives the in-flight chunk (results are deterministic, and the
-    shared bounds store still holds everything the dead worker published,
-    so the retry is bit-identical and cheaper than the first attempt).
+    and re-drives the in-flight chunk (results are deterministic, so the
+    retry is bit-identical).
     Only a chunk that keeps killing its worker past the retry budget —
     i.e. a structural problem, not a transient one — escalates to this.
     """

@@ -44,11 +44,11 @@ dataset instead of unpickling a copy.
 Fault tolerance: the pool *supervises* its lanes.  A lane whose worker dies
 (SIGKILL, OOM, segfault) surfaces as ``BrokenProcessPool`` on the in-flight
 future; the pool respawns the lane with the very same initargs — engine
-payload, bound-store handle, lane index — and re-drives the chunk with
-bounded exponential backoff.  The retry is safe because results are
-deterministic and the shared bounds store still holds every column the dead
-worker published, so the replay is bit-identical *and* cheaper than the
-first attempt.  A ``deadline_epoch`` propagates into the workers (the
+payload, warm-start spec, lane index — and re-drives the chunk with
+bounded exponential backoff.  The retry is bit-identical because results
+are deterministic; with a warm-start directory the respawned worker also
+loads every column its predecessor appended, so the replay is cheaper than
+the first attempt.  A ``deadline_epoch`` propagates into the workers (the
 refinement scheduler checks it every iteration) and arms a parent-side
 wall-clock watchdog that SIGKILLs and respawns a lane wedged past the
 deadline plus :attr:`WorkerPool.watchdog_grace`.  Both escalation paths
@@ -72,7 +72,6 @@ from typing import TYPE_CHECKING, Literal, Optional, Sequence, Union
 from .errors import DeadlineExceeded, WorkerCrashError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .boundstore import BoundStoreHandle, SharedBoundStore
     from .engine import QueryEngine
     from .requests import QueryRequest
 
@@ -192,14 +191,6 @@ class ExecutorConfig:
         back to the platform default otherwise.  All methods receive the same
         explicitly pickled engine payload, so cache state is identical —
         empty — regardless of the start method.
-    shared_bounds:
-        Whether a :class:`~repro.engine.service.QueryService` should back its
-        pool with a cross-worker shared bounds store
-        (``engine/boundstore.py``).  ``None`` (default) enables it exactly
-        when :func:`~repro.engine.boundstore.bound_store_available` says the
-        platform supports it; ``True`` requires it (construction raises when
-        unavailable); ``False`` forces purely process-local memoisation.
-        Ignored by the per-batch pool path, whose caches die with the batch.
     kernel_backend:
         Pair-bounds kernel backend for the batch: ``"numpy"``, ``"numba"``
         or ``None`` (default) to keep the engine's own setting (which itself
@@ -218,7 +209,6 @@ class ExecutorConfig:
     chunk_size: Optional[Union[int, str]] = None
     chunking: ChunkingStrategy = "affinity"
     start_method: Optional[str] = None
-    shared_bounds: Optional[bool] = None
     kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -243,8 +233,6 @@ class ExecutorConfig:
                     f"workers must be at least 1 when given, got {self.workers}"
                 )
         validate_chunk_size(self.chunk_size)
-        if self.shared_bounds not in (None, True, False):
-            raise ValueError("shared_bounds must be True, False or None")
 
     @property
     def effective_workers(self) -> int:
@@ -277,10 +265,10 @@ class ChunkStats:
     across the chunks it executes); ``trees`` is the occupancy of the
     worker's tree cache *after* the chunk, i.e. how much decomposition state
     the worker has accumulated so far.  The ``shared_*`` deltas describe the
-    cross-worker bounds store (zero when no store is attached):
-    ``shared_hits`` columns served from the store instead of the kernel,
-    ``shared_misses`` store lookups that fell through to computation, and
-    ``shared_publishes`` freshly computed columns this worker published.
+    lane's warm-start file (zero when the service has none):
+    ``shared_hits`` local misses served from the file's columns instead of
+    the kernel, ``shared_misses`` local misses the file could not serve, and
+    ``shared_publishes`` freshly computed columns appended to the file.
 
     ``kernel_backend`` is the pair-bounds backend the chunk's engine resolves
     to and ``kernel_seconds`` the wall-clock its worker spent inside the CSR
@@ -288,19 +276,10 @@ class ChunkStats:
     ``repro/core/kernels.py``), so batch time can be attributed to the
     kernel layer without reaching into refinement state.
 
-    ``shared_corruptions`` counts store records the worker's validated reads
-    rejected during the chunk (bad magic/CRC — someone scribbled on the
-    segment), and ``shared_degraded`` is 1 when the worker ran the chunk
-    demoted to purely local memoisation (it detected corruption, or never
-    managed to attach the store at all).  Both are 0 in healthy operation.
-
-    ``shared_rejected`` counts publishes the store refused (segment or index
-    full — the saturation signal the service's reclaim policy watches),
-    ``shared_duplicates`` columns this worker computed that another worker
-    had already published, ``claim_steals`` in-flight claims this worker
-    took over from a dead or lease-expired holder, and ``claim_waits``
-    columns obtained by briefly waiting on another worker's claim instead
-    of recomputing.
+    ``shared_rejected``, ``shared_duplicates`` and ``claim_waits`` are
+    always 0.  They counted events of the cross-lane shared-memory store
+    that 2.0.0 removed, and stay only because the ``bench`` harness sums
+    them per chunk.
     """
 
     chunk: int
@@ -319,11 +298,8 @@ class ChunkStats:
     shared_publishes: int = 0
     kernel_backend: str = ""
     kernel_seconds: float = 0.0
-    shared_corruptions: int = 0
-    shared_degraded: int = 0
     shared_rejected: int = 0
     shared_duplicates: int = 0
-    claim_steals: int = 0
     claim_waits: int = 0
 
 
@@ -352,8 +328,8 @@ class BatchReport:
     #: or watchdog-killed worker, replaced with the same initargs).
     worker_respawns: int = 0
     #: Chunks re-driven on a respawned lane after their worker died.  The
-    #: retries are bit-identical by determinism + warm shared bounds, so a
-    #: non-zero count changes latency only, never results.
+    #: retries are bit-identical by determinism, so a non-zero count changes
+    #: latency only, never results.
     chunk_retries: int = 0
     #: Database snapshot epoch the batch ran against.  Adaptive chunk sizing
     #: ignores cost history recorded at a different epoch: a mutation can
@@ -387,22 +363,6 @@ class BatchReport:
         return sum(stats.size for stats in self.chunks)
 
     @property
-    def shared_corruptions(self) -> int:
-        """Corrupt shared-store records rejected by validated reads, summed."""
-        return sum(stats.shared_corruptions for stats in self.chunks)
-
-    @property
-    def degraded_workers(self) -> int:
-        """Workers that ran chunks demoted to local-only memoisation.
-
-        Counts distinct pids whose chunks report ``shared_degraded`` — the
-        graceful-degradation counter the tentpole's failure model promises:
-        a worker that cannot trust (or attach) the shared store keeps
-        serving batches from its process-local caches instead of failing.
-        """
-        return len({stats.pid for stats in self.chunks if stats.shared_degraded})
-
-    @property
     def scheduler_steps(self) -> int:
         """Total refinement iterations spent across all workers."""
         return sum(stats.scheduler_steps for stats in self.chunks)
@@ -433,43 +393,18 @@ class BatchReport:
 
     @property
     def shared_hits(self) -> int:
-        """Bounds columns served from the cross-worker store, all workers."""
+        """Columns served from the warm-start file, all workers."""
         return sum(stats.shared_hits for stats in self.chunks)
 
     @property
     def shared_misses(self) -> int:
-        """Shared-store lookups that fell through to computation, all workers."""
+        """Local misses the warm-start file could not serve, all workers."""
         return sum(stats.shared_misses for stats in self.chunks)
 
     @property
     def shared_publishes(self) -> int:
-        """Bounds columns published into the cross-worker store, all workers."""
+        """Columns appended to the warm-start files, all workers."""
         return sum(stats.shared_publishes for stats in self.chunks)
-
-    @property
-    def shared_rejected(self) -> int:
-        """Publishes the store rejected (segment or index full), all workers.
-
-        The saturation-pressure signal the service's reclaim policy watches:
-        a non-zero count after a batch means some worker wanted to publish
-        and could not, so recycling a segment would restore shared caching.
-        """
-        return sum(stats.shared_rejected for stats in self.chunks)
-
-    @property
-    def shared_duplicates(self) -> int:
-        """Columns computed twice and deduplicated at publish, all workers."""
-        return sum(stats.shared_duplicates for stats in self.chunks)
-
-    @property
-    def claim_steals(self) -> int:
-        """Claims taken over from dead or lease-expired holders, all workers."""
-        return sum(stats.claim_steals for stats in self.chunks)
-
-    @property
-    def claim_waits(self) -> int:
-        """Columns obtained by waiting on another worker's claim, all workers."""
-        return sum(stats.claim_waits for stats in self.chunks)
 
     @property
     def kernel_seconds(self) -> float:
@@ -489,46 +424,16 @@ class BatchReport:
 
     @property
     def shared_hit_rate(self) -> float:
-        """Fraction of local-cache misses the shared store absorbed.
+        """Fraction of local-memo misses the warm-start file served.
 
-        ``shared_hits / (shared_hits + shared_misses)`` — i.e. of the
-        lookups that could not be served worker-locally, how many the
-        cross-worker store answered.  ``0.0`` when the store was never
-        consulted (serial path, store disabled, or every lookup hit the
-        local tier).
+        ``shared_hits / (shared_hits + shared_misses)``; ``0.0`` when the
+        file was never consulted (no warm-start directory, serial path, or
+        every lookup hit the local memo).
         """
         consulted = self.shared_hits + self.shared_misses
         if consulted == 0:
             return 0.0
         return self.shared_hits / consulted
-
-    @property
-    def worker_cache_summaries(self) -> dict[int, dict[str, int]]:
-        """Per-worker cache counters, merged over each worker's chunks.
-
-        Maps worker pid to its summed ``shared_hits`` / ``shared_publishes``
-        and local-tier ``local_hits`` / ``local_misses`` deltas — the
-        per-worker view behind the aggregate properties, used by the
-        shared-store benchmark to show where duplicate work went.
-        """
-        summaries: dict[int, dict[str, int]] = {}
-        for stats in self.chunks:
-            entry = summaries.setdefault(
-                stats.pid,
-                {
-                    "chunks": 0,
-                    "shared_hits": 0,
-                    "shared_publishes": 0,
-                    "local_hits": 0,
-                    "local_misses": 0,
-                },
-            )
-            entry["chunks"] += 1
-            entry["shared_hits"] += stats.shared_hits
-            entry["shared_publishes"] += stats.shared_publishes
-            entry["local_hits"] += stats.pair_bounds_hits
-            entry["local_misses"] += stats.pair_bounds_misses
-        return summaries
 
     @property
     def kinds(self) -> dict[str, int]:
@@ -544,7 +449,7 @@ class BatchReport:
         return max((stats.seconds for stats in self.chunks), default=0.0)
 
     def to_dict(self) -> dict:
-        """JSON-serialisable summary (used by the parallel benchmark)."""
+        """JSON-serialisable summary of the batch."""
         return {
             "mode": self.mode,
             "pool": self.pool,
@@ -565,12 +470,6 @@ class BatchReport:
             "shared_misses": self.shared_misses,
             "shared_publishes": self.shared_publishes,
             "shared_hit_rate": self.shared_hit_rate,
-            "shared_corruptions": self.shared_corruptions,
-            "shared_rejected": self.shared_rejected,
-            "shared_duplicates": self.shared_duplicates,
-            "claim_steals": self.claim_steals,
-            "claim_waits": self.claim_waits,
-            "degraded_workers": self.degraded_workers,
             "worker_respawns": self.worker_respawns,
             "chunk_retries": self.chunk_retries,
             "completed_requests": self.completed_requests,
@@ -582,7 +481,7 @@ class BatchReport:
         }
 
     def __str__(self) -> str:
-        """One-line execution summary (used by the benchmarks' progress output)."""
+        """One-line execution summary."""
         return (
             f"BatchReport({self.mode}/{self.pool}, workers={self.workers}, "
             f"{self.num_requests} req in {self.num_chunks} chunks, "
@@ -683,9 +582,7 @@ def affine_partition(
     one chunk, so reassembly by index reproduces request order.
 
     The trade-off versus the load-balanced assignment: a skewed batch can
-    leave lanes idle.  The shared bounds store covers the complementary
-    case (a request *moving* workers finds the bounds already published);
-    together they bound duplicate work from both directions.
+    leave lanes idle.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -745,11 +642,6 @@ _WORKER_ENGINE: Optional["QueryEngine"] = None
 # fault-injection harness to target a specific lane.
 _WORKER_LANE: Optional[int] = None
 
-# Latched when the worker had a bound-store handle but could not attach the
-# store (block unlinked, platform refused): the worker runs demoted to
-# process-local memoisation and every chunk reports shared_degraded=1.
-_WORKER_STORE_DEGRADED = False
-
 
 def result_iteration_stats(results: Sequence) -> tuple[int, float]:
     """Merge the per-result ``IterationStats``-level counters of a chunk.
@@ -787,40 +679,41 @@ def result_iteration_stats(results: Sequence) -> tuple[int, float]:
 
 def _initialise_worker(
     payload: bytes,
-    bound_store_handle: Optional["BoundStoreHandle"] = None,
+    warm_start: Optional[tuple[str, bytes, bytes]] = None,
     lane: Optional[int] = None,
     deltas: tuple = (),
 ) -> None:
     """Pool initializer: unpack the engine shipped by the parent process.
 
-    With a bound-store handle (shipped as a separate initarg, never inside
-    the engine payload), the worker additionally attaches the cross-worker
-    shared bounds store and claims a publish segment; any failure to attach
-    degrades to process-local memoisation — the graceful-fallback rule of
-    ``engine/boundstore.py`` — and latches ``shared_degraded`` so the
-    demotion is visible in every :class:`ChunkStats` the worker reports.
+    ``warm_start`` is ``(directory, database digest, config fingerprint)``
+    when the service has a warm-start directory: the worker then opens its
+    lane's :class:`~repro.engine.boundstore.WarmStartFile`, which loads the
+    columns every lane appended so far, and attaches it to its context.  A
+    file that cannot be opened (e.g. the directory became unwritable)
+    leaves the worker on purely local memoisation — never a failed spawn.
     A respawned lane runs this initializer again with identical arguments,
-    which is what makes supervision transparent: the fresh worker attaches
-    the same store and finds every column its predecessor published.
+    so it starts from every column its predecessor appended.
 
     ``deltas`` is the pool's accumulated mutation-delta history: the engine
     payload is pickled exactly once at pool construction, so a lane spawned
     (or respawned) after the database mutated replays the deltas in order to
-    reach the pool's current snapshot epoch bit-identically.
+    reach the pool's current snapshot epoch bit-identically.  The warm-start
+    file attaches first, while the context still holds the snapshot the
+    file's handshake covers.
     """
-    global _WORKER_ENGINE, _WORKER_LANE, _WORKER_STORE_DEGRADED
+    global _WORKER_ENGINE, _WORKER_LANE
     _WORKER_ENGINE = pickle.loads(payload)
     _WORKER_LANE = lane
-    if bound_store_handle is not None:
-        from .boundstore import BoundStoreClient
+    if warm_start is not None:
+        from .boundstore import WarmStartFile
 
+        directory, digest, config = warm_start
         try:
-            client = BoundStoreClient.from_handle(bound_store_handle)
-        except Exception:  # block gone or platform refused: local caches only
-            client = None
-            _WORKER_STORE_DEGRADED = True
-        if client is not None:
-            _WORKER_ENGINE.context.attach_shared_store(client)
+            warm = WarmStartFile(directory, lane, digest, config)
+        except OSError:
+            warm = None
+        if warm is not None:
+            _WORKER_ENGINE.context.attach_warm_start(warm)
     for delta in deltas:
         _apply_delta_to_engine(_WORKER_ENGINE, delta)
 
@@ -906,23 +799,11 @@ def run_chunk_on_engine(
         trees=after["trees"],
         pair_bounds_hits=after["pair_bounds_hits"] - before["pair_bounds_hits"],
         pair_bounds_misses=after["pair_bounds_misses"] - before["pair_bounds_misses"],
-        shared_hits=after.get("shared_hits", 0) - before.get("shared_hits", 0),
-        shared_misses=after.get("shared_misses", 0) - before.get("shared_misses", 0),
-        shared_publishes=after.get("shared_publishes", 0)
-        - before.get("shared_publishes", 0),
+        shared_hits=after["shared_hits"] - before["shared_hits"],
+        shared_misses=after["shared_misses"] - before["shared_misses"],
+        shared_publishes=after["shared_publishes"] - before["shared_publishes"],
         kernel_backend=resolve_backend(getattr(engine, "kernel_backend", None)),
         kernel_seconds=total_kernel_seconds() - kernel_before,
-        shared_corruptions=after.get("shared_corruptions", 0)
-        - before.get("shared_corruptions", 0),
-        shared_degraded=int(
-            _WORKER_STORE_DEGRADED or after.get("shared_degraded", False)
-        ),
-        shared_rejected=after.get("shared_rejected", 0)
-        - before.get("shared_rejected", 0),
-        shared_duplicates=after.get("shared_duplicates", 0)
-        - before.get("shared_duplicates", 0),
-        claim_steals=after.get("claim_steals", 0) - before.get("claim_steals", 0),
-        claim_waits=after.get("claim_waits", 0) - before.get("claim_waits", 0),
     )
     return results, stats
 
@@ -1015,11 +896,9 @@ class WorkerPool:
     their state (:func:`affine_partition`).  Lane choice never influences
     results, only where warm-up happens.
 
-    With ``bound_store`` set, every worker also attaches the store and
-    claims a publish segment through the initializer — the handle travels
-    next to the engine payload, through the pool's ordinary process-creation
-    channel (its lock is inherited under ``fork`` and pickled by the spawn
-    machinery otherwise).
+    With ``warm_start`` set (``(directory, database digest, config
+    fingerprint)``), every worker opens its lane's warm-start file through
+    the initializer (see :func:`_initialise_worker`).
 
     Supervision (``supervised=True``, the default): a lane whose worker
     process dies surfaces ``BrokenProcessPool`` on its futures; the pool
@@ -1027,9 +906,7 @@ class WorkerPool:
     initargs and re-drives the failed chunk there, with exponential backoff
     and at most ``max_chunk_retries`` attempts per chunk before the crash
     escalates as :class:`~repro.engine.errors.WorkerCrashError`.  Chunks
-    merely *queued* behind the crash are resubmitted the same way.  Because
-    the respawned worker attaches the same bound store, the retry re-reads
-    everything the dead worker already published.
+    merely *queued* behind the crash are resubmitted the same way.
     """
 
     def __init__(
@@ -1037,7 +914,7 @@ class WorkerPool:
         engine: "QueryEngine",
         workers: int,
         start_method: Optional[str] = None,
-        bound_store: Optional["SharedBoundStore"] = None,
+        warm_start: Optional[tuple[str, bytes, bytes]] = None,
         supervised: bool = True,
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF_SECONDS,
@@ -1059,7 +936,7 @@ class WorkerPool:
         self.respawns = 0
         self._payload = pickle.dumps(engine)
         self._mp_context = _pool_context(start_method)
-        self._handle = bound_store.handle if bound_store is not None else None
+        self._warm_start = warm_start
         # mutation-delta history: replayed by every lane spawned after the
         # payload was pickled, so respawns land on the current snapshot
         self._deltas: list = []
@@ -1077,7 +954,7 @@ class WorkerPool:
             max_workers=1,
             mp_context=self._mp_context,
             initializer=_initialise_worker,
-            initargs=(self._payload, self._handle, lane, tuple(self._deltas)),
+            initargs=(self._payload, self._warm_start, lane, tuple(self._deltas)),
         )
 
     @property
@@ -1199,8 +1076,7 @@ class WorkerPool:
         Failure handling, in escalation order: a chunk whose worker *died*
         (``BrokenProcessPool``) has its lane respawned and is re-driven
         there with exponential backoff, up to ``max_chunk_retries`` times —
-        bit-identical by determinism, cheaper than the first attempt thanks
-        to the still-warm shared bounds store — before escalating as
+        bit-identical by determinism — before escalating as
         :class:`~repro.engine.errors.WorkerCrashError`.  With a
         ``deadline_epoch``, lanes still holding chunks past the deadline
         plus :attr:`watchdog_grace` are SIGKILLed and respawned, and the

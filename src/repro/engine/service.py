@@ -20,11 +20,6 @@ rebuild.  A :class:`QueryService` hoists that cost out of the batch loop:
   a single dispatcher thread drains the queue in FIFO order (chunks of one
   batch still run in parallel across the pool), and the blocking
   :meth:`QueryService.evaluate_many` routes through the same queue;
-* the **bounds cache is shared across workers** (PR 5): the service owns a
-  :class:`~repro.engine.boundstore.SharedBoundStore`, every worker attaches
-  it through the pool initializer, and a column computed by one worker is
-  served to all — see ``engine/boundstore.py`` for the publish protocol and
-  the fallback rules;
 * **dispatch is worker-affine** (PR 5): with ``"affinity"`` chunking each
   affinity bucket's lane is a stable hash of its key, so successive batches
   route a recurring query object to the same worker's warm caches, and
@@ -36,9 +31,12 @@ rebuild.  A :class:`QueryService` hoists that cost out of the batch loop:
   sees exactly snapshot ``E``, never a half-applied update.  Workers
   advance by replaying a small
   :class:`~repro.uncertain.sharedmem.MutationDelta` (touched objects only)
-  instead of re-importing the dataset, and the shared bounds store stays
-  warm for untouched columns because cache keys fold per-object
-  generations (see ``engine/boundstore.py``).
+  instead of re-importing the dataset, and each lane's memo stays warm for
+  untouched objects (see ``RefinementContext.advance``);
+* **warm start** (``bounds_store_path``): every lane appends the columns it
+  computes to its own file in that directory and loads all lanes' files
+  when it spawns, so a restarted service — or a respawned lane — starts
+  with its predecessors' columns (see ``engine/boundstore.py``).
 
 Determinism is inherited unchanged from the executor layer: results are
 bit-identical to the serial path for every worker count, chunking and batch
@@ -46,17 +44,14 @@ composition, and persistent worker caches only ever remove recomputation.
 
 The service is **fault-tolerant** (see the "Failure model" section of
 ``docs/architecture.md``): the pool supervises its worker lanes and respawns
-a crashed worker transparently (the retried chunk re-reads everything the
-dead worker published into the shared bounds store, so recovery is
-bit-identical *and* warm); ``submit(deadline=...)`` bounds a batch's wall
+a crashed worker transparently (the retried chunk is bit-identical by
+determinism); ``submit(deadline=...)`` bounds a batch's wall
 clock — expired work raises :class:`~repro.engine.errors.DeadlineExceeded`
 instead of hanging, and a watchdog terminates+respawns a truly wedged lane;
 ``max_pending_batches`` / ``max_pending_requests`` bound the dispatcher
 queue, rejecting over-limit submits fast with
 :class:`~repro.engine.errors.ServiceOverloadedError` while in-flight batches
-complete; and a worker that loses (or stops trusting) the shared bounds
-store demotes itself to local memoisation, surfaced as
-``BatchReport.degraded_workers`` rather than a failed batch.
+complete.
 
 Shutdown is deterministic and idempotent: :meth:`QueryService.close` (or the
 context manager, or the ``atexit`` fallback for services that are never
@@ -75,6 +70,7 @@ from __future__ import annotations
 
 import atexit
 import math
+import os
 import queue
 import threading
 import time
@@ -88,13 +84,7 @@ from ..uncertain.sharedmem import (
     SharedDatabaseExport,
     shared_memory_available,
 )
-from .boundstore import (
-    DEFAULT_CLAIMS,
-    SharedBoundStore,
-    bound_store_available,
-    config_fingerprint,
-    database_digest,
-)
+from .boundstore import config_fingerprint, database_digest, inspect_warm_start
 from .errors import (
     DeadlineExceeded,
     ServiceClosedError,
@@ -108,7 +98,6 @@ from .executor import (
     BatchReport,
     ExecutorConfig,
     WorkerPool,
-    _pool_context,
     adaptive_chunk_size,
     affine_partition,
     partition_requests,
@@ -124,13 +113,6 @@ __all__ = ["QueryService", "ServiceBatch", "MutationTicket"]
 #: Sentinel distinguishing "argument not passed" from an explicit ``None``
 #: (``chunk_size=None`` meaningfully requests one chunk per affinity bucket).
 _UNSET = object()
-
-#: Extra bound-store publish segments beyond one per lane, claimable by
-#: respawned workers.  A respawned worker that finds every segment taken
-#: still *reads* the store — it only loses the ability to publish — so a
-#: small fixed spare pool is enough to keep long-lived services writable
-#: through the occasional crash without reserving memory for worst cases.
-_RESPAWN_SEGMENT_SPARES = 4
 
 
 class ServiceBatch:
@@ -299,36 +281,17 @@ class QueryService:
         Seconds past a batch's deadline before the wall-clock watchdog
         SIGKILLs and respawns lanes still holding its chunks (default 2.0).
         Only armed for batches submitted with a deadline.
-    bounds_store_path / bounds_store_name:
-        Persistence knobs for the shared bounds store (mutually exclusive).
-        ``bounds_store_path`` opens a disk-backed mmap at that path —
-        surviving service restarts *and* reboots; ``bounds_store_name``
-        attaches (or creates) a stable-named shared-memory block that
-        survives restarts while the host stays up.  Either way the store
-        carries a content handshake (database digest + axis-policy
-        fingerprint): a matching previous incarnation is **warm-started**
-        (its published columns serve from the first batch), while a
-        truncated, torn or mismatched backing is discarded and rebuilt from
-        empty — never served (``bound_store_stats()["rejected_store"]``
-        reports why).  Persistent backings outlive :meth:`close`; delete
-        them via ``SharedBoundStore.destroy`` or the filesystem.
-    store_claims:
-        Enable claim leases on the shared store (default ``True``): a
-        worker announces a column before computing it so concurrent workers
-        wait briefly instead of duplicating the kernel work, and claims of
-        crashed workers are stolen after a short lease.  ``False`` builds
-        the store without a claim table (the PR-5 behaviour).
-    store_reclaim:
-        Enable generation-based segment recycling (default ``True``): when
-        a batch reports rejected publishes the dispatcher retires one
-        segment (round-robin) so publishing resumes instead of latching
-        into local memoisation, and after every mutation batch segments
-        dominated by superseded-generation columns are recycled.
-    bounds_store_options:
-        Optional dict of store-geometry overrides forwarded to
-        :class:`~repro.engine.boundstore.SharedBoundStore` (``num_slots``,
-        ``segment_bytes``, ``num_segments``, ``num_claims``) — for tests
-        and memory-constrained deployments.
+    bounds_store_path:
+        Optional warm-start directory (created when missing).  Every worker
+        lane appends the pair-bounds columns it computes to its own file
+        there, and loads the columns of every lane's file when it spawns —
+        so a service restarted over the same directory, or a lane respawned
+        after a crash, starts with its predecessors' columns.  Each file
+        carries a handshake (database digest + axis-policy fingerprint): a
+        truncated or mismatched file is rebuilt empty and never served
+        (:meth:`bound_store_stats` reports why), and a torn tail is cut off
+        at the last whole record.  Files outlive :meth:`close`; one
+        directory serves one service at a time.
 
     Example
     -------
@@ -354,10 +317,6 @@ class QueryService:
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
         watchdog_grace: float = DEFAULT_WATCHDOG_GRACE_SECONDS,
         bounds_store_path: Optional[str] = None,
-        bounds_store_name: Optional[str] = None,
-        store_claims: bool = True,
-        store_reclaim: bool = True,
-        bounds_store_options: Optional[dict] = None,
     ):
         from .engine import QueryEngine
 
@@ -384,69 +343,30 @@ class QueryService:
             self._export = engine.database.share_memory().acquire()
             self._transport = "shared_memory"
         workers = self.config.effective_workers
-        self._bound_store: Optional[SharedBoundStore] = None
-        use_bounds = self.config.shared_bounds
-        if use_bounds is None:
-            use_bounds = bound_store_available()
-        elif use_bounds and not bound_store_available():
-            if self._export is not None:
-                self._export.release()
-            raise RuntimeError(
-                "shared_bounds=True but the shared bounds store is "
-                "unavailable on this platform (or disabled via environment)"
-            )
-        self._store_reclaim = store_reclaim
-        if use_bounds:
-            options = dict(bounds_store_options or {})
-            num_claims = options.pop("num_claims", None)
-            if num_claims is None:
-                num_claims = DEFAULT_CLAIMS
-            if not store_claims:
-                num_claims = 0
-            store_kwargs = {
-                # one publish segment per worker lane plus a few spares for
-                # respawned workers: supervision replaces a crashed worker
-                # with a fresh process, which claims the next free segment
-                # so it can keep publishing (read access never needs one)
-                "num_segments": min(255, workers + _RESPAWN_SEGMENT_SPARES),
-                "mp_context": _pool_context(self.config.start_method),
-                "num_claims": num_claims,
-            }
-            store_kwargs.update(options)
-            if bounds_store_path is not None or bounds_store_name is not None:
-                # the content handshake a warm-start validates against: a
-                # persisted backing built over different data or config is
-                # rejected by the store's validation ladder
-                store_kwargs.update(
-                    path=bounds_store_path,
-                    name=bounds_store_name,
-                    content_digest=database_digest(engine.database),
-                    config_fingerprint=config_fingerprint(
-                        engine.context.axis_policy
-                    ),
-                )
-            try:
-                self._bound_store = SharedBoundStore(**store_kwargs)
-            except OSError:  # pragma: no cover - e.g. /dev/shm exhausted
-                # auto-detection degrades silently; an explicit request
-                # must fail loudly rather than run without the store
-                if self.config.shared_bounds:
-                    if self._export is not None:
-                        self._export.release()
-                    raise
-                self._bound_store = None
+        warm_start = None
+        self._warm_start_stats: Optional[dict] = None
         try:
+            if bounds_store_path is not None:
+                # the handshake every lane file is checked against: a file
+                # written over different data or config is rebuilt, never
+                # served
+                directory = os.fspath(bounds_store_path)
+                os.makedirs(directory, exist_ok=True)
+                warm_start = (
+                    directory,
+                    database_digest(engine.database),
+                    config_fingerprint(engine.context.axis_policy),
+                )
+                self._warm_start_stats = inspect_warm_start(*warm_start)
             self._pool = WorkerPool(
                 engine,
                 workers,
                 self.config.start_method,
-                bound_store=self._bound_store,
+                warm_start=warm_start,
                 max_chunk_retries=max_chunk_retries,
                 watchdog_grace=watchdog_grace,
             )
         except BaseException:
-            if self._bound_store is not None:
-                self._bound_store.close()
             if self._export is not None:
                 self._export.release()
             raise
@@ -497,11 +417,6 @@ class QueryService:
         return self._transport
 
     @property
-    def shared_bounds(self) -> bool:
-        """Whether a cross-worker shared bounds store backs this pool."""
-        return self._bound_store is not None
-
-    @property
     def epoch(self) -> int:
         """Snapshot epoch of the database currently being served.
 
@@ -514,50 +429,21 @@ class QueryService:
         return self.engine.database.epoch
 
     def bound_store_stats(self) -> Optional[dict]:
-        """Global occupancy of the shared bounds store (``None`` without one).
+        """The warm-start directory as found at construction (``None`` without one).
 
-        Filled index slots, claimed worker segments, per-segment used bytes
-        and generations, active in-flight claims, lifetime reclaim count and
-        the warm-start handshake outcome (``warm_started`` /
-        ``rejected_store``) — the parent-side view; per-worker
-        hit/publish/reject counters live in the
-        :class:`~repro.engine.executor.BatchReport` chunk stats.
+        ``path``, ``warm_started`` (some lane file passed the handshake and
+        had columns to serve), ``rejected_store`` (the first rejection
+        reason, e.g. ``"truncated-header"`` or ``"digest-mismatch"``;
+        ``None`` when no file was rejected) and ``records`` (validated
+        columns across all files).  Per-batch file hits and appends are the
+        ``shared_*`` counters of :class:`~repro.engine.executor.BatchReport`.
         """
-        if self._bound_store is None:
-            return None
-        return self._bound_store.stats()
+        return self._warm_start_stats
 
     @property
     def store_warm_started(self) -> bool:
-        """Whether the bounds store adopted a previous incarnation's backing.
-
-        ``True`` only for persistent stores (``bounds_store_path`` /
-        ``bounds_store_name``) whose existing backing passed the content
-        handshake — the previous lifetime's columns serve from the first
-        batch.
-        """
-        return self._bound_store is not None and self._bound_store.warm_started
-
-    def _identity_current(self, identity) -> bool:
-        """Whether a stable object identity still names live content.
-
-        The staleness predicate behind
-        :meth:`~repro.engine.boundstore.SharedBoundStore.reclaim_stale`:
-        ``("db", position, generation)`` identities are stale once the
-        served database moved that position to a different generation (or
-        dropped it); content-keyed identities and anything unrecognised are
-        conservatively treated as current.
-        """
-        try:
-            kind, position, generation = identity
-        except (TypeError, ValueError):
-            return True
-        if kind != "db":
-            return True
-        database = self.engine.database
-        if not isinstance(position, int) or not 0 <= position < len(database):
-            return False
-        return database.generation_of(position) == generation
+        """Whether some lane file of a previous incarnation passed the handshake."""
+        return bool(self._warm_start_stats and self._warm_start_stats["warm_started"])
 
     @property
     def observed_request_seconds(self) -> Optional[float]:
@@ -885,11 +771,6 @@ class QueryService:
         # cardinality and cache warmth all changed, so adaptive chunk
         # sizing restarts from scratch at the new epoch
         self._cost_ewma = None
-        if self._bound_store is not None and self._store_reclaim:
-            # the mutation made some generations unreachable; recycle
-            # segments dominated by their columns.  Safe here: the
-            # dispatcher runs one job at a time, so no worker is publishing
-            self._bound_store.reclaim_stale(self._identity_current)
         job.future.set_result(self.engine.database.epoch)
 
     def _dispatch_loop(self) -> None:
@@ -970,17 +851,6 @@ class QueryService:
                 self._seen_pids = self._seen_pids | set(report.worker_pids)
                 self.last_batch_report = report
                 self.engine.last_batch_report = report
-                if (
-                    self._bound_store is not None
-                    and self._store_reclaim
-                    and report.shared_rejected > 0
-                ):
-                    # saturation pressure: some worker wanted to publish and
-                    # could not.  Retire one segment per batch (round-robin
-                    # over the claimed ones) so publishing resumes and the
-                    # workers' full latches release — between jobs, so no
-                    # writer is mid-publish
-                    self._bound_store.reclaim_round_robin()
                 job.future.set_result((results, report))
             finally:
                 self._job_finished(job)
@@ -1020,9 +890,6 @@ class QueryService:
         for export in self._delta_exports:
             export.close()
         self._delta_exports.clear()
-        if self._bound_store is not None:
-            self._bound_store.close()
-            self._bound_store = None
         if self._export is not None:
             self._export.release()
             self._export = None

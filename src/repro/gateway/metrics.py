@@ -3,8 +3,8 @@
 The gateway exports two kinds of numbers on ``GET /metrics``:
 
 * **engine counters** folded out of every :class:`~repro.engine.BatchReport`
-  the service resolves (scheduler steps, refinement iterations, shared
-  bounds-store hits, worker respawns, chunk retries, degraded workers) —
+  the service resolves (scheduler steps, refinement iterations, columns
+  served from the warm-start file, worker respawns, chunk retries) —
   the same counters the soak test asserts are *monotone*;
 * **gateway counters and gauges** — per-status-code response counts,
   coalesce hits, request/connection totals, in-flight queue depth — plus
@@ -128,13 +128,8 @@ class GatewayMetrics:
             "scheduler_steps": 0,
             "result_iterations": 0,
             "shared_hits": 0,
-            "shared_rejected": 0,
-            "shared_duplicates": 0,
-            "claim_steals": 0,
-            "claim_waits": 0,
             "worker_respawns": 0,
             "chunk_retries": 0,
-            "degraded_workers": 0,
         }
 
     # -- lifecycle of one request/connection ---------------------------- #
@@ -179,13 +174,8 @@ class GatewayMetrics:
             self._engine["scheduler_steps"] += report.scheduler_steps
             self._engine["result_iterations"] += report.result_iterations
             self._engine["shared_hits"] += report.shared_hits
-            self._engine["shared_rejected"] += report.shared_rejected
-            self._engine["shared_duplicates"] += report.shared_duplicates
-            self._engine["claim_steals"] += report.claim_steals
-            self._engine["claim_waits"] += report.claim_waits
             self._engine["worker_respawns"] += report.worker_respawns
             self._engine["chunk_retries"] += report.chunk_retries
-            self._engine["degraded_workers"] += report.degraded_workers
 
     # -- export ---------------------------------------------------------- #
     @property

@@ -393,20 +393,12 @@ class AsyncGateway:
 
     def _healthz(self) -> tuple[int, bytes, dict]:
         closed = self.service.closed
-        # operator signal for silent store fallback: workers that demoted
-        # themselves to local memoisation in the most recent batch (the
-        # service keeps serving correct results, just without the shared
-        # cache — degraded, not down, so the status stays "ok")
-        report = self.service.last_batch_report
-        degraded = report.degraded_workers if report is not None else 0
         body = canonical_json(
             {
                 "status": "closed" if closed else "ok",
                 "workers": self.service.workers,
                 "queue_depth": self.metrics.in_flight,
                 "epoch": self.service.epoch,
-                "degraded_workers": degraded,
-                "degraded_store": bool(degraded),
             }
         )
         status = 503 if closed else 200

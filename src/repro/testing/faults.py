@@ -1,7 +1,7 @@
 """Fault-injection harness for the service tier's chaos tests.
 
 The fault model the service defends against (see "Failure model" in
-``docs/architecture.md``) has four domains, and this module can produce
+``docs/architecture.md``) has three domains, and this module can produce
 all of them on demand, deterministically:
 
 * **worker crash** — :class:`FaultPlan` can SIGKILL a worker from *inside*
@@ -10,20 +10,10 @@ all of them on demand, deterministically:
   between batches;
 * **worker hang** — the plan can delay a chunk by a configurable sleep,
   long enough to wedge a lane past any deadline;
-* **store corruption** — :func:`corrupt_boundstore_record` scribbles over
-  published record headers in a live :class:`SharedBoundStore`, so the
-  workers' validated reads must reject them; :func:`truncate_store_file`
-  tears a persisted warm-start backing so the next incarnation's
-  validation ladder must reject and rebuild it;
-* **mid-protocol crashes** — the plan can SIGKILL a worker inside the
-  bounds store's publish window (``kill_during_publish`` →
-  :func:`publish_fault_hook`: an orphaned record must never be served) or
-  right after acquiring an in-flight claim (``kill_after_claim`` →
-  :func:`claim_fault_hook`: a survivor must steal the dead holder's
-  claim);
-* **shm loss** — :func:`drop_shared_block` unlinks a named block out from
-  under the service, so the next attaching process (e.g. a respawned
-  worker) fails and must degrade.
+* **warm-start file corruption** — :func:`truncate_store_file` tears a
+  lane's warm-start file at any offset and :func:`flip_store_byte`
+  scribbles over one byte of it, so the next lane that loads the file must
+  serve only the records before the damage (or none) and rebuild it.
 
 The in-worker faults travel through one environment variable
 (:data:`FAULT_PLAN_ENV`, a JSON-encoded plan) inherited by worker processes
@@ -46,15 +36,11 @@ import json
 import multiprocessing
 import os
 import signal
-import struct
 import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.boundstore import SharedBoundStore
+from typing import Iterator, Optional
 
 __all__ = [
     "ANY_LANE",
@@ -62,12 +48,9 @@ __all__ = [
     "FaultPlan",
     "assert_no_leaked_resources",
     "chunk_fault_hook",
-    "claim_fault_hook",
-    "corrupt_boundstore_record",
-    "drop_shared_block",
+    "flip_store_byte",
     "inject_faults",
     "kill_worker",
-    "publish_fault_hook",
     "snapshot_resources",
     "truncate_store_file",
 ]
@@ -104,16 +87,6 @@ class FaultPlan:
     delay_seconds: float = 0.0
     delay_after_chunks: int = 0
     delay_once: bool = True
-    #: SIGKILL a worker inside the bounds store's publish window — after a
-    #: record is appended (and the cursor advanced) but *before* its index
-    #: slot is published.  Exercises the crash-during-publish path: the
-    #: orphaned record must never be served and never corrupt a successor.
-    #: Always once-guarded (an un-guarded variant would kill every worker).
-    kill_during_publish: bool = False
-    #: SIGKILL a worker immediately after it *acquires* a bounds-store
-    #: claim — leaving an in-flight claim whose holder is dead, which a
-    #: surviving worker must steal.  Always once-guarded.
-    kill_after_claim: bool = False
     marker_dir: Optional[str] = None
 
     def to_json(self) -> str:
@@ -128,11 +101,8 @@ class FaultPlan:
     @property
     def needs_markers(self) -> bool:
         """Whether any armed fault uses once-semantics (needs a marker dir)."""
-        return (
-            (self.kill_lane is not None and self.kill_once)
-            or (self.delay_lane is not None and self.delay_once)
-            or self.kill_during_publish
-            or self.kill_after_claim
+        return (self.kill_lane is not None and self.kill_once) or (
+            self.delay_lane is not None and self.delay_once
         )
 
 
@@ -244,40 +214,6 @@ def chunk_fault_hook(lane: Optional[int]) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def publish_fault_hook() -> None:
-    """SIGKILL this worker inside the bounds store's publish window.
-
-    Called by ``BoundStoreClient.put`` — only when :data:`FAULT_PLAN_ENV`
-    is set — after the record is appended and the segment cursor advanced,
-    but *before* the index slot is published and before the writer lock is
-    taken (a kill while holding the lock would wedge every other worker,
-    which is a different fault than the one under test).  The crash leaves
-    an orphaned record: the chaos suite asserts it is never served and
-    never corrupts a successor's appends.
-    """
-    plan = _plan_from_env()
-    if plan is None or not plan.kill_during_publish:
-        return
-    if _fire_once(plan, "publish-kill", True):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def claim_fault_hook() -> None:
-    """SIGKILL this worker right after it acquired a bounds-store claim.
-
-    Called by ``BoundStoreClient.claim`` — only when :data:`FAULT_PLAN_ENV`
-    is set — after the claim entry is published and the writer lock
-    released.  The crash leaves an in-flight claim with a dead holder; the
-    chaos suite asserts a surviving worker *steals* it (dead-pid check, or
-    lease expiry) and the column is still published exactly once.
-    """
-    plan = _plan_from_env()
-    if plan is None or not plan.kill_after_claim:
-        return
-    if _fire_once(plan, "claim-kill", True):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 # --------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------- #
@@ -331,69 +267,31 @@ def kill_worker(pid: int, wait_seconds: float = 5.0) -> None:
     raise TimeoutError(f"pid {pid} survived SIGKILL for {wait_seconds}s")
 
 
-def corrupt_boundstore_record(store: "SharedBoundStore", max_records: int = 1) -> int:
-    """Scribble over published record headers in a live bounds store.
-
-    Walks the index for present slots and overwrites the magic field of up
-    to ``max_records`` referenced records (``max_records=None`` corrupts
-    every published record), which is what a stray writer or a partial
-    segment wipe would leave behind.  Readers must reject the records via
-    the validated-read path and demote themselves.  Returns the number of
-    records corrupted.
-    """
-    from ..engine.boundstore import (
-        _CLAIM_BYTES,
-        _HEADER_BYTES,
-        _PRESENT,
-        _SLOT_BYTES,
-    )
-
-    handle = store.handle
-    buf = store._shm.buf
-    segments_offset = (
-        _HEADER_BYTES
-        + handle.num_slots * _SLOT_BYTES
-        + handle.num_claims * _CLAIM_BYTES
-    )
-    corrupted = 0
-    for slot in range(handle.num_slots):
-        if max_records is not None and corrupted >= max_records:
-            break
-        (word,) = struct.unpack_from("<Q", buf, _HEADER_BYTES + _SLOT_BYTES * slot)
-        if not word & _PRESENT:
-            continue  # empty slots and reclaim tombstones reference nothing
-        segment = (word >> 32) & 0xFF
-        offset = word & 0xFFFFFFFF
-        base = segments_offset + segment * handle.segment_bytes + offset
-        struct.pack_into("<I", buf, base, 0xDEADBEEF)  # clobber the magic
-        corrupted += 1
-    return corrupted
-
-
 def truncate_store_file(path: str, keep_bytes: int = 64) -> int:
-    """Truncate a persisted (disk-backed) bounds-store file in place.
+    """Truncate a warm-start file in place; returns the resulting size.
 
-    Simulates a torn write / partial copy / full-disk incident on the
-    warm-start backing: the next service that opens ``path`` must detect
-    the truncation through the store's validation ladder and rebuild from
-    empty — never serve the torn file.  Returns the resulting file size.
+    Simulates a torn write, a partial copy or a full disk: the next lane
+    that loads ``path`` must serve only the records wholly before
+    ``keep_bytes`` — none when the cut lands in the header — and never a
+    torn one.
     """
     with open(path, "r+b") as backing:
         backing.truncate(keep_bytes)
     return os.path.getsize(path)
 
 
-def drop_shared_block(name: str) -> bool:
-    """Unlink a named shared-memory block out from under its consumers.
+def flip_store_byte(path: str, offset: int) -> None:
+    """Invert every bit of the byte at ``offset`` of a warm-start file.
 
-    Existing mappings keep working (POSIX semantics); processes attaching
-    *after* the drop — e.g. a respawned worker re-running the pool
-    initializer — get ``FileNotFoundError`` and must degrade gracefully.
-    Returns whether the block existed.
+    Simulates a stray writer or media corruption: the next lane that loads
+    ``path`` must reject the whole file when the byte lies in the header
+    and otherwise serve only the records before the damaged one.
     """
-    from ..uncertain.sharedmem import unlink_block
-
-    return unlink_block(name)
+    with open(path, "r+b") as backing:
+        backing.seek(offset)
+        (value,) = backing.read(1)
+        backing.seek(offset)
+        backing.write(bytes([value ^ 0xFF]))
 
 
 # --------------------------------------------------------------------- #

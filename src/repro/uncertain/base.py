@@ -175,7 +175,7 @@ class UncertainDatabase:
       which layers above use for snapshot visibility ("a query admitted at
       epoch E sees exactly snapshot E");
     * a per-object **generation counter**, globally unique within a snapshot
-      lineage, which the shared bounds store folds into its
+      lineage, which the warm-start file folds into its
       process-independent keys so that only columns touching a mutated object
       change identity (see :func:`repro.engine.boundstore.stable_object_key`).
     """
@@ -276,8 +276,8 @@ class UncertainDatabase:
         Membership is by identity (the same semantics the engine's caches
         use); the identity map is built once per snapshot and stays valid
         because snapshots are immutable — :meth:`apply` hands the *new*
-        snapshot a maintained copy instead of re-scanning.  The shared bounds
-        store uses positions as the process-independent part of its keys —
+        snapshot a maintained copy instead of re-scanning.  The warm-start
+        file uses positions as the process-independent part of its keys —
         positions are identical in every process that received this
         database, whether it was pickled or mapped through shared memory.
         """

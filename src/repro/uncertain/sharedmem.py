@@ -69,7 +69,6 @@ except ImportError:  # pragma: no cover - platforms without POSIX shm
     _resource_tracker = None
 
 __all__ = [
-    "FileBackedBlock",
     "MIN_SHARED_NBYTES",
     "MutationDelta",
     "MutationDeltaExport",
@@ -217,61 +216,6 @@ def _cleanup_block(shm) -> None:
         shm.unlink()
     except Exception:  # already unlinked (or the platform removed it)
         pass
-
-
-class FileBackedBlock:
-    """A disk-backed mmap with the surface of a ``SharedMemory`` block.
-
-    Drop-in for the subset of the ``multiprocessing.shared_memory`` API the
-    bounds store uses (``buf``/``size``/``close``, plus ``flush``), backed
-    by a regular file instead of ``/dev/shm`` — the persistence flavour
-    that survives reboots.  With ``create=True`` the file is (re)created
-    zero-filled at ``size`` bytes; otherwise the existing file is mapped as
-    is (``FileNotFoundError`` when missing, ``ValueError`` when empty —
-    nothing can be mapped).  Dirty pages live in the kernel's page cache,
-    so they survive even a SIGKILL of every mapping process; ``flush``
-    additionally pushes them to disk.
-    """
-
-    def __init__(self, path: str, size: Optional[int] = None, create: bool = False):
-        import mmap
-
-        self.name = path
-        if create:
-            if size is None or size <= 0:
-                raise ValueError("creating a file-backed block requires a size")
-            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
-            try:
-                # truncate-then-extend zero-fills: no stale bytes from a
-                # previous (possibly larger) incarnation survive a rebuild
-                os.ftruncate(fd, 0)
-                os.ftruncate(fd, size)
-            except BaseException:  # pragma: no cover - truncate failures
-                os.close(fd)
-                raise
-        else:
-            fd = os.open(path, os.O_RDWR)
-        try:
-            actual = os.fstat(fd).st_size
-            if actual == 0:
-                raise ValueError(f"file-backed block {path!r} is empty")
-            self._mmap = mmap.mmap(fd, actual)
-        finally:
-            os.close(fd)
-        self.size = actual
-        self.buf: Optional[memoryview] = memoryview(self._mmap)
-
-    def flush(self) -> None:
-        """Push dirty pages to the backing file (best-effort)."""
-        if self.buf is not None:
-            self._mmap.flush()
-
-    def close(self) -> None:
-        """Release the view and unmap (idempotent); never deletes the file."""
-        if self.buf is not None:
-            self.buf.release()
-            self.buf = None
-            self._mmap.close()
 
 
 class SharedDatabaseExport:

@@ -6,6 +6,11 @@ returns results bit-identical to the serial shared-cache path — which is
 itself pinned to the seed behaviour by ``tests/test_engine_equivalence.py``.
 The heterogeneous batch here mirrors the seeded equivalence scenarios, so a
 pass chains all the way back to the pre-engine implementations.
+
+Also covered: the stable cross-process keys of ``engine/boundstore.py``,
+worker-affine dispatch (stable lanes across batches), cost-adaptive chunk
+sizing, and a service without a warm-start directory doing no stable-key
+work at all.
 """
 
 from __future__ import annotations
@@ -19,16 +24,28 @@ import pytest
 from repro.datasets import random_reference_object, uniform_rectangle_database
 from repro.engine import (
     BatchReport,
+    CacheStats,
     ExecutorConfig,
     InverseRankingQuery,
     KNNQuery,
     QueryEngine,
+    QueryService,
     RangeQuery,
     RankingQuery,
     RefinementContext,
     RefinementScheduler,
     RKNNQuery,
+    WorkerPool,
+    adaptive_chunk_size,
+    affine_partition,
+    affinity_lane,
     partition_requests,
+)
+from repro.engine.boundstore import (
+    config_fingerprint,
+    database_digest,
+    encode_stable_key,
+    stable_object_key,
 )
 
 
@@ -172,13 +189,11 @@ def test_config_validation():
         ExecutorConfig(mode="threads")
     with pytest.raises(ValueError, match="unknown chunking strategy"):
         ExecutorConfig(chunking="random")
-    with pytest.raises(ValueError, match="shared_bounds"):
-        ExecutorConfig(shared_bounds="yes")
+    with pytest.raises(TypeError):
+        ExecutorConfig(shared_bounds=False)  # removed in 2.0.0
     # the accepted surface
     ExecutorConfig(workers=1, chunk_size=1)
     ExecutorConfig(chunk_size="adaptive")
-    ExecutorConfig(shared_bounds=True)
-    ExecutorConfig(shared_bounds=False)
 
 
 # --------------------------------------------------------------------- #
@@ -374,3 +389,225 @@ def test_partitioning_error_raises_before_any_worker_starts(database, requests):
     with pytest.raises(AttributeError):
         engine.evaluate_many([requests[0], broken], executor=config)
     assert not (set(multiprocessing.active_children()) - before)
+
+
+# --------------------------------------------------------------------- #
+# stable cross-process keys
+# --------------------------------------------------------------------- #
+def test_database_members_key_by_position_and_generation(database):
+    assert stable_object_key(database, database[7]) == ("db", 7, 7)
+    assert stable_object_key(database, database[0]) == ("db", 0, 0)
+
+
+def test_ad_hoc_objects_key_by_content_digest(database, reference):
+    kind, digest = stable_object_key(database, reference)
+    assert kind == "pickle"
+    # the worker-side unpickled copy digests to the same value, so parent
+    # and workers derive the same key for the same object; digesting must
+    # not mutate the object (that would change its pickle and break the
+    # cross-process agreement)
+    copy = pickle.loads(pickle.dumps(reference))
+    assert "_repro_content_digest" not in vars(copy)
+    assert stable_object_key(database, copy) == (kind, digest)
+    # memoised: repeated calls agree without re-pickling
+    assert stable_object_key(database, reference) == (kind, digest)
+
+
+def test_encoded_keys_are_deterministic_and_distinct():
+    a = encode_stable_key(("pb1", "round_robin", (("db", 3), 2), (2.0, "optimal")))
+    b = encode_stable_key(("pb1", "round_robin", (("db", 3), 2), (2.0, "optimal")))
+    c = encode_stable_key(("pb1", "round_robin", (("db", 4), 2), (2.0, "optimal")))
+    assert a == b and a != c
+
+
+def test_database_digest_tracks_content(database):
+    same = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=3)
+    other = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=1)
+    assert database_digest(database) == database_digest(same)
+    assert database_digest(database) != database_digest(other)
+    assert len(database_digest(database)) == 16
+
+
+def test_config_fingerprint_tracks_axis_policy():
+    assert config_fingerprint("round_robin") == config_fingerprint("round_robin")
+    assert config_fingerprint("round_robin") != config_fingerprint("optimal")
+    assert config_fingerprint("round_robin") != config_fingerprint(
+        "round_robin", key_schema="pb2"
+    )
+
+
+# --------------------------------------------------------------------- #
+# worker-affine dispatch and adaptive chunking
+# --------------------------------------------------------------------- #
+def test_affine_partition_covers_each_request_once(requests):
+    chunks, lanes = affine_partition(requests, workers=3)
+    assert len(chunks) == len(lanes)
+    covered = sorted(index for chunk in chunks for index in chunk)
+    assert covered == list(range(len(requests)))
+    assert all(0 <= lane < 3 for lane in lanes)
+
+
+def test_affine_lanes_are_stable_across_batches(requests):
+    first = affine_partition(requests, workers=4)
+    second = affine_partition(list(requests), workers=4)
+    assert first == second
+    # a shuffled follow-up batch still routes each request to the same lane
+    reordered = list(reversed(requests))
+    chunks, lanes = affine_partition(reordered, workers=4)
+    lane_of = {}
+    for chunk, lane in zip(chunks, lanes):
+        for index in chunk:
+            lane_of[id(reordered[index])] = lane
+    for chunk, lane in zip(*first):
+        for index in chunk:
+            assert lane_of[id(requests[index])] == lane
+
+
+def test_affinity_lane_matches_partition(requests):
+    chunks, lanes = affine_partition(requests, workers=4)
+    for chunk, lane in zip(chunks, lanes):
+        for index in chunk:
+            assert affinity_lane(requests[index].affinity_key(), 4) == lane
+
+
+def test_affine_partition_validates_arguments(requests):
+    with pytest.raises(ValueError):
+        affine_partition(requests, workers=0)
+    with pytest.raises(ValueError):
+        affine_partition(requests, workers=2, chunk_size=0)
+    assert affine_partition([], workers=2) == ([], [])
+
+
+def test_worker_pool_pins_chunks_to_lanes(database, requests):
+    engine = QueryEngine(database)
+    with WorkerPool(engine, workers=2) as pool:
+        pid_of_lane: dict[int, set] = {0: set(), 1: set()}
+        for _round in range(2):
+            futures = [
+                pool.submit_chunk(lane, [requests[lane]], lane=lane) for lane in (0, 1)
+            ]
+            for lane, future in zip((0, 1), futures):
+                _, _, stats = future.result()
+                pid_of_lane[lane].add(stats.pid)
+        assert len(pid_of_lane[0]) == 1  # same worker served the lane twice
+        assert len(pid_of_lane[1]) == 1
+        assert pid_of_lane[0] != pid_of_lane[1]
+
+
+def test_affine_dispatch_keeps_index_queries_on_warm_caches(database):
+    """Database-index requests pin to one lane and hit worker-local caches.
+
+    Unlike ad-hoc query objects (whose identity changes with every pickled
+    copy), an index request resolves to the same object in the worker on
+    every batch — so with affine dispatch batch 2 must be served entirely
+    from the worker's local memo, never recomputed.
+    """
+    batch = [KNNQuery(7, k=3, tau=0.5, max_iterations=4)]
+    with QueryService(
+        QueryEngine(database), ExecutorConfig(workers=2, chunking="affinity")
+    ) as service:
+        first = _snapshot(service.evaluate_many(batch))
+        report_one = service.last_batch_report
+        assert report_one.pair_bounds_misses > 0
+        second = _snapshot(service.evaluate_many(batch))
+        report_two = service.last_batch_report
+        assert second == first
+        assert report_two.pair_bounds_misses == 0
+        assert report_two.pair_bounds_hits > 0
+        assert report_two.worker_pids == report_one.worker_pids
+
+
+def test_adaptive_chunk_size_resolution():
+    assert adaptive_chunk_size(10, 4, None) is None
+    assert adaptive_chunk_size(10, 4, 0.0) is None
+    assert adaptive_chunk_size(0, 4, 0.1) is None
+    # expensive requests split all the way down
+    assert adaptive_chunk_size(10, 4, 10.0) == 1
+    # cheap requests batch up, capped at an even split across workers
+    assert adaptive_chunk_size(10, 4, 1e-6) == 3
+    assert adaptive_chunk_size(100, 4, 0.01) == 20
+
+
+def test_service_adapts_chunk_size_from_history(database, requests, serial_snapshot):
+    config = ExecutorConfig(workers=2, chunk_size="adaptive", chunking="contiguous")
+    with QueryService(QueryEngine(database), config) as service:
+        assert service.adaptive_chunk_size(10) is None  # no history yet
+        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+        assert service.last_batch_report.chunk_size is None
+        assert service.observed_request_seconds is not None
+        assert service.observed_request_seconds > 0
+        resolved = service.adaptive_chunk_size(len(requests))
+        assert resolved is None or resolved >= 1
+        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+        # the report records what the sentinel resolved to this batch
+        assert service.last_batch_report.chunk_size == resolved
+        # under lane-pinned affinity dispatch the sentinel is a no-op:
+        # splitting a pinned bucket cannot rebalance work across lanes
+        assert _snapshot(
+            service.evaluate_many(requests, chunking="affinity")
+        ) == serial_snapshot
+        assert service.last_batch_report.chunk_size is None
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_repeated_batches_identical_without_shared_memory(
+    database, requests, serial_snapshot, workers, monkeypatch
+):
+    monkeypatch.setenv("REPRO_DISABLE_SHARED_MEMORY", "1")
+    with QueryService(
+        QueryEngine(database), ExecutorConfig(workers=workers)
+    ) as service:
+        assert service.transport == "pickle"
+        assert service.bound_store_stats() is None
+        for _ in range(3):
+            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+            assert service.last_batch_report.shared_hits == 0
+
+
+# --------------------------------------------------------------------- #
+# no warm-start directory: no stable-key work, no extra shared memory
+# --------------------------------------------------------------------- #
+def _refuse_stable_keys(key):
+    raise AssertionError(f"stable key encoded without a warm-start file: {key!r}")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched encoder reaches the lanes only through fork",
+)
+def test_service_without_warm_start_encodes_no_keys_and_adds_no_block(
+    database, requests, serial_snapshot, monkeypatch
+):
+    from multiprocessing import shared_memory
+
+    import repro.engine.context as context_module
+    import repro.uncertain.sharedmem as sharedmem_module
+
+    # forked lanes inherit the patch, so a single encode in any lane fails
+    # the batch; the counting constructor sees every block this process makes
+    monkeypatch.setattr(context_module, "encode_stable_key", _refuse_stable_keys)
+    created = []
+
+    class CountingSharedMemory(shared_memory.SharedMemory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(self.name)
+
+    monkeypatch.setattr(
+        sharedmem_module._shared_memory, "SharedMemory", CountingSharedMemory
+    )
+    # a fresh copy of the fixture database, so its export happens under the patch
+    database = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=3)
+    config = ExecutorConfig(workers=2, chunking="contiguous", start_method="fork")
+    with QueryService(QueryEngine(database), config) as service:
+        exported = service.transport == "shared_memory"
+        assert isinstance(service.engine.context.pair_bounds_cache, CacheStats)
+        for _ in range(2):
+            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+            report = service.last_batch_report
+            assert report.shared_hits == report.shared_misses == 0
+            assert report.shared_publishes == 0
+        assert len(report.worker_pids) == 2
+    assert len(created) == int(exported)  # the dataset export, nothing else
+

@@ -2,8 +2,7 @@
 
 Every test drives a real fault through ``repro.testing.faults`` — a
 ``SIGKILL`` delivered inside a worker, a lane wedged past its deadline, a
-scribbled-on bounds-store record, a shared block unlinked mid-service —
-and asserts the recovery contract of ``docs/architecture.md``'s failure
+torn or scribbled-on warm-start file under a live service — and asserts the recovery contract of ``docs/architecture.md``'s failure
 model: results stay **bit-identical to the serial path**, the service
 stays usable, and nothing leaks (the autouse fixture fails any test that
 orphans a child process or leaves a ``/dev/shm`` block linked).
@@ -11,18 +10,15 @@ orphans a child process or leaves a ``/dev/shm`` block linked).
 The suite honours two environment switches the CI fault-injection job
 matrixes over: ``REPRO_TEST_START_METHOD`` (``fork`` / ``spawn``) picks
 the pool start method, and ``REPRO_DISABLE_SHARED_MEMORY=1`` runs the
-whole suite on the pickle transport with the bounds store disabled (the
-store-specific tests skip themselves there).
+whole suite on the pickle transport.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.datasets import random_reference_object, uniform_rectangle_database
@@ -42,30 +38,28 @@ from repro.engine import (
     WorkerCrashError,
     WorkerPool,
     adaptive_chunk_size,
-    bound_store_available,
     partition_requests,
 )
-from repro.engine.boundstore import BoundStoreClient, SharedBoundStore
+from repro.engine.boundstore import (
+    config_fingerprint,
+    database_digest,
+    lane_file,
+    read_warm_file,
+)
 from repro.testing.faults import (
     ANY_LANE,
     FaultPlan,
     assert_no_leaked_resources,
-    corrupt_boundstore_record,
-    drop_shared_block,
+    flip_store_byte,
     inject_faults,
     kill_worker,
     snapshot_resources,
+    truncate_store_file,
 )
 
 # The CI job matrixes the suite over start methods through this variable;
 # locally it is unset and the platform default applies.
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
-
-needs_shm = pytest.mark.skipif(
-    not bound_store_available(),
-    reason="shared-memory bounds store unavailable on this platform/config",
-)
-
 
 # --------------------------------------------------------------------- #
 # fixtures
@@ -279,238 +273,44 @@ def test_batch_without_deadline_is_unaffected(database, requests, serial_snapsho
 
 
 # --------------------------------------------------------------------- #
-# bounds-store corruption and loss: graceful degradation
+# warm-start file corruption under a live service
 # --------------------------------------------------------------------- #
-@needs_shm
-def test_corrupt_record_demotes_reader_client():
-    store = SharedBoundStore(num_slots=64, segment_bytes=4096, num_segments=2)
-    try:
-        writer = BoundStoreClient.from_handle(store.handle)
-        key = b"0123456789abcdef"
-        assert writer.put(key, np.array([0.1, 0.2]), np.array([0.3, 0.4]))
-        clean = BoundStoreClient.from_handle(store.handle)
-        assert clean.get(key) is not None
-        assert corrupt_boundstore_record(store, max_records=None) >= 1
-        reader = BoundStoreClient.from_handle(store.handle)
-        # the validated read rejects the record instead of returning garbage
-        assert reader.get(key) is None
-        assert reader.corruptions == 1
-        assert reader.demoted
-        assert not reader.writable  # demotion also stops publishing
-        assert reader.stats()["demoted"] is True
-    finally:
-        store.close()
-
-
-@needs_shm
-def test_corruption_mid_service_demotes_worker(database, requests, serial_snapshot):
-    with _service(database, workers=2) as service:
+def test_corrupt_warm_start_files_reload_bit_identical(
+    database, requests, serial_snapshot, tmp_path
+):
+    # lanes persisted batch 1's columns; scribble over one lane file, tear
+    # the other mid-record, then kill both workers: the respawned lanes load
+    # only the validated records before the damage, cut their own file back
+    # to them, and the re-driven batch stays bit-identical
+    directory = str(tmp_path)
+    # contiguous chunking puts work, and so a file, on both lanes
+    config = ExecutorConfig(workers=2, chunking="contiguous", start_method=START_METHOD)
+    with QueryService(
+        QueryEngine(database), config, bounds_store_path=directory
+    ) as service:
         assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-        # scribble over every record batch 1 published, then force fresh
-        # workers (empty local caches) so batch 2 must consult the store
-        assert corrupt_boundstore_record(service._bound_store, max_records=None) >= 1
+        sizes = [os.path.getsize(lane_file(directory, lane)) for lane in (0, 1)]
+        flip_store_byte(lane_file(directory, 0), sizes[0] // 2)
+        truncate_store_file(lane_file(directory, 1), sizes[1] - 3)
         for pid in service.worker_pids:
             kill_worker(pid)
-        got = _snapshot(service.evaluate_many(requests))
-        assert got == serial_snapshot  # local memoisation fallback, same bits
-        report = service.last_batch_report
-        assert report.shared_corruptions >= 1
-        assert report.degraded_workers >= 1
-
-
-@needs_shm
-def test_shm_drop_degrades_respawned_worker(database, requests, serial_snapshot):
-    with _service(database, workers=2) as service:
         assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-        # unlink the store's block, then kill the workers: the respawned
-        # initializer cannot attach and must demote instead of crash-looping
-        for pid in service.worker_pids:
-            kill_worker(pid)
-        assert drop_shared_block(service._bound_store.handle.shm_name)
-        got = _snapshot(service.evaluate_many(requests))
-        assert got == serial_snapshot
-        report = service.last_batch_report
-        assert report.worker_respawns >= 1
-        assert report.degraded_workers >= 1
-
-
-# --------------------------------------------------------------------- #
-# claim leases under crashes: mid-protocol kills and lease steals
-# --------------------------------------------------------------------- #
-def _claim_and_hang(handle, key, claimed):
-    """Child: acquire a claim, report it, then wedge until SIGKILLed."""
-    client = BoundStoreClient.from_handle(handle)
-    client.claim(key)
-    claimed.set()
-    time.sleep(120)
-
-
-@needs_shm
-def test_dead_claimants_claim_is_stolen_and_published_once():
-    # the tentpole recovery path: a worker that published its *intent* to
-    # compute a column and was then SIGKILLed mid-compute must not block
-    # the key forever — a survivor steals the lease and publishes, once
-    context = multiprocessing.get_context(START_METHOD)
-    key = b"steal-me-0123456"
-    store = SharedBoundStore(num_slots=256, num_segments=2, mp_context=context)
-    try:
-        claimed = context.Event()
-        child = context.Process(
-            target=_claim_and_hang, args=(store.handle, key, claimed)
-        )
-        child.start()
-        assert claimed.wait(timeout=30.0)
-        kill_worker(child.pid)
-        survivor = BoundStoreClient.from_handle(store.handle)
-        # the holder is dead: no lease wait, the claim is stolen outright
-        assert survivor.claim(key) == "stolen"
-        assert survivor.claim_steals == 1
-        column = np.array([0.125, 0.625])
-        assert survivor.put(key, column, column + 0.25)
-        assert survivor.release(key)
-        # exactly one column is readable, and a re-publish is a duplicate
-        got = BoundStoreClient.from_handle(store.handle).get(key)
-        np.testing.assert_array_equal(got[0], column)
-        late = store.reader()
-        assert not late.put(key, column, column + 0.25)
-    finally:
-        store.close()
-
-
-@needs_shm
-def test_sigkill_during_publish_recovers_bit_identical(
-    database, requests, serial_snapshot
-):
-    # the crash lands *between* the record append and the index publish —
-    # the worst spot: the segment cursor has advanced but no slot points at
-    # the record.  The orphaned record must never surface (no corruption,
-    # no demotion) and the re-driven chunk keeps results bit-identical.
-    plan = FaultPlan(kill_during_publish=True)
-    with inject_faults(plan):
-        with _service(database, workers=2) as service:
-            got = _snapshot(service.evaluate_many(requests))
-            assert got == serial_snapshot
-            report = service.last_batch_report
-            assert report.worker_respawns >= 1
-            assert report.chunk_retries >= 1
-            assert report.shared_corruptions == 0
-            again = _snapshot(service.evaluate_many(requests))
-            assert again == serial_snapshot
-            follow_up = service.last_batch_report
-            assert follow_up.worker_respawns == 0
-            assert follow_up.degraded_workers == 0
-            assert follow_up.shared_corruptions == 0
-
-
-@needs_shm
-def test_sigkill_after_claim_is_stolen_by_redriven_chunk(
-    database, requests, serial_snapshot
-):
-    # the worker dies right after recording an in-flight claim: the chunk
-    # is re-driven, the replacement worker finds the dead holder's claim
-    # and steals it instead of waiting out the lease
-    plan = FaultPlan(kill_after_claim=True)
-    with inject_faults(plan):
-        with _service(database, workers=2) as service:
-            got = _snapshot(service.evaluate_many(requests))
-            assert got == serial_snapshot
-            report = service.last_batch_report
-            assert report.worker_respawns >= 1
-            assert report.claim_steals >= 1
-            assert report.shared_corruptions == 0
-            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-
-
-# --------------------------------------------------------------------- #
-# bounds-store exhaustion (satellite): store-full and segment-exhausted
-# --------------------------------------------------------------------- #
-@needs_shm
-def test_store_full_under_concurrent_publishers_degrades_to_local():
-    # smallest legal store: fills after a handful of records
-    store = SharedBoundStore(num_slots=64, segment_bytes=4096, num_segments=2)
-    try:
-        clients = [BoundStoreClient.from_handle(store.handle) for _ in range(2)]
-        # small records: the two 4 KiB segments hold more columns than the
-        # 64-slot index can address, so the *index* is what saturates and
-        # the clients' full-latch must come from the probe-failure streak
-        lower = np.array([0.25])
-        upper = np.array([0.75])
-
-        def publisher(client, salt):
-            for i in range(300):
-                client.put(b"%08d-%08d" % (salt, i), lower, upper)
-
-        threads = [
-            threading.Thread(target=publisher, args=(client, salt))
-            for salt, client in enumerate(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # both publishers hit the wall and latched read-only…
-        assert all(not client.writable for client in clients)
-        assert sum(client.rejected for client in clients) > 0
-        # …without corrupting what was published first
-        published = sum(client.publishes for client in clients)
-        assert published > 0
-        reader = BoundStoreClient.from_handle(store.handle)
-        served = sum(
-            reader.get(b"%08d-%08d" % (salt, i)) is not None
-            for salt in range(2)
-            for i in range(300)
-        )
-        assert served == store.stats()["filled_slots"] > 0
-        # lookups for never-published keys miss cleanly and are accounted
-        assert reader.get(b"never-published!") is None
-        assert reader.misses >= 1
-        assert reader.corruptions == 0
-    finally:
-        store.close()
-
-
-@needs_shm
-def test_segment_exhaustion_makes_late_clients_read_only():
-    store = SharedBoundStore(num_slots=64, segment_bytes=4096, num_segments=1)
-    try:
-        first = BoundStoreClient.from_handle(store.handle)
-        second = BoundStoreClient.from_handle(store.handle)
-        assert first.writable
-        assert not second.writable  # no segment left: read-only, not an error
-        key = b"fedcba9876543210"
-        assert first.put(key, np.array([0.5]), np.array([0.6]))
-        assert not second.put(key + b"!", np.array([0.5]), np.array([0.6]))
-        assert second.rejected == 1
-        assert second.get(key) is not None  # reads still work
-        assert second.hits == 1
-    finally:
-        store.close()
-
-
-@needs_shm
-def test_service_survives_tiny_store_exhaustion(
-    database, requests, serial_snapshot, monkeypatch
-):
-    # shrink the service's store to the legal minimum so real batches
-    # exhaust it; results must not change — workers fall back to their
-    # process-local memoisation and the misses are accounted
-    import repro.engine.service as service_module
-
-    original = service_module.SharedBoundStore
-
-    def tiny_store(**kwargs):
-        kwargs.update(num_slots=64, segment_bytes=4096)
-        return original(**kwargs)
-
-    monkeypatch.setattr(service_module, "SharedBoundStore", tiny_store)
-    with _service(database, workers=2) as service:
-        for _ in range(2):
-            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-        report = service.last_batch_report
-        assert report.degraded_workers == 0  # full ≠ corrupt: no demotion
-        assert report.shared_corruptions == 0
-        store_stats = service._bound_store.stats()
-        assert store_stats["filled_slots"] <= 64
+        assert service.last_batch_report.worker_respawns >= 1
+        # each respawned lane cut the damage off its own file before
+        # appending, so every byte of both files is a valid record again
+        digest = database_digest(database)
+        fingerprint = config_fingerprint(service.engine.context.axis_policy)
+        for lane in (0, 1):
+            path = lane_file(directory, lane)
+            _records, end, rejected = read_warm_file(path, digest, fingerprint)
+            assert rejected is None and end == os.path.getsize(path)
+    # the repaired files serve the next incarnation from its first batch
+    with QueryService(
+        QueryEngine(database), config, bounds_store_path=directory
+    ) as service:
+        assert service.bound_store_stats()["rejected_store"] is None
+        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+        assert service.last_batch_report.shared_hits > 0
 
 
 # --------------------------------------------------------------------- #

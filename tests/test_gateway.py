@@ -410,35 +410,36 @@ def test_healthz_and_metrics_surface(shared_server):
     assert after["service"]["workers"] == 2
 
 
-def test_health_and_metrics_surface_store_state(shared_server):
-    """The store's lifecycle state is an operator surface (satellite).
+def test_health_and_metrics_surface_warm_start_state(shared_server, tmp_path):
+    """The warm-start directory is the only store state ``/metrics`` shows.
 
-    ``/metrics`` carries the full occupancy/reclaim/persistence snapshot
-    plus the publish-reject and claim counters folded from batch reports;
-    ``/healthz`` flags degraded workers without flipping the status (the
-    service still serves correct results from local memoisation).
+    Without a ``bounds_store_path`` the ``store`` section is ``None`` and
+    the engine counters carry only the warm-start hits; with one it reports
+    the directory's handshake outcome.  ``/healthz`` has no store flags.
     """
     status, _headers, body = _request(shared_server, "GET", "/healthz")
     assert status == 200
     health = json.loads(body)
     assert health["status"] == "ok"
-    assert health["degraded_workers"] == 0
-    assert health["degraded_store"] is False
+    assert "degraded_store" not in health and "degraded_workers" not in health
 
     assert _post(shared_server, "/v1/query", QUERY_DOCS[1])[0] == 200
     metrics = json.loads(_request(shared_server, "GET", "/metrics")[2])
     engine = metrics["gateway"]["engine"]
-    for counter in (
-        "shared_rejected", "shared_duplicates", "claim_steals", "claim_waits",
-    ):
-        assert counter in engine and engine[counter] >= 0
-    store = metrics["store"]
-    if shared_server.gateway.service.shared_bounds:
-        assert store["filled_slots"] >= 0
-        assert 0.0 <= store["occupancy"] <= 1.0
-        assert store["reclaim_count"] >= 0
-        assert store["active_claims"] >= 0
-        assert store["warm_started"] is False  # ephemeral store: cold start
-        assert store["rejected_store"] is None
-    else:  # the no-shared-memory CI leg: absent, not fabricated
-        assert store is None
+    assert engine["shared_hits"] == 0
+    for counter in ("shared_rejected", "shared_duplicates", "claim_steals", "claim_waits"):
+        assert counter not in engine
+    assert metrics["store"] is None
+
+    database = shared_server.gateway.service.engine.database
+    with QueryService(
+        database, ExecutorConfig(workers=1), bounds_store_path=str(tmp_path)
+    ) as service:
+        with GatewayServer(service) as server:
+            store = json.loads(_request(server, "GET", "/metrics")[2])["store"]
+    assert store == {
+        "path": str(tmp_path),
+        "warm_started": False,
+        "rejected_store": None,
+        "records": 0,
+    }

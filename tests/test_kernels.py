@@ -35,7 +35,6 @@ from repro.engine import (
     QueryEngine,
     RankingQuery,
 )
-from repro.engine.boundstore import bound_store_available
 from repro.engine.service import QueryService
 from repro.uncertain import (
     DecompositionTree,
@@ -288,20 +287,16 @@ class TestEngineBackendParity:
         report = engine.last_batch_report
         assert report.kernel_backend == resolve_backend(backend)
 
-    @pytest.mark.parametrize("shared_bounds", [False, True])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_service_backends_shared_bounds_matrix(
-        self, database, requests, serial_snapshot, workers, shared_bounds
+    def test_service_backend_is_bit_identical(
+        self, database, requests, serial_snapshot, workers
     ):
-        if shared_bounds and not bound_store_available():
-            pytest.skip("shared bounds store unavailable on this platform")
         engine = QueryEngine(database, kernel_backend="numpy")
-        config = ExecutorConfig(workers=workers, shared_bounds=shared_bounds)
+        config = ExecutorConfig(workers=workers)
         with QueryService(engine, config) as service:
             for _ in range(2):
                 assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-                if not shared_bounds:
-                    assert service.last_batch_report.shared_hits == 0
+                assert service.last_batch_report.shared_hits == 0
 
     def test_forced_numpy_env_is_bit_identical(
         self, database, requests, serial_snapshot, monkeypatch

@@ -1,8 +1,7 @@
 """Versioned mutable databases: snapshots, epochs, and the mutation path.
 
-The contract under test (PR 9, threaded through
-``uncertain/base.py`` → ``engine/boundstore.py`` → ``engine/service.py`` →
-``gateway/server.py``):
+The contract under test (threaded through ``uncertain/base.py`` →
+``engine/context.py`` → ``engine/service.py`` → ``gateway/server.py``):
 
 * :meth:`UncertainDatabase.apply` returns a **new snapshot** at epoch + 1
   that shares every untouched object with its parent; the parent stays
@@ -10,14 +9,13 @@ The contract under test (PR 9, threaded through
   a lineage;
 * the **equivalence invariant** — a query against a mutated database is
   bit-identical to the same query against a freshly built database with
-  identical content — at every worker count, with the shared bounds store
-  on and off;
+  identical content — at every worker count;
 * the service's **snapshot barrier**: a batch admitted at epoch E sees
   exactly snapshot E, mutations and batches being sequenced through one
   dispatcher queue;
-* **warm caches**: after mutating a small fraction of the objects, the
-  shared store keeps serving the untouched columns (hit rate >= 0.5) and
-  never serves a stale one (any staleness would break bit-identity);
+* **warm caches**: after mutating a small fraction of the objects, each
+  lane's memo keeps serving the untouched columns and never serves a stale
+  one (any staleness would break bit-identity);
 * worker lanes follow the parent across epochs by replaying **mutation
   deltas** — including lanes respawned after a crash;
 * the gateway applies mutations behind the barrier and keeps **standing
@@ -49,7 +47,7 @@ from repro.engine import (
     RankingQuery,
     RKNNQuery,
 )
-from repro.engine.boundstore import bound_store_available, stable_object_key
+from repro.engine.boundstore import stable_object_key
 from repro.geometry import Rectangle
 from repro.index import RTree
 from repro.uncertain import (
@@ -65,12 +63,6 @@ from repro.uncertain.sharedmem import MutationDeltaExport, load_delta_mutations
 # The CI job matrixes the suite over start methods through this variable;
 # locally it is unset and the platform default applies.
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
-
-needs_shm = pytest.mark.skipif(
-    not bound_store_available(),
-    reason="shared-memory bounds store unavailable on this platform/config",
-)
-
 
 def _box(center, extent=0.02, label=None):
     return BoxUniformObject(
@@ -257,7 +249,7 @@ def test_stable_object_key_folds_generations(database):
     replacement = _box([0.5, 0.5])
     snapshot = database.apply([Update(3, replacement)])
     # untouched object at an unshifted position: the key survives the epoch,
-    # which is exactly what keeps its shared-store columns warm
+    # which is exactly what keeps its memo and warm-start columns warm
     assert stable_object_key(snapshot, snapshot[7]) == stable_object_key(
         database, database[7]
     )
@@ -281,19 +273,14 @@ def test_stable_object_key_never_aliases_after_delete(database):
 
 # --------------------------------------------------------------------- #
 # the equivalence gate: mutated database == freshly built database,
-# bit for bit, at every worker count, store on and off
+# bit for bit, at every worker count
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("shared_bounds", [None, False], ids=["store", "no-store"])
-def test_mutated_equals_fresh_at_every_worker_count(
-    database, requests, workers, shared_bounds
-):
+def test_mutated_equals_fresh_at_every_worker_count(database, requests, workers):
     steps = _mutation_steps(np.random.default_rng(91))
     with QueryService(
         QueryEngine(database),
-        ExecutorConfig(
-            workers=workers, start_method=START_METHOD, shared_bounds=shared_bounds
-        ),
+        ExecutorConfig(workers=workers, start_method=START_METHOD),
     ) as service:
         assert _snapshot(service.evaluate_many(requests)) == _fresh_snapshot(
             database, requests
@@ -492,26 +479,21 @@ def test_cost_ewma_resets_when_the_epoch_changes(database, requests):
 # --------------------------------------------------------------------- #
 # warm caches: untouched columns survive a small mutation, never stale
 # --------------------------------------------------------------------- #
-@needs_shm
-def test_shared_store_stays_warm_across_small_mutations(database):
+def test_lane_memos_stay_warm_across_small_mutations(database):
     rng = np.random.default_rng(23)
-    distinct = [
-        random_reference_object(extent=0.05, rng=rng, label=f"query-{i}")
-        for i in range(8)
-    ]
+    # index queries resolve to the same object in a lane on every batch, and
+    # affine dispatch keeps each on one lane: a hit after a mutation is a
+    # column that survived RefinementContext.advance
     batch = [
-        KNNQuery(query, k=3, tau=0.5, max_iterations=4)
-        for _ in range(3)
-        for query in distinct
+        KNNQuery(position, k=3, tau=0.5, max_iterations=4)
+        for position in range(0, len(database), 3)
     ]
     with _service(database, workers=4) as service:
-        if not service.shared_bounds:
-            pytest.skip("shared bounds store disabled in this configuration")
-        service.evaluate_many(batch)  # publish the epoch-0 columns
+        service.evaluate_many(batch)  # warm the epoch-0 columns
+        assert service.last_batch_report.pair_bounds_misses > 0
         for _ in range(3):
-            # mutate <= 10% of the objects (3 of 30), updates only so positions
-            # of the untouched objects — and therefore their store keys — are
-            # stable
+            # mutate <= 10% of the objects (3 of 30), updates only so the
+            # positions of the untouched objects stay put
             step = [
                 Update(int(position), _box(rng.uniform(0.1, 0.9, size=2)))
                 for position in rng.choice(len(database), size=3, replace=False)
@@ -524,10 +506,7 @@ def test_shared_store_stays_warm_across_small_mutations(database):
             assert _snapshot(results) == _fresh_snapshot(
                 service.engine.database, batch
             )
-            # warm columns: of the lookups the worker-local tier missed, at
-            # least half are served by the store even though the epoch changed
-            assert report.shared_hits + report.shared_misses > 0
-            assert report.shared_hit_rate >= 0.5, str(report)
+            assert report.pair_bounds_hits > 0, str(report)
 
 
 # --------------------------------------------------------------------- #

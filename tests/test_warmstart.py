@@ -1,18 +1,21 @@
-"""Warm-start persistence: a respawned service reuses the bounds store.
+"""Warm start: a restarted service reuses the columns its lanes persisted.
 
-The tentpole contract under test: a :class:`QueryService` given a
-persistence knob (``bounds_store_path`` / ``bounds_store_name``) writes
-its shared bounds store to a backing that survives the process, and the
-*next* incarnation attaches to it through a content handshake — database
-digest plus axis/config fingerprint — so the first post-restart batch is
-served warm (hit rate >= 50%) and stays bit-identical to the serial path.
+The contract under test: a :class:`QueryService` given a warm-start
+directory (``bounds_store_path``) has every worker lane append the columns
+it computes to its own file there, and every lane of the *next*
+incarnation loads all of those files through a handshake — database digest
+plus axis/config fingerprint — so the first post-restart batch is served
+warm (at least half of its local-memo misses come from the files) and stays
+bit-identical to the serial path.
 
 The hard-kill test is the honest version: a child process runs a real
-service, reports its results, then SIGKILLs itself mid-flight — no
-``close()``, no flush, workers orphaned.  The parent reaps the orphans,
-respawns the service over the same file and gates the recovery contract.
-Truncated and digest-mismatched backings must be detected through the
-validation ladder, reported, and rebuilt from empty — never served.
+service, reports its results, then SIGKILLs itself — no ``close()``,
+workers orphaned.  The parent reaps the orphans, restarts the service over
+the same directory and checks the recovery contract.  Truncated, scribbled
+and foreign files must be detected, reported and rebuilt — never served:
+the byte-level tests cut and flip every byte of a small file of real
+columns and require the loader to yield exactly the records before the
+damage.
 
 Honours ``REPRO_TEST_START_METHOD`` like the chaos suite, so CI can
 matrix fork/spawn over the same tests.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import time
 
@@ -31,19 +35,27 @@ import pytest
 
 from repro.datasets import random_reference_object, uniform_rectangle_database
 from repro.engine import ExecutorConfig, KNNQuery, QueryEngine, QueryService
-from repro.engine.boundstore import bound_store_available
+from repro.engine.boundstore import (
+    WarmStartFile,
+    config_fingerprint,
+    database_digest,
+    lane_file,
+    read_warm_file,
+)
+from repro.geometry import Rectangle
 from repro.testing.faults import (
     assert_no_leaked_resources,
+    flip_store_byte,
     kill_worker,
     snapshot_resources,
     truncate_store_file,
 )
-
-pytestmark = pytest.mark.skipif(
-    not bound_store_available(), reason="shared bounds store unavailable here"
-)
+from repro.uncertain import BoxUniformObject, Update
 
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
+
+#: Bytes of the file header (magic, version, digest, fingerprint).
+HEADER_BYTES = 40
 
 
 @pytest.fixture(autouse=True)
@@ -95,8 +107,19 @@ def _service(database, **kwargs):
     )
 
 
+def _lane_files(directory) -> list[str]:
+    return sorted(
+        os.path.join(directory, name)
+        for name in os.listdir(directory)
+        if name.endswith(".warm")
+    )
+
+
+# --------------------------------------------------------------------- #
+# restart contract
+# --------------------------------------------------------------------- #
 def _serve_and_die(path: str, out_path: str) -> None:
-    """Child: run one batch against a disk-backed store, then crash hard."""
+    """Child: run one batch with a warm-start directory, then crash hard."""
     database, batch = _workload()
     service = _service(database, bounds_store_path=path)
     results = service.evaluate_many(batch)
@@ -109,14 +132,13 @@ def _serve_and_die(path: str, out_path: str) -> None:
         out.flush()
         os.fsync(out.fileno())
     os.rename(out_path + ".tmp", out_path)  # atomic: readable iff complete
-    # no close(), no flush of the store: the crash leaves orphaned workers,
-    # an in-use segment counter and (possibly) stale claims behind — the
-    # page cache alone carries the published columns to the successor
+    # no close(): the crash leaves orphaned workers behind, and only the
+    # lanes' unbuffered appends carry the columns to the successor
     os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_service_warm_starts_bit_identical_after_hard_kill(tmp_path):
-    path = str(tmp_path / "bounds.store")
+    path = str(tmp_path / "warm")
     out_path = str(tmp_path / "first-run.json")
     context = multiprocessing.get_context(START_METHOD)
     child = context.Process(target=_serve_and_die, args=(path, out_path))
@@ -141,57 +163,64 @@ def test_service_warm_starts_bit_identical_after_hard_kill(tmp_path):
         stats = service.bound_store_stats()
         assert stats["warm_started"] is True
         assert stats["rejected_store"] is None
+        assert stats["records"] > 0
         results = service.evaluate_many(batch)
         # bit-identical across the crash boundary...
         assert _json_snapshot(results) == payload["snapshot"]
         # ...and served warm on the very first post-restart batch
         assert service.last_batch_report.shared_hit_rate >= 0.5
-        # the crashed incarnation's stale claims were cleared on adoption
-        assert stats["active_claims"] == 0
 
 
-def test_orderly_restart_reuses_disk_backed_store(tmp_path):
-    path = str(tmp_path / "bounds.store")
+def test_orderly_restart_reuses_warm_start_files(tmp_path):
+    path = str(tmp_path / "warm")
     database, batch = _workload()
     serial = _snapshot(QueryEngine(database).evaluate_many(batch))
     with _service(database, bounds_store_path=path) as service:
         assert not service.store_warm_started  # first incarnation is cold
+        assert service.bound_store_stats()["records"] == 0
         assert _snapshot(service.evaluate_many(batch)) == serial
         assert service.last_batch_report.shared_publishes > 0
-    assert os.path.exists(path)  # close() keeps a persistent backing
+    assert len(_lane_files(path)) == 2  # one file per lane, kept by close()
     with _service(database, bounds_store_path=path) as service:
         assert service.store_warm_started
         assert service.bound_store_stats()["rejected_store"] is None
         assert _snapshot(service.evaluate_many(batch)) == serial
-        assert service.last_batch_report.shared_hit_rate >= 0.5
+        report = service.last_batch_report
+        assert report.shared_hit_rate >= 0.5
+        assert report.shared_publishes == 0  # nothing new to persist
+        assert "shared" in str(report) and "local" in str(report)
+        summary = report.to_dict()
+        assert summary["shared_hits"] == report.shared_hits > 0
+        assert summary["shared_hit_rate"] == report.shared_hit_rate
 
 
-def test_truncated_store_is_rejected_and_rebuilt(tmp_path):
-    path = str(tmp_path / "bounds.store")
+def test_truncated_files_are_rejected_and_rebuilt(tmp_path):
+    path = str(tmp_path / "warm")
     database, batch = _workload()
     serial = _snapshot(QueryEngine(database).evaluate_many(batch))
     with _service(database, bounds_store_path=path) as service:
         assert _snapshot(service.evaluate_many(batch)) == serial
-    assert truncate_store_file(path) == 64  # torn: not even a full header
+    for file in _lane_files(path):
+        assert truncate_store_file(file, 20) == 20  # not even a full header
     with _service(database, bounds_store_path=path) as service:
         assert not service.store_warm_started
-        stats = service.bound_store_stats()
-        assert stats["rejected_store"] == "truncated-header"
-        # the torn backing was discarded, never served; the rebuilt store
-        # works and results are unaffected
+        assert service.bound_store_stats()["rejected_store"] == "truncated-header"
+        # the torn files were discarded, never served; results are unaffected
         assert _snapshot(service.evaluate_many(batch)) == serial
-        assert service.bound_store_stats()["filled_slots"] > 0
-    # the rebuilt backing is valid again for the incarnation after that
+        assert service.last_batch_report.shared_hits == 0
+        assert service.last_batch_report.shared_publishes > 0
+    # the rebuilt files are valid again for the incarnation after that
     with _service(database, bounds_store_path=path) as service:
         assert service.store_warm_started
+        assert service.bound_store_stats()["rejected_store"] is None
 
 
-def test_changed_database_digest_rejects_stale_store(tmp_path):
-    path = str(tmp_path / "bounds.store")
+def test_changed_database_digest_rejects_stale_files(tmp_path):
+    path = str(tmp_path / "warm")
     database, batch = _workload()
     with _service(database, bounds_store_path=path) as service:
         service.evaluate_many(batch)
-    # same file, different data: the handshake must refuse the stale
+    # same directory, different data: the handshake must refuse the stale
     # columns (they were computed against another database's geometry)
     other = uniform_rectangle_database(num_objects=40, max_extent=0.05, seed=9)
     serial = _snapshot(QueryEngine(other).evaluate_many(batch))
@@ -199,20 +228,176 @@ def test_changed_database_digest_rejects_stale_store(tmp_path):
         assert not service.store_warm_started
         assert service.bound_store_stats()["rejected_store"] == "digest-mismatch"
         assert _snapshot(service.evaluate_many(batch)) == serial
+        assert service.last_batch_report.shared_hits == 0
 
 
-def test_service_warm_starts_from_named_block():
-    name = f"repro_ws_{os.getpid()}"
+def _box(center) -> BoxUniformObject:
+    return BoxUniformObject(
+        Rectangle.from_center_extent(np.asarray(center, dtype=float), 0.05)
+    )
+
+
+def test_columns_of_later_generations_are_never_persisted(tmp_path):
+    # two incarnations start from the same snapshot and apply *different*
+    # updates, which the generation clock numbers identically; a column of
+    # the first incarnation's updated objects must not serve the second
+    path = str(tmp_path / "warm")
     database, batch = _workload()
+    rng = np.random.default_rng(17)
+    positions = [int(p) for p in rng.choice(len(database), size=12, replace=False)]
+    for seed in (1, 2):
+        moves = np.random.default_rng(seed).uniform(0.1, 0.9, size=(12, 2))
+        step = [Update(p, _box(m)) for p, m in zip(positions, moves)]
+        expected = _snapshot(
+            QueryEngine(database.apply(step)).evaluate_many(batch)
+        )
+        with _service(database, bounds_store_path=path) as service:
+            service.apply(step)
+            assert _snapshot(service.evaluate_many(batch)) == expected
+
+
+# --------------------------------------------------------------------- #
+# the file itself: handshake, counters, byte-level corruption
+# --------------------------------------------------------------------- #
+def _engine_with_file(database, directory, lane=0):
+    engine = QueryEngine(database)
+    warm = WarmStartFile(
+        str(directory),
+        lane,
+        database_digest(database),
+        config_fingerprint(engine.context.axis_policy),
+    )
+    engine.context.attach_warm_start(warm)
+    return engine, warm
+
+
+def test_file_counters_reach_iteration_stats(tmp_path):
+    database, _batch = _workload()
+    first, warm = _engine_with_file(database, tmp_path)
+    first.domination_count(database[3], database[9], max_iterations=3)
+    warm.close()
+    second, warm = _engine_with_file(database, tmp_path, lane=1)
+    result = second.domination_count(database[3], database[9], max_iterations=3)
+    warm.close()
+    refine_stats = result.iterations[1:]
+    assert sum(stat.shared_hits for stat in refine_stats) > 0
+    assert all(stat.shared_publishes == 0 for stat in refine_stats)
+
+
+@pytest.mark.parametrize(
+    "offset, payload, reason",
+    [
+        (0, b"JUNK", "bad-magic"),
+        (4, b"\x63\x00\x00\x00", "version-mismatch"),
+        (8, b"\xff", "digest-mismatch"),
+        (24, b"\xff", "config-mismatch"),
+    ],
+)
+def test_handshake_rejects_foreign_headers(tmp_path, offset, payload, reason):
+    database, batch = _workload()
+    engine, warm = _engine_with_file(database, tmp_path)
+    engine.evaluate_many(batch[:1])
+    warm.close()
+    path = lane_file(str(tmp_path), 0)
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(payload)
+    digest = database_digest(database)
+    config = config_fingerprint(engine.context.axis_policy)
+    assert read_warm_file(path, digest, config) == ([], 0, reason)
+    reopened = WarmStartFile(str(tmp_path), 0, digest, config)
+    assert reopened.columns == {}
+    reopened.close()
+    assert os.path.getsize(path) == HEADER_BYTES  # rebuilt empty
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """A warm-start file holding the first six real columns of a workload."""
+    database, batch = _workload()
+    source = tmp_path_factory.mktemp("source")
+    engine, warm = _engine_with_file(database, source)
+    engine.evaluate_many(batch[:1])
+    warm.close()
+    digest = database_digest(database)
+    config = config_fingerprint(engine.context.axis_policy)
+    records, _end, _rejected = read_warm_file(lane_file(str(source), 0), digest, config)
+    directory = tmp_path_factory.mktemp("small")
+    small = WarmStartFile(str(directory), 0, digest, config)
+    for key, lower, upper in records[:6]:
+        assert small.append(key, lower, upper)
+    small.close()
+    path = lane_file(str(directory), 0)
+    written, end, rejected = read_warm_file(path, digest, config)
+    assert len(written) == 6 and end == os.path.getsize(path) and rejected is None
+    ends = [HEADER_BYTES]
+    for key, lower, _upper in written:
+        ends.append(ends[-1] + 12 + len(key) + 16 * len(lower))
+    return database, batch, path, digest, config, written, ends
+
+
+def _damaged_copy(tmp_path, small_file, damage) -> str:
+    """Copy the small file into a fresh directory and damage the copy."""
+    path = small_file[2]
+    directory = tmp_path / "damaged"
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir()
+    copy = lane_file(str(directory), 0)
+    shutil.copyfile(path, copy)
+    damage(copy)
+    return str(directory)
+
+
+def _assert_loads_prefix(directory, small_file, expected) -> None:
+    """Open the damaged file as lane 0 does; check the prefix it serves."""
+    _database, _batch, _path, digest, config, written, ends = small_file
+    warm = WarmStartFile(directory, 0, digest, config)
+    warm.close()
+    assert list(warm.columns) == [key for key, _lo, _up in written[:expected]]
+    for key, lower, upper in written[:expected]:
+        assert np.array_equal(warm.columns[key][0], lower)
+        assert np.array_equal(warm.columns[key][1], upper)
+    # the lane cut its own file back to the last whole record (or rebuilt it)
+    assert os.path.getsize(lane_file(directory, 0)) == ends[expected]
+
+
+def _records_before(ends, offset) -> int:
+    """Records wholly before byte ``offset``."""
+    return sum(1 for end in ends[1:] if end <= offset)
+
+
+def test_loader_serves_a_prefix_after_truncation_at_every_offset(tmp_path, small_file):
+    ends = small_file[-1]
+    for offset in range(ends[-1] + 1):
+        directory = _damaged_copy(
+            tmp_path, small_file, lambda copy: truncate_store_file(copy, offset)
+        )
+        _assert_loads_prefix(directory, small_file, _records_before(ends, offset))
+
+
+def test_loader_serves_a_prefix_after_flipping_any_byte(tmp_path, small_file):
+    ends = small_file[-1]
+    for offset in range(ends[-1]):
+        directory = _damaged_copy(
+            tmp_path, small_file, lambda copy: flip_store_byte(copy, offset)
+        )
+        # a damaged header rejects the file; a damaged record ends the prefix
+        expected = 0 if offset < HEADER_BYTES else _records_before(ends, offset)
+        _assert_loads_prefix(directory, small_file, expected)
+
+
+def test_service_over_each_damaged_prefix_matches_cold_serial(tmp_path, small_file):
+    # the loader yields exactly a prefix (tests above), so one damaged file
+    # per prefix length covers every file a service can be handed
+    database, batch, _path, _digest, _config, _written, ends = small_file
     serial = _snapshot(QueryEngine(database).evaluate_many(batch))
-    with _service(database, bounds_store_name=name) as service:
-        assert not service.store_warm_started
-        assert _snapshot(service.evaluate_many(batch)) == serial
-    second = _service(database, bounds_store_name=name)
-    try:
-        assert second.store_warm_started
-        assert _snapshot(second.evaluate_many(batch)) == serial
-        assert second.last_batch_report.shared_hit_rate >= 0.5
-    finally:
-        second._bound_store.destroy()  # unlink: don't leak the named block
-        second.close()
+    # a cut inside the header, one inside each record, none at all
+    cuts = [HEADER_BYTES - 1] + [end + 5 for end in ends[:-1]] + [ends[-1]]
+    for cut in cuts:
+        directory = _damaged_copy(
+            tmp_path, small_file, lambda copy: truncate_store_file(copy, cut)
+        )
+        with _service(database, bounds_store_path=directory) as service:
+            assert _snapshot(service.evaluate_many(batch)) == serial
+            served = service.last_batch_report.shared_hits
+        assert (served > 0) == (_records_before(ends, cut) > 0)
