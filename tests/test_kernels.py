@@ -287,16 +287,25 @@ class TestEngineBackendParity:
         report = engine.last_batch_report
         assert report.kernel_backend == resolve_backend(backend)
 
+    @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_service_backend_is_bit_identical(
-        self, database, requests, serial_snapshot, workers
+        self, database, requests, serial_snapshot, workers, warm_start, tmp_path
     ):
+        directory = str(tmp_path) if warm_start else None
         engine = QueryEngine(database, kernel_backend="numpy")
         config = ExecutorConfig(workers=workers)
-        with QueryService(engine, config) as service:
+        with QueryService(engine, config, bounds_store_path=directory) as service:
             for _ in range(2):
                 assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-                assert service.last_batch_report.shared_hits == 0
+                if not warm_start:
+                    assert service.last_batch_report.shared_hits == 0
+        if warm_start:
+            # a restart over the lanes' files serves the same bytes warm
+            engine = QueryEngine(database, kernel_backend="numpy")
+            with QueryService(engine, config, bounds_store_path=directory) as service:
+                assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+                assert service.last_batch_report.shared_hits > 0
 
     def test_forced_numpy_env_is_bit_identical(
         self, database, requests, serial_snapshot, monkeypatch

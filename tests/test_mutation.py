@@ -273,14 +273,18 @@ def test_stable_object_key_never_aliases_after_delete(database):
 
 # --------------------------------------------------------------------- #
 # the equivalence gate: mutated database == freshly built database,
-# bit for bit, at every worker count
+# bit for bit, at every worker count, warm-start directory on and off
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_mutated_equals_fresh_at_every_worker_count(database, requests, workers):
+@pytest.mark.parametrize("store", [True, False], ids=["store", "no-store"])
+def test_mutated_equals_fresh_at_every_worker_count(
+    database, requests, workers, store, tmp_path
+):
     steps = _mutation_steps(np.random.default_rng(91))
     with QueryService(
         QueryEngine(database),
         ExecutorConfig(workers=workers, start_method=START_METHOD),
+        bounds_store_path=str(tmp_path / "warm") if store else None,
     ) as service:
         assert _snapshot(service.evaluate_many(requests)) == _fresh_snapshot(
             database, requests

@@ -15,7 +15,12 @@ the same directory and checks the recovery contract.  Truncated, scribbled
 and foreign files must be detected, reported and rebuilt — never served:
 the byte-level tests cut and flip every byte of a small file of real
 columns and require the loader to yield exactly the records before the
-damage.
+damage.  The restart contract holds for every request kind, across a change
+of worker count and over the shared-memory transport; a lane respawned
+after a crash starts from its predecessor's appends; and inside one process
+the tiered memo reads through to the file, appends only cold columns and
+keeps columns that name a mutated object local.  The file format itself is
+covered by ``tests/test_boundstore.py``.
 
 Honours ``REPRO_TEST_START_METHOD`` like the chaos suite, so CI can
 matrix fork/spawn over the same tests.
@@ -23,6 +28,7 @@ matrix fork/spawn over the same tests.
 
 from __future__ import annotations
 
+import ast
 import json
 import multiprocessing
 import os
@@ -34,18 +40,33 @@ import numpy as np
 import pytest
 
 from repro.datasets import random_reference_object, uniform_rectangle_database
-from repro.engine import ExecutorConfig, KNNQuery, QueryEngine, QueryService
+from repro.engine import (
+    CacheStats,
+    DominationCountQuery,
+    ExecutorConfig,
+    InverseRankingQuery,
+    KNNQuery,
+    QueryEngine,
+    QueryService,
+    RangeQuery,
+    RankingQuery,
+    RKNNQuery,
+)
 from repro.engine.boundstore import (
     WarmStartFile,
     config_fingerprint,
     database_digest,
+    inspect_warm_start,
     lane_file,
     read_warm_file,
 )
 from repro.geometry import Rectangle
 from repro.testing.faults import (
+    ANY_LANE,
+    FaultPlan,
     assert_no_leaked_resources,
     flip_store_byte,
+    inject_faults,
     kill_worker,
     snapshot_resources,
     truncate_store_file,
@@ -98,11 +119,13 @@ def _json_snapshot(results) -> list:
     return json.loads(json.dumps(_snapshot(results), default=float))
 
 
-def _service(database, **kwargs):
+def _service(
+    database, workers=2, axis_policy="round_robin", share_memory=False, **kwargs
+):
     return QueryService(
-        QueryEngine(database),
-        ExecutorConfig(workers=2, start_method=START_METHOD),
-        share_memory=False,
+        QueryEngine(database, axis_policy=axis_policy),
+        ExecutorConfig(workers=workers, start_method=START_METHOD),
+        share_memory=share_memory,
         **kwargs,
     )
 
@@ -178,6 +201,9 @@ def test_orderly_restart_reuses_warm_start_files(tmp_path):
     with _service(database, bounds_store_path=path) as service:
         assert not service.store_warm_started  # first incarnation is cold
         assert service.bound_store_stats()["records"] == 0
+        # lanes spawn on first use, and affine dispatch may route the whole
+        # batch to one of them: spawn both so each opens its file
+        service.warm()
         assert _snapshot(service.evaluate_many(batch)) == serial
         assert service.last_batch_report.shared_publishes > 0
     assert len(_lane_files(path)) == 2  # one file per lane, kept by close()
@@ -254,6 +280,175 @@ def test_columns_of_later_generations_are_never_persisted(tmp_path):
         with _service(database, bounds_store_path=path) as service:
             service.apply(step)
             assert _snapshot(service.evaluate_many(batch)) == expected
+
+
+#: One request of every kind the engine serves, over a query object.
+_KINDS = {
+    "knn": lambda q: KNNQuery(q, k=3, tau=0.5, max_iterations=4),
+    "rknn": lambda q: RKNNQuery(
+        q, k=2, tau=0.5, max_iterations=3, candidate_indices=range(12)
+    ),
+    "range": lambda q: RangeQuery(q, epsilon=0.3, tau=0.5, max_depth=3),
+    "ranking": lambda q: RankingQuery(q, max_iterations=2, candidate_indices=range(10)),
+    "inverse_ranking": lambda q: InverseRankingQuery(5, q, max_iterations=3),
+    "domination_count": lambda q: DominationCountQuery(5, q, max_iterations=3),
+}
+
+
+def _result_snapshot(results) -> list:
+    """:func:`_snapshot` for a batch of any request kinds."""
+    snap = []
+    for result in results:
+        if hasattr(result, "matches"):
+            snap.extend(_snapshot([result]))
+        elif hasattr(result, "ranking"):
+            snap.append(
+                [
+                    (e.index, e.expected_rank_lower, e.expected_rank_upper, e.iterations)
+                    for e in result.ranking
+                ]
+            )
+        else:
+            bounds = getattr(result, "bounds", result)
+            snap.append((bounds.lower.tolist(), bounds.upper.tolist()))
+    return snap
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_restart_serves_every_request_kind_bit_identically(tmp_path, kind):
+    path = str(tmp_path / "warm")
+    database, knn_batch = _workload()
+    batch = [_KINDS[kind](request.query) for request in knn_batch[:3]]
+    serial = _result_snapshot(QueryEngine(database).evaluate_many(batch))
+    with _service(database, bounds_store_path=path) as service:
+        assert _result_snapshot(service.evaluate_many(batch)) == serial
+        published = service.last_batch_report.shared_publishes
+    with _service(database, bounds_store_path=path) as service:
+        assert _result_snapshot(service.evaluate_many(batch)) == serial
+        report = service.last_batch_report
+        # every column the kind needs was persisted by the first incarnation
+        assert report.shared_publishes == report.shared_misses == 0
+        assert (report.shared_hits > 0) == (published > 0)
+
+
+@pytest.mark.parametrize("writers, readers", [(1, 3), (3, 1), (2, 4), (4, 2)])
+def test_restart_with_another_worker_count_loads_every_lane_file(
+    tmp_path, writers, readers
+):
+    path = str(tmp_path / "warm")
+    database, batch = _workload()
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    with _service(database, workers=writers, bounds_store_path=path) as service:
+        service.warm()
+        assert _snapshot(service.evaluate_many(batch)) == serial
+    assert len(_lane_files(path)) == writers
+    with _service(database, workers=readers, bounds_store_path=path) as service:
+        service.warm()
+        assert service.bound_store_stats()["rejected_store"] is None
+        assert _snapshot(service.evaluate_many(batch)) == serial
+        report = service.last_batch_report
+        # files of lanes the new pool does not have are loaded all the same
+        assert report.shared_publishes == report.shared_misses == 0
+        assert report.shared_hits > 0
+    # lanes new to the directory added their own file; none was removed
+    assert len(_lane_files(path)) == max(writers, readers)
+
+
+def test_changed_axis_policy_rejects_stale_files(tmp_path):
+    path = str(tmp_path / "warm")
+    database, batch = _workload()
+    with _service(database, bounds_store_path=path) as service:
+        service.evaluate_many(batch)
+    # same data, different split axes: every column's partitions differ
+    serial = _snapshot(QueryEngine(database, axis_policy="widest").evaluate_many(batch))
+    with _service(database, axis_policy="widest", bounds_store_path=path) as service:
+        assert not service.store_warm_started
+        assert service.bound_store_stats()["rejected_store"] == "config-mismatch"
+        assert _snapshot(service.evaluate_many(batch)) == serial
+        assert service.last_batch_report.shared_hits == 0
+
+
+def test_a_missing_directory_is_created(tmp_path):
+    path = tmp_path / "not" / "there" / "yet"
+    database, batch = _workload()
+    with _service(database, bounds_store_path=path) as service:
+        assert service.bound_store_stats() == {
+            "path": str(path),
+            "warm_started": False,
+            "rejected_store": None,
+            "records": 0,
+        }
+        service.warm()
+        service.evaluate_many(batch)
+    assert len(_lane_files(str(path))) == 2
+
+
+def test_restart_over_the_shared_memory_transport(tmp_path):
+    path = str(tmp_path / "warm")
+    database, batch = _workload()
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    for incarnation in range(2):
+        with _service(database, share_memory=True, bounds_store_path=path) as service:
+            assert service.store_warm_started == (incarnation == 1)
+            assert _snapshot(service.evaluate_many(batch)) == serial
+            report = service.last_batch_report
+            assert (report.shared_publishes > 0) == (incarnation == 0)
+
+
+def test_a_respawned_lane_reloads_its_predecessors_appends(tmp_path):
+    # one lane, one request per chunk: the worker appends the columns of the
+    # first two chunks, is SIGKILLed as it starts the third, and its
+    # successor serves the repeated requests from the dead worker's file
+    path = str(tmp_path / "warm")
+    database, batch = _workload()
+    batch = batch[:2] + batch[:2]
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    with inject_faults(FaultPlan(kill_lane=ANY_LANE, kill_after_chunks=2)):
+        with _service(database, workers=1, bounds_store_path=path) as service:
+            results = service.evaluate_many(batch, chunking="contiguous", chunk_size=1)
+            assert _snapshot(results) == serial
+            report = service.last_batch_report
+            assert report.worker_respawns >= 1
+            assert report.shared_hits > 0
+    _records, end, rejected = read_warm_file(
+        lane_file(path, 0), database_digest(database), config_fingerprint("round_robin")
+    )
+    assert rejected is None and end == os.path.getsize(lane_file(path, 0))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_repeated_batches_with_warm_start_stay_identical(tmp_path, workers):
+    path = str(tmp_path / "warm")
+    database, batch = _workload()
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    with _service(database, workers=workers, bounds_store_path=path) as service:
+        for round_ in range(3):
+            assert _snapshot(service.evaluate_many(batch)) == serial
+            report = service.last_batch_report
+            if round_ == 0:
+                assert report.shared_publishes > 0
+            else:
+                # affine dispatch brings each query back to the lane whose
+                # memo holds its columns: nothing is recomputed or appended
+                assert report.shared_publishes == 0
+                assert report.pair_bounds_misses == 0
+    stats = inspect_warm_start(
+        path, database_digest(database), config_fingerprint("round_robin")
+    )
+    assert stats["rejected_store"] is None and stats["records"] > 0
+
+
+@pytest.mark.parametrize("store", [True, False], ids=["store", "no-store"])
+def test_cold_batch_identical_with_and_without_warm_start(tmp_path, store):
+    # four lanes spawn one after another and load each other's files while
+    # those are still being appended to; results must not notice
+    database, batch = _workload()
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    path = str(tmp_path / "warm") if store else None
+    with _service(database, workers=4, bounds_store_path=path) as service:
+        results = service.evaluate_many(batch + batch, chunking="contiguous")
+        assert _snapshot(results) == serial + serial
+        assert (service.last_batch_report.shared_publishes > 0) == store
 
 
 # --------------------------------------------------------------------- #
@@ -401,3 +596,98 @@ def test_service_over_each_damaged_prefix_matches_cold_serial(tmp_path, small_fi
             assert _snapshot(service.evaluate_many(batch)) == serial
             served = service.last_batch_report.shared_hits
         assert (served > 0) == (_records_before(ends, cut) > 0)
+
+
+# --------------------------------------------------------------------- #
+# the tiered memo inside one process
+# --------------------------------------------------------------------- #
+def test_a_context_without_a_file_keeps_a_plain_memo():
+    database, _batch = _workload()
+    engine = QueryEngine(database)
+    assert type(engine.context.pair_bounds_cache) is CacheStats
+    assert engine.context.warm_start is None
+    engine.knn(database[2], k=3, tau=0.5, max_iterations=3)
+    stats = engine.context.stats()
+    assert stats["shared_hits"] == stats["shared_misses"] == 0
+    assert stats["shared_publishes"] == 0
+    assert stats["pair_bounds_misses"] > 0
+
+
+def test_cold_columns_miss_the_file_and_are_appended(tmp_path):
+    database, _batch = _workload()
+    engine, warm = _engine_with_file(database, tmp_path)
+    engine.domination_count(database[3], database[9], max_iterations=3)
+    warm.close()
+    stats = engine.context.stats()
+    assert stats["shared_hits"] == 0
+    assert stats["shared_misses"] >= stats["shared_publishes"] > 0
+    records, _end, _rejected = read_warm_file(
+        lane_file(str(tmp_path), 0),
+        database_digest(database),
+        config_fingerprint(engine.context.axis_policy),
+    )
+    assert len(records) == stats["shared_publishes"]
+    engine.context.pair_bounds_cache.reset_counters()
+    stats = engine.context.stats()
+    assert stats["shared_hits"] == stats["shared_misses"] == 0
+    assert stats["shared_publishes"] == 0
+
+
+def test_a_second_context_is_served_from_the_file(tmp_path):
+    database, batch = _workload()
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    first, warm = _engine_with_file(database, tmp_path)
+    assert _snapshot(first.evaluate_many(batch)) == serial
+    warm.close()
+    assert first.context.stats()["shared_publishes"] > 0
+    second, warm = _engine_with_file(database, tmp_path, lane=1)
+    assert _snapshot(second.evaluate_many(batch)) == serial
+    warm.close()
+    stats = second.context.stats()
+    assert stats["shared_hits"] > 0
+    assert stats["shared_misses"] == stats["shared_publishes"] == 0
+    # nothing new to persist: the second lane's file is a bare header
+    assert os.path.getsize(lane_file(str(tmp_path), 1)) == HEADER_BYTES
+
+
+def test_a_cleared_memo_is_refilled_from_the_file(tmp_path):
+    database, batch = _workload()
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    engine, warm = _engine_with_file(database, tmp_path)
+    assert _snapshot(engine.evaluate_many(batch)) == serial
+    engine.context.clear()
+    assert _snapshot(engine.evaluate_many(batch)) == serial
+    warm.close()
+    stats = engine.context.stats()
+    assert stats["shared_hits"] > 0
+    assert stats["shared_misses"] == stats["shared_publishes"] == 0
+
+
+def test_columns_naming_a_mutated_object_stay_local(tmp_path):
+    database, _batch = _workload()
+    engine, warm = _engine_with_file(database, tmp_path)
+    snapshot_generations = max(database.generations()) + 1
+    engine.apply_mutations([Update(3, _box((0.5, 0.5)))])
+    current = engine.database
+    before = engine.context.stats()
+    # every column of this run names the replaced object (as its target)
+    engine.domination_count(current[3], current[9], max_iterations=3)
+    after = engine.context.stats()
+    assert after["pair_bounds_misses"] > before["pair_bounds_misses"]
+    assert after["shared_publishes"] == before["shared_publishes"]
+    assert after["shared_misses"] == before["shared_misses"]
+    # a run over untouched objects still persists its columns
+    engine.domination_count(current[4], current[9], max_iterations=3)
+    assert engine.context.stats()["shared_publishes"] > after["shared_publishes"]
+    warm.close()
+    records, _end, _rejected = read_warm_file(
+        lane_file(str(tmp_path), 0),
+        database_digest(database),
+        config_fingerprint(engine.context.axis_policy),
+    )
+    assert records
+    for key, _lower, _upper in records:
+        _schema, _policy, *parts, _config = ast.literal_eval(key.decode())
+        for identity, _depth in parts:
+            if identity[0] == "db":
+                assert identity[2] < snapshot_generations
