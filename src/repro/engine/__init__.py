@@ -7,8 +7,9 @@ result assembly.  :class:`QueryEngine` wires them together; the public
 functions in :mod:`repro.queries` are thin adapters over it, and
 :meth:`QueryEngine.evaluate_many` exposes batch evaluation with shared
 caches across a whole workload — serially or, with an
-:class:`ExecutorConfig`, on a pool of worker processes (see
-``engine/executor.py`` for the worker lifecycle and determinism contract).
+:class:`ExecutorConfig` of more than one worker, on a short-lived pool of
+worker processes (see ``engine/executor.py`` for the worker lifecycle and
+determinism contract).
 For long-running processes, :class:`QueryService` keeps one worker pool
 alive across every batch and ships the dataset to the workers through
 shared memory (see ``engine/service.py``).  The service tier is
@@ -38,10 +39,8 @@ from .executor import (
     ChunkStats,
     ExecutorConfig,
     WorkerPool,
-    adaptive_chunk_size,
     affine_partition,
     affinity_lane,
-    partition_requests,
 )
 from .requests import (
     DominationCountQuery,
@@ -84,9 +83,7 @@ __all__ = [
     "TieredPairBoundsCache",
     "WorkerCrashError",
     "WorkerPool",
-    "adaptive_chunk_size",
     "affine_partition",
     "affinity_lane",
     "make_candidate_source",
-    "partition_requests",
 ]

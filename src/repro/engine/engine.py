@@ -48,12 +48,7 @@ from ..uncertain import UncertainDatabase
 from ..uncertain.decomposition import AxisPolicy, csr_partitions
 from .candidates import CandidateSource, ScanCandidateSource, make_candidate_source
 from .context import RefinementContext
-from .executor import (
-    BatchReport,
-    ExecutorConfig,
-    run_chunk_on_engine,
-    run_process_batch,
-)
+from .executor import BatchReport, ExecutorConfig, run_chunk_on_engine
 from .requests import QueryRequest
 from .scheduler import RefinementScheduler
 
@@ -504,72 +499,63 @@ class QueryEngine:
     ) -> list:
         """Evaluate a heterogeneous batch of query requests.
 
-        Serially (the default, and ``executor=None`` or any config resolving
-        to ``"serial"``), every request runs against this engine's shared
-        refinement context, so decomposition trees and pairwise domination
-        bounds computed for one query are reused by all later queries of the
-        batch.  With an :class:`~repro.engine.executor.ExecutorConfig`
-        resolving to ``"process"``, the batch is partitioned into chunks and
-        evaluated on a per-batch pool of worker processes; each worker
-        receives this engine (pickled once, caches rebuilt empty and
-        worker-local) and the chunk outcomes are merged.  With a
-        :class:`~repro.engine.service.QueryService` as ``executor``, the
-        batch routes through the service's request queue onto its
-        *persistent* pool instead — the service must serve this engine's
-        database.
+        There are two execution paths.  Serially (``executor=None``, or an
+        :class:`~repro.engine.executor.ExecutorConfig` whose
+        ``effective_workers`` is 1, or a batch of at most one request),
+        every request runs against this engine's shared refinement context,
+        so decomposition trees and pairwise domination bounds computed for
+        one query are reused by all later queries of the batch.  Otherwise
+        the batch runs on a :class:`~repro.engine.service.QueryService`:
+        the one passed as ``executor`` (it must serve this engine's
+        database), or, for an ``ExecutorConfig``, a short-lived service over
+        this engine that is closed before the call returns.  The short-lived
+        service never creates a shared-memory export; it ships an export the
+        caller made and leaves it open.
 
         Results are returned in request order and are identical to
         evaluating each request on a fresh engine — sharing caches only
         removes recomputation, and per-query budgets make them independent
-        of worker count and chunking.  :attr:`last_batch_report` holds the
-        merged :class:`~repro.engine.executor.BatchReport` of the call.
-
-        ``ExecutorConfig.kernel_backend``, when set, overrides this engine's
-        kernel backend for the duration of the batch (serial path and
-        per-batch pools, whose workers pickle the engine per batch).  A
-        persistent :class:`~repro.engine.service.QueryService` pickled its
-        engine at construction, so the override cannot reach its workers —
-        configure the service's engine or ``REPRO_KERNEL_BACKEND`` instead.
-        Backends are bit-identical, so the override never changes results.
+        of the worker count.  :attr:`last_batch_report` holds the merged
+        :class:`~repro.engine.executor.BatchReport` of the call.
         """
         from .service import QueryService
 
         requests = list(requests)
-        if isinstance(executor, QueryService):
-            if executor.engine.database is not self.database:
-                raise ValueError(
-                    "the supplied QueryService serves a different database"
-                )
-            # take the report from this batch's own handle: the service's
-            # last_batch_report may already describe a concurrently
-            # submitted batch by the time the results resolve
-            handle = executor.submit(requests)
-            results = handle.result()
-            self.last_batch_report = handle.report()
-            return results
-        override = executor.kernel_backend if executor is not None else None
-        saved = self.kernel_backend
-        if override is not None:
-            self.kernel_backend = override
-        try:
-            if executor is not None and executor.resolve_mode(len(requests)) == "process":
-                results, report = run_process_batch(self, requests, executor)
-                self.last_batch_report = report
-                return results
-            return self._evaluate_serial(requests, executor)
-        finally:
-            self.kernel_backend = saved
+        if isinstance(executor, ExecutorConfig):
+            if executor.effective_workers == 1 or len(requests) <= 1:
+                executor = None
+            else:
+                with QueryService(
+                    self, executor, share_memory=False, atexit_cleanup=False
+                ) as service:
+                    return self._evaluate_on(service, requests)
+        if executor is None:
+            return self._evaluate_serial(requests)
+        if not isinstance(executor, QueryService):
+            raise TypeError(
+                "executor must be None, an ExecutorConfig or a QueryService, "
+                f"got {type(executor).__name__}"
+            )
+        if executor.engine.database is not self.database:
+            raise ValueError("the supplied QueryService serves a different database")
+        return self._evaluate_on(executor, requests)
 
-    def _evaluate_serial(
-        self, requests: Sequence[QueryRequest], executor: Optional[ExecutorConfig]
-    ) -> list:
-        """Today's single-process batch path, instrumented as one chunk."""
+    def _evaluate_on(self, service, requests: list) -> list:
+        """Run a batch on a service's lanes and keep its report."""
+        # take the report from this batch's own handle: the service's
+        # last_batch_report may already describe a concurrently submitted
+        # batch by the time the results resolve
+        handle = service.submit(requests)
+        results = handle.result()
+        self.last_batch_report = handle.report()
+        return results
+
+    def _evaluate_serial(self, requests: Sequence[QueryRequest]) -> list:
+        """The single-process batch path, instrumented as one chunk."""
         results, chunk_stats = run_chunk_on_engine(self, requests)
         self.last_batch_report = BatchReport(
             mode="serial",
             workers=1,
-            chunking=executor.chunking if executor is not None else "contiguous",
-            chunk_size=executor.chunk_size if executor is not None else None,
             num_requests=len(requests),
             elapsed_seconds=chunk_stats.seconds,
             chunks=(chunk_stats,),

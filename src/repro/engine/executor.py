@@ -1,45 +1,45 @@
-"""Parallel batch execution behind :meth:`QueryEngine.evaluate_many`.
+"""Process-parallel batch execution: the worker pool behind every service.
 
-Layer contract: everything in this module sits *above* the engine — it never
+This module is longer than the repository's ~600-line guideline because
+the worker pool's supervision (respawn, bounded retry, the deadline
+watchdog, the mutation-delta barrier) and the worker-side entry points it
+drives form one protocol: every piece reads the same lane state, and
+splitting them would put one lifecycle behind a module boundary.
+
+Layer contract: everything here sits *above* the engine — it never
 reaches into refinement state.  A batch of :class:`~repro.engine.requests`
-objects is partitioned into chunks, every chunk is evaluated by calling
-``request.run(engine)`` exactly as the serial path does, and the per-chunk
-outcomes are merged into a :class:`BatchReport`.  Three properties make this
-safe to parallelise:
+objects is partitioned into lane-pinned chunks (:func:`affine_partition`),
+every chunk is evaluated by calling ``request.run(engine)`` exactly as the
+serial path does, and the per-chunk outcomes are merged into a
+:class:`BatchReport`.  Three properties make this safe to parallelise:
 
 * **requests are independent** — no request reads another request's result;
 * **shared caches never change results** — the refinement context only
-  removes recomputation (the PR-1 invariant asserted by the seeded
-  equivalence suite), so it does not matter which worker's cache serves a
-  candidate;
+  removes recomputation (the invariant asserted by the seeded equivalence
+  suite), so it does not matter which worker's cache serves a candidate;
 * **budgets are per query** — the scheduler's ``global_iteration_budget``
   applies per :meth:`~RefinementScheduler.refine` call, never across queries,
   so chunk composition cannot starve or favour a query.
 
 Together these give the determinism guarantee documented in
 ``docs/architecture.md``: ``evaluate_many`` returns bit-identical results for
-every ``workers`` / ``chunk_size`` / chunking-strategy combination, including
-the serial path.
+every worker count, including the serial path.
 
 Worker lifecycle: the parent pickles the engine **once**; every worker
 process receives that payload through the pool initializer, unpickles it, and
 thereby rebuilds an *empty* worker-local :class:`RefinementContext` (see
 ``RefinementContext.__reduce__``).  Workers keep their engine across chunks,
-so cache warm-up is paid once per worker, not once per chunk — which is why
-the ``affinity`` chunking strategy routes requests that share a query object
-into the same *chunk*.  Chunks are dispatched to whichever worker is free,
-so locality is guaranteed within a chunk and best-effort across chunks; with
-``chunk_size=None`` (the default) each affinity bucket is exactly one chunk
-and therefore does run on a single worker.
+so cache warm-up is paid once per worker, not once per chunk.  Dispatch is
+worker-affine: each affinity key hashes to a stable lane, so requests that
+share a query object run on one worker in this batch and every later one.
 
-The pool lifecycle itself lives in :class:`WorkerPool`: ``run_process_batch``
-creates one pool per batch (and tears it down on every exit path, so errors
-cannot leak worker processes), while the long-lived
-:class:`~repro.engine.service.QueryService` keeps a single :class:`WorkerPool`
-alive across every batch of the process lifetime.  When the database carries
-an active shared-memory export (``UncertainDatabase.share_memory``), the
-engine payload both paths ship is a lightweight handle and workers *map* the
-dataset instead of unpickling a copy.
+:class:`WorkerPool` owns the lanes.  Its one caller is
+:class:`~repro.engine.service.QueryService`, which keeps a pool alive across
+batches; ``QueryEngine.evaluate_many(executor=ExecutorConfig(...))`` runs
+its batch on a short-lived service.  When the database carries an active
+shared-memory export (``UncertainDatabase.share_memory``), the engine
+payload is a lightweight handle and workers *map* the dataset instead of
+unpickling a copy.
 
 Fault tolerance: the pool *supervises* its lanes.  A lane whose worker dies
 (SIGKILL, OOM, segfault) surfaces as ``BrokenProcessPool`` on the in-flight
@@ -57,7 +57,6 @@ raise the typed errors of ``engine/errors.py``.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -67,7 +66,7 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DeadlineExceeded, WorkerCrashError
 
@@ -80,25 +79,11 @@ __all__ = [
     "ChunkStats",
     "ExecutorConfig",
     "WorkerPool",
-    "adaptive_chunk_size",
     "affine_partition",
     "affinity_lane",
-    "partition_requests",
     "result_iteration_stats",
     "run_chunk_on_engine",
-    "validate_chunk_size",
 ]
-
-ExecutionMode = Literal["auto", "serial", "process"]
-ChunkingStrategy = Literal["affinity", "contiguous"]
-
-#: ``chunk_size`` value requesting cost-adaptive sizing from batch history.
-ADAPTIVE = "adaptive"
-
-#: Cost-adaptive chunking aims for chunks of roughly this much worker time:
-#: small enough to keep all workers busy at the tail of a batch, large
-#: enough that per-chunk dispatch overhead stays negligible.
-ADAPTIVE_TARGET_CHUNK_SECONDS = 0.2
 
 #: How many times a chunk whose worker died is re-driven on the respawned
 #: lane before the crash escalates as :class:`WorkerCrashError`.
@@ -121,110 +106,34 @@ DEFAULT_WATCHDOG_GRACE_SECONDS = 2.0
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 
-def validate_chunk_size(value) -> None:
-    """Reject anything but a positive int, ``None`` or ``"adaptive"``.
-
-    Shared by :class:`ExecutorConfig` construction and the per-call
-    overrides of :meth:`~repro.engine.service.QueryService.submit`, so an
-    invalid value always fails with this message instead of an opaque type
-    error deep in partitioning.
-    """
-    if value is None:
-        return
-    if isinstance(value, str):
-        if value != ADAPTIVE:
-            raise ValueError(
-                f"chunk_size must be a positive integer, None or "
-                f"{ADAPTIVE!r}, got {value!r}"
-            )
-        return
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(
-            f"chunk_size must be a positive integer, None or "
-            f"{ADAPTIVE!r}, got {value!r}"
-        )
-    if value <= 0:
-        raise ValueError(f"chunk_size must be at least 1 when given, got {value}")
-
-
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """How :meth:`QueryEngine.evaluate_many` should execute a batch.
+    """How many worker processes run a batch, and how they start.
+
+    Pass one to :class:`~repro.engine.service.QueryService`, or to
+    :meth:`QueryEngine.evaluate_many`, which runs the batch serially when
+    :attr:`effective_workers` is 1 or the batch has at most one request,
+    and on a short-lived service otherwise.
 
     Parameters
     ----------
-    mode:
-        ``"serial"`` forces today's single-process path (bit-for-bit the
-        behaviour of calling ``evaluate_many`` without a config).
-        ``"process"`` forces the process pool even for one worker — useful to
-        exercise the pickling path.  ``"auto"`` (default) picks the pool when
-        the resolved worker count exceeds 1 and the batch has more than one
-        request.
     workers:
         Number of worker processes.  ``None`` (default) derives the count
-        from :func:`os.cpu_count` — so ``mode="auto"`` actually scales out
-        on multi-core machines instead of silently meaning "serial".  An
-        explicit value is always authoritative; ``workers=1`` under
-        ``"auto"`` is the serial path.  :attr:`effective_workers` is the
-        resolved count.
-    chunk_size:
-        Optional cap on requests per chunk.  ``None`` derives one chunk per
-        worker (contiguous) or one chunk per affinity bucket (affinity).
-        The string ``"adaptive"`` asks the executor to derive the cap from
-        observed per-request cost in :class:`BatchReport` history (no
-        history yet behaves like ``None``; under lane-pinned ``"affinity"``
-        dispatch in a service it resolves to ``None``, because splitting a
-        pinned bucket cannot rebalance work).  Results never depend on this
-        value — it only trades scheduling granularity against per-chunk
-        overhead.
-    chunking:
-        ``"affinity"`` (default) groups requests that share a query object
-        into the same chunk so a worker's local caches serve the repeats;
-        ``"contiguous"`` splits the batch in request order.  Under a
-        :class:`~repro.engine.service.QueryService`, affinity chunks are
-        additionally *pinned*: the bucket's lane is a stable hash of the
-        affinity key, so the same query object lands on the same worker in
-        every successive batch (see :func:`affine_partition`).
+        from :func:`os.cpu_count`, so the same config scales out on
+        multi-core machines.  An explicit value is always authoritative.
+        :attr:`effective_workers` is the resolved count.
     start_method:
         Optional :mod:`multiprocessing` start method.  ``None`` prefers
         ``"fork"`` when the platform offers it (cheapest on Linux) and falls
         back to the platform default otherwise.  All methods receive the same
         explicitly pickled engine payload, so cache state is identical —
         empty — regardless of the start method.
-    kernel_backend:
-        Pair-bounds kernel backend for the batch: ``"numpy"``, ``"numba"``
-        or ``None`` (default) to keep the engine's own setting (which itself
-        resolves through ``REPRO_KERNEL_BACKEND`` and availability).  The
-        override is applied to the engine for the duration of the batch, so
-        it reaches the serial path and per-batch worker pools (whose engine
-        is pickled per batch).  It cannot reach the already-running workers
-        of a persistent :class:`~repro.engine.service.QueryService`, whose
-        engine was pickled at service construction — configure the service's
-        engine (or the environment variable) instead.  Backends are
-        bit-identical, so this knob only ever changes speed.
     """
 
-    mode: ExecutionMode = "auto"
     workers: Optional[int] = None
-    chunk_size: Optional[Union[int, str]] = None
-    chunking: ChunkingStrategy = "affinity"
     start_method: Optional[str] = None
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("auto", "serial", "process"):
-            raise ValueError(f"unknown execution mode {self.mode!r}")
-        if self.chunking not in ("affinity", "contiguous"):
-            raise ValueError(f"unknown chunking strategy {self.chunking!r}")
-        if self.kernel_backend is not None:
-            from ..core.kernels import KERNEL_BACKENDS
-
-            # name check only: availability is resolved where the batch runs
-            if self.kernel_backend not in KERNEL_BACKENDS:
-                raise ValueError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"expected one of {KERNEL_BACKENDS}"
-                )
         if self.workers is not None:
             if not isinstance(self.workers, int) or isinstance(self.workers, bool):
                 raise ValueError(f"workers must be an integer, got {self.workers!r}")
@@ -232,29 +141,18 @@ class ExecutorConfig:
                 raise ValueError(
                     f"workers must be at least 1 when given, got {self.workers}"
                 )
-        validate_chunk_size(self.chunk_size)
 
     @property
     def effective_workers(self) -> int:
         """The resolved worker count: explicit ``workers``, else CPU count.
 
-        The adaptive default (``workers=None``) asks :func:`os.cpu_count`
+        The default (``workers=None``) asks :func:`os.cpu_count`
         at resolution time, so the same config object adapts to the machine
         it runs on; explicitly configured counts are never overridden.
         """
         if self.workers is not None:
             return self.workers
         return max(1, os.cpu_count() or 1)
-
-    def resolve_mode(self, num_requests: int) -> str:
-        """Concrete execution mode for a batch of ``num_requests``."""
-        if self.mode == "serial":
-            return "serial"
-        if self.mode == "process":
-            return "process"
-        if self.effective_workers > 1 and num_requests > 1:
-            return "process"
-        return "serial"
 
 
 @dataclass(frozen=True)
@@ -313,17 +211,13 @@ class BatchReport:
     profiled without reaching into worker processes.
     """
 
+    #: ``"serial"`` (the calling process) or ``"process"`` (the worker lanes
+    #: of a :class:`~repro.engine.service.QueryService`).
     mode: str
     workers: int
-    chunking: str
-    chunk_size: Optional[int]
     num_requests: int
     elapsed_seconds: float
     chunks: tuple[ChunkStats, ...] = field(default_factory=tuple)
-    #: Pool lifetime behind the batch: ``"none"`` (serial), ``"per-batch"``
-    #: (a pool created and torn down by this call) or ``"persistent"`` (a
-    #: long-lived :class:`~repro.engine.service.QueryService` pool).
-    pool: str = "none"
     #: Worker lanes the pool respawned while executing this batch (a crashed
     #: or watchdog-killed worker, replaced with the same initargs).
     worker_respawns: int = 0
@@ -331,9 +225,7 @@ class BatchReport:
     #: retries are bit-identical by determinism, so a non-zero count changes
     #: latency only, never results.
     chunk_retries: int = 0
-    #: Database snapshot epoch the batch ran against.  Adaptive chunk sizing
-    #: ignores cost history recorded at a different epoch: a mutation can
-    #: change the workload's per-request cost profile arbitrarily.
+    #: Database snapshot epoch the batch ran against.
     epoch: int = 0
 
     @property
@@ -354,11 +246,7 @@ class BatchReport:
     def completed_requests(self) -> int:
         """Requests that actually executed — the sum of chunk sizes.
 
-        Equals :attr:`num_requests` for a successful batch; the distinction
-        matters for adaptive chunk sizing, which must divide observed time
-        by the work that *ran*, not the work that was submitted (a report
-        can legitimately carry zero completed requests, e.g. an empty batch
-        or a history record from a failed run).
+        Equals :attr:`num_requests` for a successful batch.
         """
         return sum(stats.size for stats in self.chunks)
 
@@ -452,10 +340,7 @@ class BatchReport:
         """JSON-serialisable summary of the batch."""
         return {
             "mode": self.mode,
-            "pool": self.pool,
             "workers": self.workers,
-            "chunking": self.chunking,
-            "chunk_size": self.chunk_size,
             "num_requests": self.num_requests,
             "num_chunks": self.num_chunks,
             "num_worker_pids": len(self.worker_pids),
@@ -483,7 +368,7 @@ class BatchReport:
     def __str__(self) -> str:
         """One-line execution summary."""
         return (
-            f"BatchReport({self.mode}/{self.pool}, workers={self.workers}, "
+            f"BatchReport({self.mode}, workers={self.workers}, "
             f"{self.num_requests} req in {self.num_chunks} chunks, "
             f"{self.elapsed_seconds * 1e3:.1f} ms, "
             f"local {self.pair_bounds_hits}H/{self.pair_bounds_misses}M, "
@@ -495,64 +380,6 @@ class BatchReport:
 # --------------------------------------------------------------------- #
 # batch partitioning
 # --------------------------------------------------------------------- #
-def _split(indices: list[int], chunk_size: Optional[int]) -> list[list[int]]:
-    if not indices:
-        return []
-    if chunk_size is None:
-        return [indices]
-    return [indices[i : i + chunk_size] for i in range(0, len(indices), chunk_size)]
-
-
-def partition_requests(
-    requests: Sequence["QueryRequest"],
-    workers: int,
-    chunk_size: Optional[int] = None,
-    chunking: ChunkingStrategy = "affinity",
-) -> list[list[int]]:
-    """Partition a batch into chunks of request indices.
-
-    Every index appears in exactly one chunk, so reassembling chunk results
-    by index reproduces request order regardless of which worker ran which
-    chunk.  ``"contiguous"`` splits the batch in order (default chunk size:
-    one chunk per worker).  ``"affinity"`` buckets requests by
-    :meth:`~repro.engine.requests.KNNQuery.affinity_key` — requests that
-    share a query object land in the same bucket, largest buckets are
-    assigned to the least-loaded of ``workers`` buckets first — so a
-    worker's local caches serve the repeated queries of a production stream.
-    The assignment is a deterministic function of the batch alone.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1 when given")
-    if chunking not in ("affinity", "contiguous"):
-        raise ValueError(f"unknown chunking strategy {chunking!r}")
-    indices = list(range(len(requests)))
-    if not indices:
-        return []
-    if chunking == "contiguous":
-        size = chunk_size or math.ceil(len(indices) / workers)
-        return _split(indices, size)
-
-    groups: dict[object, list[int]] = {}
-    for index, request in enumerate(requests):
-        groups.setdefault(request.affinity_key(), []).append(index)
-    # deterministic greedy assignment: largest group first, ties by first
-    # appearance, into the currently lightest bucket
-    ordered = sorted(groups.values(), key=lambda group: (-len(group), group[0]))
-    buckets: list[list[int]] = [[] for _ in range(min(workers, len(ordered)))]
-    loads = [0] * len(buckets)
-    for group in ordered:
-        target = loads.index(min(loads))
-        buckets[target].extend(group)
-        loads[target] += len(group)
-    chunks: list[list[int]] = []
-    for bucket in buckets:
-        bucket.sort()
-        chunks.extend(_split(bucket, chunk_size))
-    return chunks
-
-
 def affinity_lane(key, workers: int) -> int:
     """Worker lane of an affinity key: a stable hash modulo the pool size.
 
@@ -568,64 +395,31 @@ def affinity_lane(key, workers: int) -> int:
 
 
 def affine_partition(
-    requests: Sequence["QueryRequest"],
-    workers: int,
-    chunk_size: Optional[int] = None,
+    requests: Sequence["QueryRequest"], workers: int
 ) -> tuple[list[list[int]], list[int]]:
     """Partition a batch into chunks pinned to stable worker lanes.
 
-    Like :func:`partition_requests` with ``chunking="affinity"``, but the
-    bucket of each affinity key goes to the lane :func:`affinity_lane`
-    assigns — a function of the key alone, not of the batch — so follow-up
-    batches land on the same workers' warm caches.  Returns ``(chunks,
-    lanes)`` with one lane per chunk; every request index appears in exactly
-    one chunk, so reassembly by index reproduces request order.
+    Requests are bucketed by the lane :func:`affinity_lane` assigns to their
+    :meth:`~repro.engine.requests.KNNQuery.affinity_key` — a function of the
+    key alone, not of the batch — so requests that share a query object run
+    in one chunk, and follow-up batches land on the same workers' warm
+    caches.  Returns ``(chunks, lanes)``: one chunk per non-empty lane, in
+    lane order, each holding its request indices in ascending order.  Every
+    request index appears in exactly one chunk, so reassembly by index
+    reproduces request order.
 
-    The trade-off versus the load-balanced assignment: a skewed batch can
+    The trade-off versus a load-balanced assignment: a skewed batch can
     leave lanes idle.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1 when given")
     buckets: dict[int, list[int]] = {}
     for index, request in enumerate(requests):
         buckets.setdefault(affinity_lane(request.affinity_key(), workers), []).append(
             index
         )
-    chunks: list[list[int]] = []
-    lanes: list[int] = []
-    for lane in sorted(buckets):
-        for part in _split(buckets[lane], chunk_size):
-            chunks.append(part)
-            lanes.append(lane)
-    return chunks, lanes
-
-
-def adaptive_chunk_size(
-    num_requests: int,
-    workers: int,
-    seconds_per_request: Optional[float],
-    target_chunk_seconds: float = ADAPTIVE_TARGET_CHUNK_SECONDS,
-) -> Optional[int]:
-    """Chunk-size cap derived from observed per-request cost.
-
-    Sizes chunks to roughly ``target_chunk_seconds`` of worker time each —
-    cheap requests batch up (amortising per-chunk dispatch overhead),
-    expensive requests split down (so a straggler chunk cannot idle the
-    rest of the pool at the tail of a batch).  The cap never exceeds an
-    even ``num_requests / workers`` split and never drops below 1; with no
-    cost history (``seconds_per_request`` is ``None`` or non-positive) the
-    answer is ``None`` — the executor's default chunking.  Chunk size never
-    affects results, so adapting it between batches is always safe.
-    """
-    if seconds_per_request is None or seconds_per_request <= 0:
-        return None
-    if num_requests <= 0:
-        return None
-    even = max(1, math.ceil(num_requests / max(1, workers)))
-    size = int(round(target_chunk_seconds / seconds_per_request))
-    return max(1, min(size if size > 0 else 1, even))
+    lanes = sorted(buckets)
+    return [buckets[lane] for lane in lanes], lanes
 
 
 # --------------------------------------------------------------------- #
@@ -883,18 +677,17 @@ class WorkerPool:
     export active on the database, the payload is a lightweight handle —
     see ``repro/uncertain/sharedmem.py``), every worker rebuilds it through
     the pool initializer, and the worker-local caches then persist across
-    every chunk the pool ever executes.  ``run_process_batch`` creates one
-    pool per batch; a :class:`~repro.engine.service.QueryService` keeps one
-    alive across its whole lifetime, which is where pool startup and cache
-    warm-up amortisation actually pay off.
+    every chunk the pool ever executes.  A
+    :class:`~repro.engine.service.QueryService` keeps one alive across its
+    whole lifetime, which is where pool startup and cache warm-up
+    amortisation pay off.
 
     Internally the pool is a set of single-worker **lanes** (one
-    ``ProcessPoolExecutor`` of one process each).  Chunks submitted without
-    a lane go to the least-loaded lane; chunks submitted *with* one run on
-    exactly that worker — which is what lets the service pin affinity
-    buckets of successive batches to the worker whose caches already hold
-    their state (:func:`affine_partition`).  Lane choice never influences
-    results, only where warm-up happens.
+    ``ProcessPoolExecutor`` of one process each).  Every chunk names its
+    lane and runs on exactly that worker — which is what lets the service
+    pin affinity buckets of successive batches to the worker whose caches
+    already hold their state (:func:`affine_partition`).  Lane choice never
+    influences results, only where warm-up happens.
 
     With ``warm_start`` set (``(directory, database digest, config
     fingerprint)``), every worker opens its lane's warm-start file through
@@ -945,8 +738,6 @@ class WorkerPool:
         # futures from the same dead executor trigger exactly one respawn
         self._generation = [0] * workers
         self._respawn_lock = threading.Lock()
-        self._pending = [0] * workers
-        self._pending_lock = threading.Lock()
         self._closed = False
 
     def _new_lane(self, lane: int) -> ProcessPoolExecutor:
@@ -997,80 +788,44 @@ class WorkerPool:
         self,
         chunk_index: int,
         requests: Sequence["QueryRequest"],
-        lane: Optional[int] = None,
-    ):
-        """Dispatch one chunk; resolves to ``(chunk_index, results, stats)``.
-
-        ``lane=None`` picks the lane with the fewest outstanding chunks
-        (ties to the lowest index); an explicit lane pins the chunk to that
-        worker.  Out-of-range lanes wrap modulo the pool size, so lane
-        assignments computed for a larger pool degrade gracefully.  On a
-        supervised pool, submitting to a lane whose worker has died respawns
-        the lane and submits to the fresh worker.
-        """
-        future, _lane = self._submit_chunk(chunk_index, requests, lane)
-        return future
-
-    def _submit_chunk(
-        self,
-        chunk_index: int,
-        requests: Sequence["QueryRequest"],
-        lane: Optional[int] = None,
+        lane: int,
         deadline_epoch: Optional[float] = None,
     ):
-        """:meth:`submit_chunk` plus the chosen lane, for the supervisor."""
-        with self._pending_lock:
-            if lane is None:
-                lane = min(range(self.workers), key=lambda i: (self._pending[i], i))
-            else:
-                lane %= self.workers
-            self._pending[lane] += 1
+        """Dispatch one chunk to ``lane``; the future resolves to
+        ``(chunk_index, results, stats)``.
+
+        Out-of-range lanes wrap modulo the pool size, so lane assignments
+        computed for a larger pool degrade gracefully.  On a supervised
+        pool, submitting to a lane whose worker has died respawns the lane
+        and submits to the fresh worker.
+        """
+        lane %= self.workers
         try:
-            future = self._lanes[lane].submit(
+            return self._lanes[lane].submit(
                 _run_chunk, chunk_index, list(requests), deadline_epoch
             )
         except BrokenExecutor:
             # the lane died between batches: respawn once and retry there
             if not self.supervised:
-                self._release_lane(lane)
                 raise
             self._respawn_lane(lane, self._generation[lane])
-            try:
-                future = self._lanes[lane].submit(
-                    _run_chunk, chunk_index, list(requests), deadline_epoch
-                )
-            except BaseException:
-                self._release_lane(lane)
-                raise
-        except BaseException:
-            # e.g. a closed lane: undo the reservation so least-loaded
-            # selection is not skewed for the pool's remaining lifetime
-            self._release_lane(lane)
-            raise
-        future.add_done_callback(lambda _f, lane=lane: self._release_lane(lane))
-        return future, lane
-
-    def _release_lane(self, lane: int) -> None:
-        with self._pending_lock:
-            self._pending[lane] -= 1
+            return self._lanes[lane].submit(
+                _run_chunk, chunk_index, list(requests), deadline_epoch
+            )
 
     def run_chunks(
         self,
         requests: Sequence["QueryRequest"],
         chunks: Sequence[Sequence[int]],
-        lanes: Optional[Sequence[int]] = None,
+        lanes: Sequence[int],
         deadline_epoch: Optional[float] = None,
     ) -> tuple[list, list[ChunkStats], dict[str, int]]:
         """Execute pre-partitioned chunks and reassemble request order.
 
-        ``lanes``, when given, pins chunk ``i`` to worker lane ``lanes[i]``
-        (the worker-affine dispatch of :func:`affine_partition`).  Without
-        lanes, dispatch is *work-conserving*: two chunks are primed per
-        lane (so a worker never stalls on the parent's dispatch round-trip)
-        and every further chunk goes to whichever lane finishes first —
-        approximating a shared-queue pool, up to the one already-queued
-        chunk per lane that cannot be stolen once primed.  Results are
-        placed by original request index, so worker scheduling affects only
+        Chunk ``i`` runs on worker lane ``lanes[i]`` (the worker-affine
+        dispatch of :func:`affine_partition`); every chunk is submitted at
+        once, so a lane with several chunks queues them.  Results are placed
+        by original request index, so the lane assignment affects only
         *where* cache warm-up happens, never the results.
 
         Failure handling, in escalation order: a chunk whose worker *died*
@@ -1095,30 +850,15 @@ class WorkerPool:
         respawns_before = self.respawns
         pending: dict = {}  # in-flight future -> (chunk index, lane, generation)
 
-        def _submit(index: int, lane: Optional[int]) -> None:
-            future, chosen = self._submit_chunk(
+        def _submit(index: int) -> None:
+            lane = lanes[index] % self.workers
+            future = self.submit_chunk(
                 index, [requests[i] for i in chunks[index]], lane, deadline_epoch
             )
-            pending[future] = (index, chosen, self._generation[chosen])
+            pending[future] = (index, lane, self._generation[lane])
 
-        if lanes is not None:
-            feed = None
-            for index in range(len(chunks)):
-                _submit(index, lanes[index])
-        else:
-            order = iter(range(len(chunks)))
-
-            def feed(lane: int) -> None:
-                index = next(order, None)
-                if index is not None:
-                    _submit(index, lane)
-
-            # depth-2 pipeline per lane: one chunk running, one queued, so a
-            # worker never stalls on the parent's dispatch round-trip
-            for _ in range(2):
-                for lane in range(self.workers):
-                    feed(lane)
-
+        for index in range(len(chunks)):
+            _submit(index)
         try:
             while pending:
                 timeout = None
@@ -1163,13 +903,11 @@ class WorkerPool:
                         time.sleep(self.retry_backoff * (2 ** attempts[index]))
                         attempts[index] += 1
                         retries += 1
-                        _submit(index, lane)
+                        _submit(index)
                         continue
                     for position, result in zip(chunks[index], chunk_results):
                         results[position] = result
                     chunk_stats.append(stats)
-                    if feed is not None:
-                        feed(lane)
         except BaseException:
             for future in pending:
                 future.cancel()
@@ -1246,62 +984,3 @@ class WorkerPool:
         """Context-manager exit: close the pool, waiting for the workers."""
         self.close(wait=True, cancel_pending=exc_type is not None)
 
-
-def run_process_batch(
-    engine: "QueryEngine",
-    requests: Sequence["QueryRequest"],
-    config: ExecutorConfig,
-) -> tuple[list, BatchReport]:
-    """Evaluate ``requests`` on a per-batch process pool and merge reports.
-
-    The engine is pickled once and shipped to every worker through the pool
-    initializer; chunks are dispatched to whichever worker is free, and the
-    chunk results are reassembled into request order by index.  The pool is
-    torn down when the batch completes — including on error, so a failing
-    chunk can never leak worker processes.  Use a
-    :class:`~repro.engine.service.QueryService` to keep the pool (and the
-    workers' warmed caches) alive across batches.
-    """
-    workers = config.effective_workers
-    chunk_size = config.chunk_size
-    if chunk_size == ADAPTIVE:
-        # one-report history: the engine's previous batch, when there was one.
-        # Divide by the requests that actually *ran* — a history report with
-        # zero completed requests (empty or failed batch) carries no cost
-        # signal and falls through to default sizing.
-        previous = engine.last_batch_report
-        per_request = None
-        if (
-            previous is not None
-            and previous.completed_requests > 0
-            and previous.epoch == engine.database.epoch
-        ):
-            # cost history from a different snapshot epoch is discarded: a
-            # mutation can change the per-request cost profile arbitrarily
-            per_request = (
-                sum(stats.seconds for stats in previous.chunks)
-                / previous.completed_requests
-            )
-        chunk_size = adaptive_chunk_size(len(requests), workers, per_request)
-    chunks = partition_requests(requests, workers, chunk_size, config.chunking)
-    start = time.perf_counter()
-    # the report records the *resolved* chunk size (int or None), matching
-    # what the service path records for the same sentinel
-    with WorkerPool(
-        engine, max(1, min(workers, len(chunks))), config.start_method
-    ) as pool:
-        results, chunk_stats, faults = pool.run_chunks(requests, chunks)
-    report = BatchReport(
-        mode="process",
-        workers=workers,
-        chunking=config.chunking,
-        chunk_size=chunk_size,
-        num_requests=len(requests),
-        elapsed_seconds=time.perf_counter() - start,
-        chunks=tuple(chunk_stats),
-        pool="per-batch",
-        worker_respawns=faults["worker_respawns"],
-        chunk_retries=faults["chunk_retries"],
-        epoch=engine.database.epoch,
-    )
-    return results, report

@@ -11,9 +11,8 @@ shipped to the engine in one call — or, with an
 pool, where only the request — never the database — crosses the process
 boundary per batch).
 Every request carries a ``kind`` tag (used by the batch report) and an
-``affinity_key`` (used by the affinity chunking strategy to keep requests
-that share cacheable state in the same chunk — with the default unsplit
-chunking, on the same worker).  Treat requests as immutable
+``affinity_key`` (hashed to a worker lane, so requests that share cacheable
+state run in the same chunk on the same worker).  Treat requests as immutable
 inputs: under process execution a worker runs a *copy*, so side effects on a
 request's ``stop`` criterion are not reflected in the caller's instance —
 read decisions from the returned results instead.

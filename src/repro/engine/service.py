@@ -1,9 +1,15 @@
 """Long-lived query service: one worker pool for the whole process lifetime.
 
+The module is longer than the repository's ~600-line guideline because the
+service's parts share one dispatcher thread and one lock: admission
+control, the FIFO queue, the mutation barrier and shutdown each read the
+counters and flags the others write, so they stay in one class.
+
 ``QueryEngine.evaluate_many`` with an :class:`~repro.engine.executor
-.ExecutorConfig` builds a process pool, evaluates one batch and tears the
-pool down again — every batch pays pool startup and per-worker engine
-rebuild.  A :class:`QueryService` hoists that cost out of the batch loop:
+.ExecutorConfig` runs its batch on a short-lived service, closed when the
+batch returns — every such batch pays pool startup and per-worker engine
+rebuild.  A long-lived :class:`QueryService` hoists that cost out of the
+batch loop:
 
 * the **worker pool** (:class:`~repro.engine.executor.WorkerPool`) is
   spawned once at construction and reused by every batch until the service
@@ -20,12 +26,11 @@ rebuild.  A :class:`QueryService` hoists that cost out of the batch loop:
   a single dispatcher thread drains the queue in FIFO order (chunks of one
   batch still run in parallel across the pool), and the blocking
   :meth:`QueryService.evaluate_many` routes through the same queue;
-* **dispatch is worker-affine** (PR 5): with ``"affinity"`` chunking each
-  affinity bucket's lane is a stable hash of its key, so successive batches
-  route a recurring query object to the same worker's warm caches, and
-  ``chunk_size="adaptive"`` sizes chunks from the observed per-request cost
-  of earlier batches (:class:`~repro.engine.executor.BatchReport` history);
-* the **database is versioned in place** (PR 9): :meth:`QueryService.apply`
+* **dispatch is worker-affine**: each affinity bucket's lane is a stable
+  hash of its key (:func:`~repro.engine.executor.affine_partition`), so
+  successive batches route a recurring query object to the same worker's
+  warm caches;
+* the **database is versioned in place**: :meth:`QueryService.apply`
   threads a mutation batch through the same FIFO queue as query batches,
   which makes it a *snapshot barrier* — a batch admitted at epoch ``E``
   sees exactly snapshot ``E``, never a half-applied update.  Workers
@@ -39,7 +44,7 @@ rebuild.  A :class:`QueryService` hoists that cost out of the batch loop:
   with its predecessors' columns (see ``engine/boundstore.py``).
 
 Determinism is inherited unchanged from the executor layer: results are
-bit-identical to the serial path for every worker count, chunking and batch
+bit-identical to the serial path for every worker count and batch
 composition, and persistent worker caches only ever remove recomputation.
 
 The service is **fault-tolerant** (see the "Failure model" section of
@@ -92,16 +97,12 @@ from .errors import (
     WorkerCrashError,
 )
 from .executor import (
-    ADAPTIVE,
     DEFAULT_MAX_CHUNK_RETRIES,
     DEFAULT_WATCHDOG_GRACE_SECONDS,
     BatchReport,
     ExecutorConfig,
     WorkerPool,
-    adaptive_chunk_size,
     affine_partition,
-    partition_requests,
-    validate_chunk_size,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -109,10 +110,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .requests import QueryRequest
 
 __all__ = ["QueryService", "ServiceBatch", "MutationTicket"]
-
-#: Sentinel distinguishing "argument not passed" from an explicit ``None``
-#: (``chunk_size=None`` meaningfully requests one chunk per affinity bucket).
-_UNSET = object()
 
 
 class ServiceBatch:
@@ -143,7 +140,7 @@ class ServiceBatch:
         """Block until the batch completes and return its merged report.
 
         The report's ``elapsed_seconds`` measures submit-to-completion
-        latency (queue wait included) and ``pool`` is ``"persistent"``.
+        latency (queue wait included) and ``mode`` is ``"process"``.
         """
         return self._future.result(timeout)[1]
 
@@ -207,13 +204,11 @@ class MutationTicket:
 
 @dataclass
 class _Job:
-    """One queued batch: requests, their partitioning, and the future."""
+    """One queued batch: requests, their lane-pinned chunks, and the future."""
 
     requests: list
     chunks: list[list[int]]
-    chunking: str
-    chunk_size: Optional[int]
-    lanes: Optional[list[int]] = None
+    lanes: list[int]
     future: Future = field(default_factory=Future)
     enqueued_at: float = 0.0
     #: Absolute ``time.time()`` epoch the batch must finish by (``None`` =
@@ -235,11 +230,6 @@ class _MutationJob:
     future: Future = field(default_factory=Future)
 
 
-#: Exponential-moving-average weight of the newest batch's per-request cost
-#: (0.5 adapts within a couple of batches while smoothing one-off spikes).
-_COST_EWMA_ALPHA = 0.5
-
-
 class QueryService:
     """A persistent front-end over one engine, its pool and its dataset.
 
@@ -251,11 +241,10 @@ class QueryService:
         built over it).
     executor:
         Optional :class:`~repro.engine.executor.ExecutorConfig` supplying
-        the worker count (``effective_workers``; the adaptive default
-        derives it from :func:`os.cpu_count`), default chunking and start
-        method.  The ``mode`` field is ignored — a service exists to own a
-        process pool; use ``engine.evaluate_many`` directly for serial
-        evaluation.
+        the worker count (``effective_workers``; the default derives it
+        from :func:`os.cpu_count`) and start method.  A service always owns
+        a process pool, even of one worker; use ``engine.evaluate_many``
+        directly for serial evaluation.
     share_memory:
         ``True`` exports the database into shared memory before the pool
         starts (raises when the platform cannot); ``False`` forces the
@@ -370,7 +359,6 @@ class QueryService:
             if self._export is not None:
                 self._export.release()
             raise
-        self._cost_ewma: Optional[float] = None
         # parent-side owners of every mutation delta shipped to the pool;
         # must outlive the pool (a respawned lane replays the whole delta
         # history from its block), released in close()
@@ -446,24 +434,6 @@ class QueryService:
         return bool(self._warm_start_stats and self._warm_start_stats["warm_started"])
 
     @property
-    def observed_request_seconds(self) -> Optional[float]:
-        """EWMA of per-request worker seconds over completed batches.
-
-        The cost signal behind ``chunk_size="adaptive"``; ``None`` until the
-        first batch completes.
-        """
-        return self._cost_ewma
-
-    def adaptive_chunk_size(self, num_requests: int) -> Optional[int]:
-        """Chunk-size cap ``chunk_size="adaptive"`` resolves to right now.
-
-        Derived from :attr:`observed_request_seconds` via
-        :func:`~repro.engine.executor.adaptive_chunk_size`; ``None`` (use
-        the default chunking) while there is no cost history yet.
-        """
-        return adaptive_chunk_size(num_requests, self.workers, self._cost_ewma)
-
-    @property
     def worker_pids(self) -> tuple[int, ...]:
         """Distinct worker pids observed across all completed batches.
 
@@ -532,26 +502,17 @@ class QueryService:
     def submit(
         self,
         requests: Sequence["QueryRequest"],
-        chunk_size=_UNSET,
-        chunking: Optional[str] = None,
         deadline: Optional[float] = None,
         deadline_epoch: Optional[float] = None,
     ) -> ServiceBatch:
         """Enqueue a batch and return a :class:`ServiceBatch` immediately.
 
-        The batch is partitioned here (a deterministic function of the batch
-        alone) and executed by the dispatcher in FIFO order; chunks run in
-        parallel across the persistent pool.  ``chunk_size`` / ``chunking``
-        default to the service's executor config; ``chunk_size="adaptive"``
-        resolves against the observed per-request cost of earlier batches
-        (:meth:`adaptive_chunk_size`) under ``"contiguous"`` chunking, and
-        is a no-op under ``"affinity"`` — splitting a lane-pinned bucket
-        cannot move work to another lane, it only adds dispatch overhead.
-        With ``"affinity"`` chunking the
-        chunks are additionally *pinned*: each affinity bucket's lane is a
-        stable hash of its key (:func:`~repro.engine.executor.affine_partition`),
-        so a recurring query object lands on the worker whose caches served
-        it last batch.
+        The batch is partitioned here into one chunk per lane and executed
+        by the dispatcher in FIFO order; chunks run in parallel across the
+        persistent pool.  Each request's lane is a stable hash of its
+        affinity key (:func:`~repro.engine.executor.affine_partition`), so a
+        recurring query object lands on the worker whose caches served it
+        last batch.
 
         ``deadline`` (seconds from now, positive and finite) bounds the
         batch's wall clock, queue wait included: work past the deadline
@@ -576,9 +537,6 @@ class QueryService:
         work is unaffected).
         """
         requests = list(requests)
-        size = self.config.chunk_size if chunk_size is _UNSET else chunk_size
-        if chunk_size is not _UNSET:
-            validate_chunk_size(size)
         if deadline is not None and deadline_epoch is not None:
             raise ValueError("pass either deadline or deadline_epoch, not both")
         if deadline is not None and not (
@@ -602,28 +560,8 @@ class QueryService:
                 raise ValueError(
                     f"deadline_epoch {deadline_epoch!r} already expired"
                 )
-        strategy = chunking if chunking is not None else self.config.chunking
-        if size == ADAPTIVE:
-            # splitting a lane-pinned bucket cannot rebalance work (the
-            # extra chunks run sequentially on the same lane), so the
-            # adaptive cap only applies to work-conserving dispatch
-            size = (
-                None
-                if strategy == "affinity"
-                else self.adaptive_chunk_size(len(requests))
-            )
-        lanes: Optional[list[int]] = None
-        if strategy == "affinity":
-            chunks, lanes = affine_partition(requests, self._pool.workers, size)
-        else:
-            chunks = partition_requests(requests, self._pool.workers, size, strategy)
-        job = _Job(
-            requests=requests,
-            chunks=chunks,
-            chunking=strategy,
-            chunk_size=size,
-            lanes=lanes,
-        )
+        chunks, lanes = affine_partition(requests, self._pool.workers)
+        job = _Job(requests=requests, chunks=chunks, lanes=lanes)
         with self._submit_lock:
             if self._closed:
                 raise ServiceClosedError("cannot submit to a closed QueryService")
@@ -657,8 +595,6 @@ class QueryService:
     def evaluate_many(
         self,
         requests: Sequence["QueryRequest"],
-        chunk_size=_UNSET,
-        chunking: Optional[str] = None,
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
         deadline_epoch: Optional[float] = None,
@@ -669,17 +605,13 @@ class QueryService:
         request order, bit-identical to the serial path — but dispatched
         onto the service's persistent pool.  The merged report lands on
         :attr:`last_batch_report` and on the engine's
-        ``last_batch_report`` (with ``pool="persistent"``).  ``deadline`` /
+        ``last_batch_report`` (with ``mode="process"``).  ``deadline`` /
         ``deadline_epoch`` are forwarded to :meth:`submit`; ``timeout``
         only bounds this call's blocking wait (the batch keeps running
         server-side when it fires).
         """
         handle = self.submit(
-            requests,
-            chunk_size=chunk_size,
-            chunking=chunking,
-            deadline=deadline,
-            deadline_epoch=deadline_epoch,
+            requests, deadline=deadline, deadline_epoch=deadline_epoch
         )
         return handle.result(timeout)
 
@@ -767,10 +699,6 @@ class QueryService:
             else:
                 job.future.set_exception(error)
             return
-        # the cost profile of the old snapshot does not transfer: content,
-        # cardinality and cache warmth all changed, so adaptive chunk
-        # sizing restarts from scratch at the new epoch
-        self._cost_ewma = None
         job.future.set_result(self.engine.database.epoch)
 
     def _dispatch_loop(self) -> None:
@@ -822,28 +750,12 @@ class QueryService:
                     else:
                         job.future.set_exception(error)
                     continue
-                completed = sum(s.size for s in chunk_stats)
-                if completed > 0:
-                    # divide by the work that ran: a report with zero
-                    # completed requests carries no cost signal and must
-                    # not poison (or zero-divide) the EWMA
-                    per_request = sum(s.seconds for s in chunk_stats) / completed
-                    if self._cost_ewma is None:
-                        self._cost_ewma = per_request
-                    else:
-                        self._cost_ewma = (
-                            _COST_EWMA_ALPHA * per_request
-                            + (1.0 - _COST_EWMA_ALPHA) * self._cost_ewma
-                        )
                 report = BatchReport(
                     mode="process",
                     workers=self._pool.workers,
-                    chunking=job.chunking,
-                    chunk_size=job.chunk_size,
                     num_requests=len(job.requests),
                     elapsed_seconds=time.perf_counter() - job.enqueued_at,
                     chunks=tuple(chunk_stats),
-                    pool="persistent",
                     worker_respawns=faults["worker_respawns"],
                     chunk_retries=faults["chunk_retries"],
                     epoch=self.engine.database.epoch,

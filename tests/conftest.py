@@ -76,3 +76,27 @@ def small_discrete_database() -> UncertainDatabase:
 def reference_object():
     """A random uncertain reference (query) object."""
     return random_reference_object(extent=0.05, seed=21, label="reference")
+
+
+@pytest.fixture(scope="session")
+def span_lanes():
+    """Extend a batch until affine dispatch puts work on every lane.
+
+    Lanes are a hash of each request's affinity key, so which lanes a
+    given batch reaches varies with the interpreter's hash seed.  Tests
+    that need every lane busy (one warm-start file per lane, one pid per
+    lane) append kNN queries over database positions ``0, 1, ...`` until
+    :func:`~repro.engine.executor.affine_partition` reports every lane.
+    """
+    from repro.engine import KNNQuery, affine_partition
+
+    def extend(requests, workers, num_objects):
+        batch = list(requests)
+        for index in range(num_objects):
+            if len(affine_partition(batch, workers)[1]) == workers:
+                break
+            batch.append(KNNQuery(index, k=2, tau=0.5, max_iterations=3))
+        assert len(affine_partition(batch, workers)[1]) == workers
+        return batch
+
+    return extend

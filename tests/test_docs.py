@@ -1,6 +1,6 @@
 """Documentation is executable: snippets run, links resolve, API documented.
 
-Three guarantees, enforced in CI by the docs job:
+Four guarantees, enforced in CI by the docs job:
 
 1. every fenced ``python`` code block in ``README.md`` and ``docs/*.md``
    executes without error (so the quickstart and the worked examples can be
@@ -10,11 +10,14 @@ Three guarantees, enforced in CI by the docs job:
    in the repository;
 3. every public name exported by the ``repro.engine`` package — and every
    public method those classes define — carries a docstring stating its
-   contract.
+   contract;
+4. every ``src/repro`` module longer than the repository's ~600-line
+   guideline says why at its top.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -141,3 +144,25 @@ def test_engine_modules_have_docstrings():
     ):
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} has no module docstring"
+
+
+# --------------------------------------------------------------------- #
+# 4. a module over the size guideline says why
+# --------------------------------------------------------------------- #
+MODULE_LINE_GUIDELINE = 600
+SIZE_REASON = "longer than the repository's ~600-line guideline"
+
+
+def test_oversized_modules_state_a_reason():
+    unexplained = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        if text.count("\n") <= MODULE_LINE_GUIDELINE:
+            continue
+        docstring = " ".join((ast.get_docstring(ast.parse(text)) or "").split())
+        if SIZE_REASON not in docstring:
+            unexplained.append(path.relative_to(REPO_ROOT).as_posix())
+    assert not unexplained, (
+        f"modules over {MODULE_LINE_GUIDELINE} lines whose docstring does not "
+        f"say why they are {SIZE_REASON!r}: {unexplained}"
+    )

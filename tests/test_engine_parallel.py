@@ -1,20 +1,26 @@
 """Parallel batch execution: determinism, partitioning, and reporting.
 
 The contract under test (``repro/engine/executor.py``): for any worker
-count, chunk size and chunking strategy, ``QueryEngine.evaluate_many``
-returns results bit-identical to the serial shared-cache path — which is
-itself pinned to the seed behaviour by ``tests/test_engine_equivalence.py``.
-The heterogeneous batch here mirrors the seeded equivalence scenarios, so a
+count, ``QueryEngine.evaluate_many`` and a ``QueryService`` return results
+bit-identical to the serial shared-cache path — which is itself pinned to
+the seed behaviour by ``tests/test_engine_equivalence.py``.  The
+heterogeneous batch here mirrors the seeded equivalence scenarios, so a
 pass chains all the way back to the pre-engine implementations.
 
 Also covered: the stable cross-process keys of ``engine/boundstore.py``,
-worker-affine dispatch (stable lanes across batches), cost-adaptive chunk
-sizing, and a service without a warm-start directory doing no stable-key
-work at all.
+worker-affine dispatch (stable lanes across batches), the short-lived
+service behind ``evaluate_many(executor=ExecutorConfig(...))`` never
+leaking a worker or an export, and a service without a warm-start
+directory doing no stable-key work at all.
+
+``REPRO_TEST_START_METHOD`` picks the pool start method, and the file runs
+on either dataset transport (``REPRO_DISABLE_SHARED_MEMORY=1`` selects the
+pickle one).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -36,10 +42,8 @@ from repro.engine import (
     RefinementScheduler,
     RKNNQuery,
     WorkerPool,
-    adaptive_chunk_size,
     affine_partition,
     affinity_lane,
-    partition_requests,
 )
 from repro.engine.boundstore import (
     config_fingerprint,
@@ -47,6 +51,11 @@ from repro.engine.boundstore import (
     encode_stable_key,
     stable_object_key,
 )
+from repro.uncertain.sharedmem import shared_memory_available
+
+# The CI jobs matrix this file over start methods through this variable;
+# locally it is unset and the platform default applies.
+START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
 
 @pytest.fixture(scope="module")
@@ -104,30 +113,43 @@ def serial_snapshot(database, requests):
 
 
 # --------------------------------------------------------------------- #
-# determinism across workers / chunk sizes / strategies
+# determinism across worker counts and both process paths
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_results_identical_across_worker_counts(
-    database, requests, serial_snapshot, workers
+@pytest.mark.parametrize("path", ["engine", "service"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_results_and_report_identical_across_worker_counts(
+    database, requests, serial_snapshot, path, workers
 ):
+    config = ExecutorConfig(workers=workers, start_method=START_METHOD)
+    before = set(multiprocessing.active_children())
     engine = QueryEngine(database)
-    config = ExecutorConfig(mode="process", workers=workers)
-    got = _snapshot(engine.evaluate_many(requests, executor=config))
+    if path == "engine":
+        got = _snapshot(engine.evaluate_many(requests, executor=config))
+        report = engine.last_batch_report
+        # the short-lived service behind the call reaped its workers
+        assert not (set(multiprocessing.active_children()) - before)
+    else:
+        with QueryService(engine, config) as service:
+            got = _snapshot(service.evaluate_many(requests))
+            report = service.last_batch_report
     assert got == serial_snapshot
-    assert engine.last_batch_report.mode == "process"
-
-
-@pytest.mark.parametrize("chunking", ["affinity", "contiguous"])
-@pytest.mark.parametrize("chunk_size", [1, 3])
-def test_results_identical_across_chunkings(
-    database, requests, serial_snapshot, chunking, chunk_size
-):
-    engine = QueryEngine(database)
-    config = ExecutorConfig(
-        mode="process", workers=2, chunk_size=chunk_size, chunking=chunking
-    )
-    got = _snapshot(engine.evaluate_many(requests, executor=config))
-    assert got == serial_snapshot
+    # one worker on the engine path is the serial path; a service always
+    # runs its lanes, even a single one
+    serial = path == "engine" and workers == 1
+    assert report.mode == ("serial" if serial else "process")
+    # one chunk per lane the batch's affinity keys hash to
+    _chunks, lanes = affine_partition(requests, workers)
+    assert report.num_chunks == (1 if serial else len(lanes))
+    assert report.completed_requests == report.num_requests == len(requests)
+    assert report.kinds == {
+        "knn": 3, "rknn": 1, "range": 1, "ranking": 1, "inverse_ranking": 1
+    }
+    assert report.scheduler_steps > 0
+    assert 1 <= len(report.worker_pids) <= workers
+    assert report.busiest_chunk_seconds <= report.elapsed_seconds
+    summary = report.to_dict()
+    assert summary["num_requests"] == len(requests)
+    assert sum(summary["chunk_sizes"]) == len(requests)
 
 
 def test_serial_engine_repeats_batches_identically(database, requests, serial_snapshot):
@@ -137,32 +159,28 @@ def test_serial_engine_repeats_batches_identically(database, requests, serial_sn
         assert _snapshot(engine.evaluate_many(requests)) == serial_snapshot
 
 
-def test_serial_config_matches_no_config(database, requests, serial_snapshot):
+def test_single_worker_or_single_request_runs_serially(
+    database, requests, serial_snapshot, monkeypatch
+):
     engine = QueryEngine(database)
-    config = ExecutorConfig(mode="serial", workers=4)
-    got = _snapshot(engine.evaluate_many(requests, executor=config))
+    got = _snapshot(engine.evaluate_many(requests, executor=ExecutorConfig(workers=1)))
     assert got == serial_snapshot
     assert engine.last_batch_report.mode == "serial"
-
-
-def test_auto_mode_resolution_table(monkeypatch):
-    # explicit workers are authoritative regardless of the machine
-    assert ExecutorConfig(workers=1).resolve_mode(10) == "serial"
-    assert ExecutorConfig(workers=4).resolve_mode(10) == "process"
-    assert ExecutorConfig(workers=4).resolve_mode(1) == "serial"
-    assert ExecutorConfig(mode="process").resolve_mode(1) == "process"
-    assert ExecutorConfig(mode="serial", workers=8).resolve_mode(10) == "serial"
-    # the adaptive default derives workers from the CPU count at resolution
-    # time, so "auto" scales out on multi-core machines ...
+    # nothing to parallelise: a one-request batch stays in this process
+    got = _snapshot(
+        engine.evaluate_many(requests[:1], executor=ExecutorConfig(workers=4))
+    )
+    assert got == serial_snapshot[:1]
+    assert engine.last_batch_report.mode == "serial"
+    # the default derives workers from the CPU count at resolution time, so
+    # one config scales out on multi-core machines ...
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert ExecutorConfig().effective_workers == 8
-    assert ExecutorConfig().resolve_mode(10) == "process"
-    assert ExecutorConfig().resolve_mode(1) == "serial"  # nothing to parallelise
-    assert ExecutorConfig(mode="serial").resolve_mode(10) == "serial"
     # ... and still means serial where there is only one core to scale to
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert ExecutorConfig().effective_workers == 1
-    assert ExecutorConfig().resolve_mode(10) == "serial"
+    engine.evaluate_many(requests, executor=ExecutorConfig())
+    assert engine.last_batch_report.mode == "serial"
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # cpu_count may fail
     assert ExecutorConfig().effective_workers == 1
     assert ExecutorConfig(workers=3).effective_workers == 3
@@ -177,47 +195,31 @@ def test_config_validation():
         ExecutorConfig(workers=2.5)
     with pytest.raises(ValueError, match="workers"):
         ExecutorConfig(workers=True)
-    with pytest.raises(ValueError, match="chunk_size"):
-        ExecutorConfig(chunk_size=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        ExecutorConfig(chunk_size=-1)
-    with pytest.raises(ValueError, match="chunk_size"):
-        ExecutorConfig(chunk_size=3.5)
-    with pytest.raises(ValueError, match="chunk_size"):
-        ExecutorConfig(chunk_size="dynamic")  # only "adaptive" is recognised
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        ExecutorConfig(mode="threads")
-    with pytest.raises(ValueError, match="unknown chunking strategy"):
-        ExecutorConfig(chunking="random")
-    with pytest.raises(TypeError):
-        ExecutorConfig(shared_bounds=False)  # removed in 2.0.0
+    # removed in 2.0.0 (shared_bounds) and 3.0.0 (the rest)
+    for removed in ("shared_bounds", "mode", "chunk_size", "chunking", "kernel_backend"):
+        with pytest.raises(TypeError):
+            ExecutorConfig(**{removed: None})
     # the accepted surface
-    ExecutorConfig(workers=1, chunk_size=1)
-    ExecutorConfig(chunk_size="adaptive")
+    assert [f.name for f in dataclasses.fields(ExecutorConfig)] == [
+        "workers", "start_method"
+    ]
+    ExecutorConfig(workers=1, start_method=None)
+
+
+def test_evaluate_many_rejects_unknown_executors(database, requests):
+    with pytest.raises(TypeError, match="executor"):
+        QueryEngine(database).evaluate_many(requests, executor="process")
 
 
 # --------------------------------------------------------------------- #
 # partitioning
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("chunking", ["affinity", "contiguous"])
-@pytest.mark.parametrize("workers,chunk_size", [(1, None), (2, None), (4, 2), (3, 1)])
-def test_partition_covers_every_request_once(requests, chunking, workers, chunk_size):
-    chunks = partition_requests(requests, workers, chunk_size, chunking)
-    flat = sorted(index for chunk in chunks for index in chunk)
-    assert flat == list(range(len(requests)))
-    if chunk_size is not None:
-        assert all(len(chunk) <= chunk_size for chunk in chunks)
-
-
-def test_affinity_groups_shared_queries(requests):
-    chunks = partition_requests(requests, 4, None, "affinity")
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_affinity_groups_shared_queries(requests, workers):
+    chunks, _lanes = affine_partition(requests, workers)
     by_request = {index: chunk_id for chunk_id, chunk in enumerate(chunks) for index in chunk}
     # requests 0 and 6 are the same KNNQuery object-spec: same chunk
     assert by_request[0] == by_request[6]
-
-
-def test_partition_empty_batch():
-    assert partition_requests([], 4) == []
 
 
 # --------------------------------------------------------------------- #
@@ -257,25 +259,10 @@ def test_serial_report_accounting(database, requests):
     assert report.scheduler_steps > 0
     assert report.pair_bounds_misses > 0
     assert report.elapsed_seconds > 0
-
-
-def test_process_report_merges_worker_chunks(database, requests):
-    engine = QueryEngine(database)
-    config = ExecutorConfig(mode="process", workers=2, chunk_size=2)
-    engine.evaluate_many(requests, executor=config)
-    report = engine.last_batch_report
-    assert report.mode == "process"
-    assert report.num_chunks == 4  # 7 requests, affinity buckets split by 2
-    assert sum(stats.size for stats in report.chunks) == len(requests)
-    assert report.kinds == {
-        "knn": 3, "rknn": 1, "range": 1, "ranking": 1, "inverse_ranking": 1
-    }
-    assert report.scheduler_steps > 0
-    assert len(report.worker_pids) >= 1
-    assert report.busiest_chunk_seconds <= report.elapsed_seconds
     summary = report.to_dict()
-    assert summary["num_requests"] == len(requests)
-    assert sum(summary["chunk_sizes"]) == len(requests)
+    for removed in ("pool", "chunking", "chunk_size"):  # removed in 3.0.0
+        assert removed not in summary
+        assert not hasattr(report, removed)
 
 
 # --------------------------------------------------------------------- #
@@ -349,42 +336,50 @@ def test_adapters_inherit_configuration_from_engine(database, reference):
     assert repeated.result_indices() == direct.result_indices()
 
 
-def test_partition_requests_validates_arguments(requests):
-    with pytest.raises(ValueError, match="workers"):
-        partition_requests(requests, 0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        partition_requests(requests, 2, chunk_size=0)
-    with pytest.raises(ValueError, match="chunking"):
-        partition_requests(requests, 2, chunking="shuffle")
-
-
 # --------------------------------------------------------------------- #
-# error paths: the per-batch pool never leaks workers or shared memory
+# error paths: the short-lived service never leaks workers or shared memory
 # --------------------------------------------------------------------- #
-def test_poisoned_request_tears_per_batch_pool_down(database, requests):
+@pytest.mark.parametrize(
+    "caller_export",
+    [
+        False,
+        pytest.param(
+            True,
+            marks=pytest.mark.skipif(
+                not shared_memory_available(), reason="no shared memory here"
+            ),
+        ),
+    ],
+    ids=["no-export", "caller-export"],
+)
+def test_poisoned_request_tears_the_short_lived_service_down(
+    database, requests, caller_export
+):
     before = set(multiprocessing.active_children())
     engine = QueryEngine(database)
-    export = engine.database.share_memory()
-    name = export.handle.shm_name
+    export = engine.database.share_memory() if caller_export else None
+    name = export.handle.shm_name if caller_export else None
     try:
         poisoned = [requests[0], KNNQuery(0, k=0, tau=0.5)]  # k=0 raises
-        config = ExecutorConfig(mode="process", workers=2, chunk_size=1)
+        config = ExecutorConfig(workers=2, start_method=START_METHOD)
         with pytest.raises(ValueError, match="k must be positive"):
             engine.evaluate_many(poisoned, executor=config)
-        # the with-block in run_process_batch reaped every worker
+        # closing the short-lived service reaped every worker
         assert not (set(multiprocessing.active_children()) - before)
-        # the shared block is owned by the export, not the batch: still linked
-        assert export.active
+        if export is not None:
+            # the shared block is owned by the export, not the batch: still linked
+            assert export.active
     finally:
-        export.close()
-    if os.path.isdir("/dev/shm"):
+        if export is not None:
+            export.close()
+    if caller_export and os.path.isdir("/dev/shm"):
         assert not os.path.exists(f"/dev/shm/{name}")
 
 
 def test_partitioning_error_raises_before_any_worker_starts(database, requests):
     before = set(multiprocessing.active_children())
     engine = QueryEngine(database)
-    config = ExecutorConfig(mode="process", workers=2, chunking="affinity")
+    config = ExecutorConfig(workers=2, start_method=START_METHOD)
     broken = object()  # no affinity_key(): partitioning fails in the parent
     with pytest.raises(AttributeError):
         engine.evaluate_many([requests[0], broken], executor=config)
@@ -437,14 +432,18 @@ def test_config_fingerprint_tracks_axis_policy():
 
 
 # --------------------------------------------------------------------- #
-# worker-affine dispatch and adaptive chunking
+# worker-affine dispatch
 # --------------------------------------------------------------------- #
-def test_affine_partition_covers_each_request_once(requests):
-    chunks, lanes = affine_partition(requests, workers=3)
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_affine_partition_covers_each_request_once(requests, workers):
+    chunks, lanes = affine_partition(requests, workers=workers)
     assert len(chunks) == len(lanes)
     covered = sorted(index for chunk in chunks for index in chunk)
     assert covered == list(range(len(requests)))
-    assert all(0 <= lane < 3 for lane in lanes)
+    assert all(0 <= lane < workers for lane in lanes)
+    # one chunk per lane, in lane order, indices ascending within a chunk
+    assert lanes == sorted(set(lanes))
+    assert all(chunk == sorted(chunk) for chunk in chunks)
 
 
 def test_affine_lanes_are_stable_across_batches(requests):
@@ -473,8 +472,6 @@ def test_affinity_lane_matches_partition(requests):
 def test_affine_partition_validates_arguments(requests):
     with pytest.raises(ValueError):
         affine_partition(requests, workers=0)
-    with pytest.raises(ValueError):
-        affine_partition(requests, workers=2, chunk_size=0)
     assert affine_partition([], workers=2) == ([], [])
 
 
@@ -504,7 +501,7 @@ def test_affine_dispatch_keeps_index_queries_on_warm_caches(database):
     """
     batch = [KNNQuery(7, k=3, tau=0.5, max_iterations=4)]
     with QueryService(
-        QueryEngine(database), ExecutorConfig(workers=2, chunking="affinity")
+        QueryEngine(database), ExecutorConfig(workers=2, start_method=START_METHOD)
     ) as service:
         first = _snapshot(service.evaluate_many(batch))
         report_one = service.last_batch_report
@@ -515,38 +512,6 @@ def test_affine_dispatch_keeps_index_queries_on_warm_caches(database):
         assert report_two.pair_bounds_misses == 0
         assert report_two.pair_bounds_hits > 0
         assert report_two.worker_pids == report_one.worker_pids
-
-
-def test_adaptive_chunk_size_resolution():
-    assert adaptive_chunk_size(10, 4, None) is None
-    assert adaptive_chunk_size(10, 4, 0.0) is None
-    assert adaptive_chunk_size(0, 4, 0.1) is None
-    # expensive requests split all the way down
-    assert adaptive_chunk_size(10, 4, 10.0) == 1
-    # cheap requests batch up, capped at an even split across workers
-    assert adaptive_chunk_size(10, 4, 1e-6) == 3
-    assert adaptive_chunk_size(100, 4, 0.01) == 20
-
-
-def test_service_adapts_chunk_size_from_history(database, requests, serial_snapshot):
-    config = ExecutorConfig(workers=2, chunk_size="adaptive", chunking="contiguous")
-    with QueryService(QueryEngine(database), config) as service:
-        assert service.adaptive_chunk_size(10) is None  # no history yet
-        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-        assert service.last_batch_report.chunk_size is None
-        assert service.observed_request_seconds is not None
-        assert service.observed_request_seconds > 0
-        resolved = service.adaptive_chunk_size(len(requests))
-        assert resolved is None or resolved >= 1
-        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-        # the report records what the sentinel resolved to this batch
-        assert service.last_batch_report.chunk_size == resolved
-        # under lane-pinned affinity dispatch the sentinel is a no-op:
-        # splitting a pinned bucket cannot rebalance work across lanes
-        assert _snapshot(
-            service.evaluate_many(requests, chunking="affinity")
-        ) == serial_snapshot
-        assert service.last_batch_report.chunk_size is None
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -576,7 +541,7 @@ def _refuse_stable_keys(key):
     reason="the patched encoder reaches the lanes only through fork",
 )
 def test_service_without_warm_start_encodes_no_keys_and_adds_no_block(
-    database, requests, serial_snapshot, monkeypatch
+    database, requests, monkeypatch, span_lanes
 ):
     from multiprocessing import shared_memory
 
@@ -599,12 +564,15 @@ def test_service_without_warm_start_encodes_no_keys_and_adds_no_block(
     )
     # a fresh copy of the fixture database, so its export happens under the patch
     database = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=3)
-    config = ExecutorConfig(workers=2, chunking="contiguous", start_method="fork")
+    # work, and so a chance to encode, on both lanes
+    batch = span_lanes(requests, 2, len(database))
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    config = ExecutorConfig(workers=2, start_method="fork")
     with QueryService(QueryEngine(database), config) as service:
         exported = service.transport == "shared_memory"
         assert isinstance(service.engine.context.pair_bounds_cache, CacheStats)
         for _ in range(2):
-            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+            assert _snapshot(service.evaluate_many(batch)) == serial
             report = service.last_batch_report
             assert report.shared_hits == report.shared_misses == 0
             assert report.shared_publishes == 0

@@ -23,7 +23,6 @@ import pytest
 
 from repro.datasets import random_reference_object, uniform_rectangle_database
 from repro.engine import (
-    BatchReport,
     DeadlineExceeded,
     ExecutorConfig,
     KNNQuery,
@@ -37,8 +36,6 @@ from repro.engine import (
     ServiceOverloadedError,
     WorkerCrashError,
     WorkerPool,
-    adaptive_chunk_size,
-    partition_requests,
 )
 from repro.engine.boundstore import (
     config_fingerprint,
@@ -165,13 +162,17 @@ def test_kill_later_chunk_still_recovers(database, requests, serial_snapshot):
     # the crash lands mid-stream (after the worker already completed work),
     # so recovery must re-drive only the lost chunk, not restart the batch
     plan = FaultPlan(kill_lane=ANY_LANE, kill_after_chunks=1, kill_once=True)
+    engine = QueryEngine(database)
     with inject_faults(plan):
-        with _service(database, workers=1) as service:
-            # force several chunks through one lane so chunk #2 exists
-            got = _snapshot(service.evaluate_many(requests, chunk_size=1))
-            assert got == serial_snapshot
-            assert service.last_batch_report.worker_respawns >= 1
-            assert service.last_batch_report.chunk_retries >= 1
+        with WorkerPool(engine, workers=1, start_method=START_METHOD) as pool:
+            # one request per chunk through one lane, so chunk #2 exists
+            chunks = [[index] for index in range(len(requests))]
+            results, _stats, faults = pool.run_chunks(
+                requests, chunks, [0] * len(chunks)
+            )
+            assert _snapshot(results) == serial_snapshot
+            assert faults["worker_respawns"] >= 1
+            assert faults["chunk_retries"] >= 1
 
 
 def test_unsupervised_pool_surfaces_worker_crash(database, requests):
@@ -181,9 +182,9 @@ def test_unsupervised_pool_surfaces_worker_crash(database, requests):
         with WorkerPool(
             engine, workers=1, start_method=START_METHOD, supervised=False
         ) as pool:
-            chunks = partition_requests(requests, 1)
+            chunks = [list(range(len(requests)))]
             with pytest.raises(WorkerCrashError):
-                pool.run_chunks(requests, chunks)
+                pool.run_chunks(requests, chunks, [0])
 
 
 def test_retry_budget_exhaustion_raises_worker_crash(database, requests):
@@ -199,9 +200,9 @@ def test_retry_budget_exhaustion_raises_worker_crash(database, requests):
             max_chunk_retries=2,
             retry_backoff=0.01,
         ) as pool:
-            chunks = partition_requests(requests, 1)
+            chunks = [list(range(len(requests)))]
             with pytest.raises(WorkerCrashError, match="died running chunk"):
-                pool.run_chunks(requests, chunks)
+                pool.run_chunks(requests, chunks, [0])
             assert pool.respawns >= 2
 
 
@@ -276,25 +277,27 @@ def test_batch_without_deadline_is_unaffected(database, requests, serial_snapsho
 # warm-start file corruption under a live service
 # --------------------------------------------------------------------- #
 def test_corrupt_warm_start_files_reload_bit_identical(
-    database, requests, serial_snapshot, tmp_path
+    database, requests, tmp_path, span_lanes
 ):
     # lanes persisted batch 1's columns; scribble over one lane file, tear
     # the other mid-record, then kill both workers: the respawned lanes load
     # only the validated records before the damage, cut their own file back
     # to them, and the re-driven batch stays bit-identical
     directory = str(tmp_path)
-    # contiguous chunking puts work, and so a file, on both lanes
-    config = ExecutorConfig(workers=2, chunking="contiguous", start_method=START_METHOD)
+    # a batch with work, and so a file with columns, on both lanes
+    batch = span_lanes(requests, 2, len(database))
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    config = ExecutorConfig(workers=2, start_method=START_METHOD)
     with QueryService(
         QueryEngine(database), config, bounds_store_path=directory
     ) as service:
-        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+        assert _snapshot(service.evaluate_many(batch)) == serial
         sizes = [os.path.getsize(lane_file(directory, lane)) for lane in (0, 1)]
         flip_store_byte(lane_file(directory, 0), sizes[0] // 2)
         truncate_store_file(lane_file(directory, 1), sizes[1] - 3)
         for pid in service.worker_pids:
             kill_worker(pid)
-        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+        assert _snapshot(service.evaluate_many(batch)) == serial
         assert service.last_batch_report.worker_respawns >= 1
         # each respawned lane cut the damage off its own file before
         # appending, so every byte of both files is a valid record again
@@ -309,7 +312,7 @@ def test_corrupt_warm_start_files_reload_bit_identical(
         QueryEngine(database), config, bounds_store_path=directory
     ) as service:
         assert service.bound_store_stats()["rejected_store"] is None
-        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+        assert _snapshot(service.evaluate_many(batch)) == serial
         assert service.last_batch_report.shared_hits > 0
 
 
@@ -455,37 +458,3 @@ def test_close_remains_idempotent_under_faults(database, requests):
         service.close()
         service.close()
         assert service.closed
-
-
-# --------------------------------------------------------------------- #
-# adaptive sizing guard (satellite): zero-completed history is harmless
-# --------------------------------------------------------------------- #
-def test_adaptive_chunk_size_without_cost_history():
-    assert adaptive_chunk_size(10, 2, None) is None
-    assert adaptive_chunk_size(10, 2, 0.0) is None
-    assert adaptive_chunk_size(10, 2, -1.0) is None
-    assert adaptive_chunk_size(0, 2, 0.5) is None
-
-
-def test_zero_completed_report_does_not_poison_adaptive_sizing(
-    database, requests, serial_snapshot
-):
-    # a report with requests but no completed chunks (e.g. a batch that
-    # failed before any chunk ran) must not divide-by-zero the next batch's
-    # adaptive sizing — it simply carries no cost signal
-    engine = QueryEngine(database)
-    engine.last_batch_report = BatchReport(
-        mode="process",
-        workers=2,
-        chunking="affinity",
-        chunk_size=None,
-        num_requests=len(requests),
-        elapsed_seconds=0.0,
-        chunks=(),
-    )
-    assert engine.last_batch_report.completed_requests == 0
-    config = ExecutorConfig(
-        mode="process", workers=2, chunk_size="adaptive", start_method=START_METHOD
-    )
-    got = _snapshot(engine.evaluate_many(requests, executor=config))
-    assert got == serial_snapshot

@@ -71,10 +71,10 @@ def _box(center, extent=0.02, label=None):
     )
 
 
-def _service(database, workers=2, **kwargs):
+def _service(database, workers=2):
     return QueryService(
         QueryEngine(database),
-        ExecutorConfig(workers=workers, start_method=START_METHOD, **kwargs),
+        ExecutorConfig(workers=workers, start_method=START_METHOD),
     )
 
 
@@ -462,22 +462,6 @@ def test_apply_surfaces_validation_errors_and_service_survives(database, request
         assert _snapshot(service.evaluate_many(requests)) == _fresh_snapshot(
             database, requests
         )
-
-
-# --------------------------------------------------------------------- #
-# satellite: adaptive chunk sizing forgets cost history across epochs
-# --------------------------------------------------------------------- #
-def test_cost_ewma_resets_when_the_epoch_changes(database, requests):
-    with _service(database, workers=1) as service:
-        service.evaluate_many(requests)
-        assert service.observed_request_seconds is not None
-        assert service.adaptive_chunk_size(64) is not None
-        service.apply([Update(0, _box([0.51, 0.49]))])
-        # the old snapshot's cost profile does not transfer to the new one
-        assert service.observed_request_seconds is None
-        assert service.adaptive_chunk_size(64) is None
-        service.evaluate_many(requests)
-        assert service.observed_request_seconds is not None
 
 
 # --------------------------------------------------------------------- #

@@ -7,6 +7,10 @@ serial path at every worker count, workers attach the dataset through
 shared memory (falling back to pickling cleanly), and shutdown is
 idempotent, drains the queue, reaps every worker process and unlinks the
 shared block even after a poisoned batch.
+
+The file runs on either dataset transport: under
+``REPRO_DISABLE_SHARED_MEMORY=1`` the shared-memory cases are skipped and
+the lifecycle checks run on the pickle transport.
 """
 
 from __future__ import annotations
@@ -30,6 +34,20 @@ from repro.engine import (
     RKNNQuery,
 )
 from repro.uncertain import sharedmem
+
+#: ``share_memory=`` values for the lifecycle tests: the pickle transport
+#: always, the shared-memory one where the platform (and the environment)
+#: allows it.
+TRANSPORTS = [
+    pytest.param(False, id="pickle"),
+    pytest.param(
+        True,
+        id="shared_memory",
+        marks=pytest.mark.skipif(
+            not sharedmem.shared_memory_available(), reason="no shared memory here"
+        ),
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +120,7 @@ def test_pool_is_reused_across_consecutive_batches(database, requests, serial_sn
             got = _snapshot(service.evaluate_many(requests))
             assert got == serial_snapshot
             pid_sets.append(set(service.last_batch_report.worker_pids))
-            assert service.last_batch_report.pool == "persistent"
+            assert service.last_batch_report.mode == "process"
         # every batch ran on the same pool: across three batches the union of
         # observed pids stays within one pool's worth of workers (a pool per
         # batch would surface fresh pids every time)
@@ -128,7 +146,9 @@ def test_engine_evaluate_many_routes_through_service(
     with _service(database, workers=2) as service:
         got = _snapshot(engine.evaluate_many(requests, executor=service))
         assert got == serial_snapshot
-        assert engine.last_batch_report.pool == "persistent"
+        assert engine.last_batch_report.mode == "process"
+        # the batch ran on the service's own lanes
+        assert set(engine.last_batch_report.worker_pids) <= set(service.worker_pids)
 
 
 def test_engine_routing_rejects_foreign_service(database, requests):
@@ -162,7 +182,8 @@ def test_submit_returns_future_handle(database, requests, serial_snapshot):
         assert handle.exception() is None
         report = handle.report()
         assert report.num_requests == len(requests)
-        assert report.pool == "persistent"
+        assert report.mode == "process"
+        assert set(report.worker_pids) <= set(service.worker_pids)
 
 
 def test_concurrent_submit_from_threads(database, requests, serial_snapshot):
@@ -193,6 +214,9 @@ def test_concurrent_submit_from_threads(database, requests, serial_snapshot):
 # --------------------------------------------------------------------- #
 # shared-memory transport and its fallback
 # --------------------------------------------------------------------- #
+@pytest.mark.skipif(
+    not sharedmem.shared_memory_available(), reason="no shared memory here"
+)
 def test_workers_attach_database_via_shared_memory(database, requests):
     import pickle
 
@@ -248,28 +272,32 @@ def test_close_is_idempotent_and_rejects_submits(database, requests):
         service.probe_workers()
 
 
-def test_close_reaps_workers_and_unlinks_block(database, requests):
+@pytest.mark.parametrize("share_memory", TRANSPORTS)
+def test_close_reaps_workers_and_unlinks_block(database, requests, share_memory):
     before = set(multiprocessing.active_children())
-    service = _service(database, workers=2)
+    service = _service(database, workers=2, share_memory=share_memory)
     service.evaluate_many(requests[:2])
-    name = service._export.handle.shm_name
-    if os.path.isdir("/dev/shm"):  # POSIX shm is a real fs only on Linux
-        assert os.path.exists(f"/dev/shm/{name}")
-    export_active = service._export.active
-    assert export_active
+    if share_memory:
+        name = service._export.handle.shm_name
+        if os.path.isdir("/dev/shm"):  # POSIX shm is a real fs only on Linux
+            assert os.path.exists(f"/dev/shm/{name}")
+        export_active = service._export.active
+        assert export_active
     service.close()
     leaked = set(multiprocessing.active_children()) - before
     assert not leaked
     assert service._export is None
-    assert not os.path.exists(f"/dev/shm/{name}")
+    if share_memory:
+        assert not os.path.exists(f"/dev/shm/{name}")
 
 
+@pytest.mark.parametrize("share_memory", TRANSPORTS)
 def test_poisoned_request_fails_batch_but_not_service(
-    database, requests, serial_snapshot
+    database, requests, serial_snapshot, share_memory
 ):
     before = set(multiprocessing.active_children())
-    service = _service(database, workers=2)
-    name = service._export.handle.shm_name
+    service = _service(database, workers=2, share_memory=share_memory)
+    name = service._export.handle.shm_name if share_memory else None
     poisoned = [requests[0], KNNQuery(reference_or_index(database), k=0, tau=0.5)]
     with pytest.raises(ValueError, match="k must be positive"):
         service.evaluate_many(poisoned)
@@ -279,9 +307,10 @@ def test_poisoned_request_fails_batch_but_not_service(
     export = service._export
     service.close()
     assert not (set(multiprocessing.active_children()) - before)
-    assert not export.active  # unlinked on every platform ...
-    if os.path.isdir("/dev/shm"):  # ... and verifiably gone where shm is a fs
-        assert not os.path.exists(f"/dev/shm/{name}")
+    if share_memory:
+        assert not export.active  # unlinked on every platform ...
+        if os.path.isdir("/dev/shm"):  # ... and verifiably gone where shm is a fs
+            assert not os.path.exists(f"/dev/shm/{name}")
 
 
 def reference_or_index(database):

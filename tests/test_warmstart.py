@@ -396,20 +396,25 @@ def test_restart_over_the_shared_memory_transport(tmp_path):
 
 
 def test_a_respawned_lane_reloads_its_predecessors_appends(tmp_path):
-    # one lane, one request per chunk: the worker appends the columns of the
-    # first two chunks, is SIGKILLed as it starts the third, and its
-    # successor serves the repeated requests from the dead worker's file
+    # one lane, one request per batch (so one per chunk): the worker appends
+    # the columns of the first two chunks, is SIGKILLed as it starts the
+    # third, and its successor serves the repeated requests from the dead
+    # worker's file
     path = str(tmp_path / "warm")
     database, batch = _workload()
     batch = batch[:2] + batch[:2]
     serial = _snapshot(QueryEngine(database).evaluate_many(batch))
     with inject_faults(FaultPlan(kill_lane=ANY_LANE, kill_after_chunks=2)):
         with _service(database, workers=1, bounds_store_path=path) as service:
-            results = service.evaluate_many(batch, chunking="contiguous", chunk_size=1)
+            results, respawns, shared_hits = [], 0, 0
+            for request in batch:
+                results += service.evaluate_many([request])
+                report = service.last_batch_report
+                respawns += report.worker_respawns
+                shared_hits += report.shared_hits
             assert _snapshot(results) == serial
-            report = service.last_batch_report
-            assert report.worker_respawns >= 1
-            assert report.shared_hits > 0
+            assert respawns >= 1
+            assert shared_hits > 0
     _records, end, rejected = read_warm_file(
         lane_file(path, 0), database_digest(database), config_fingerprint("round_robin")
     )
@@ -439,15 +444,19 @@ def test_repeated_batches_with_warm_start_stay_identical(tmp_path, workers):
 
 
 @pytest.mark.parametrize("store", [True, False], ids=["store", "no-store"])
-def test_cold_batch_identical_with_and_without_warm_start(tmp_path, store):
+def test_cold_batch_identical_with_and_without_warm_start(
+    tmp_path, store, span_lanes
+):
     # four lanes spawn one after another and load each other's files while
     # those are still being appended to; results must not notice
     database, batch = _workload()
+    batch = span_lanes(batch + batch, 4, len(database))
     serial = _snapshot(QueryEngine(database).evaluate_many(batch))
     path = str(tmp_path / "warm") if store else None
     with _service(database, workers=4, bounds_store_path=path) as service:
-        results = service.evaluate_many(batch + batch, chunking="contiguous")
-        assert _snapshot(results) == serial + serial
+        results = service.evaluate_many(batch)
+        assert _snapshot(results) == serial
+        assert len(service.last_batch_report.worker_pids) == 4
         assert (service.last_batch_report.shared_publishes > 0) == store
 
 
