@@ -159,8 +159,27 @@ def test_serial_engine_repeats_batches_identically(database, requests, serial_sn
         assert _snapshot(engine.evaluate_many(requests)) == serial_snapshot
 
 
+def test_serial_config_matches_no_config(database, requests, serial_snapshot):
+    # a one-worker config is the serial path itself: this process, this
+    # engine's shared context, and the same one-chunk report as no config
+    before = set(multiprocessing.active_children())
+    engine = QueryEngine(database)
+    config = ExecutorConfig(workers=1, start_method=START_METHOD)
+    got = _snapshot(engine.evaluate_many(requests, executor=config))
+    assert got == serial_snapshot
+    assert not (set(multiprocessing.active_children()) - before)
+    assert engine.context.stats()["trees"] > 0
+    report = engine.last_batch_report
+    assert report.mode == "serial"
+    assert report.worker_pids == (os.getpid(),)
+    plain = QueryEngine(database)
+    plain.evaluate_many(requests)
+    assert report.num_chunks == plain.last_batch_report.num_chunks == 1
+    assert report.kinds == plain.last_batch_report.kinds
+
+
 def test_single_worker_or_single_request_runs_serially(
-    database, requests, serial_snapshot, monkeypatch
+    database, requests, serial_snapshot
 ):
     engine = QueryEngine(database)
     got = _snapshot(engine.evaluate_many(requests, executor=ExecutorConfig(workers=1)))
@@ -172,6 +191,10 @@ def test_single_worker_or_single_request_runs_serially(
     )
     assert got == serial_snapshot[:1]
     assert engine.last_batch_report.mode == "serial"
+
+
+def test_auto_mode_resolution_table(database, requests, monkeypatch):
+    engine = QueryEngine(database)
     # the default derives workers from the CPU count at resolution time, so
     # one config scales out on multi-core machines ...
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -214,12 +237,27 @@ def test_evaluate_many_rejects_unknown_executors(database, requests):
 # --------------------------------------------------------------------- #
 # partitioning
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_affinity_groups_shared_queries(requests, workers):
     chunks, _lanes = affine_partition(requests, workers)
     by_request = {index: chunk_id for chunk_id, chunk in enumerate(chunks) for index in chunk}
     # requests 0 and 6 are the same KNNQuery object-spec: same chunk
     assert by_request[0] == by_request[6]
+
+
+def test_partition_empty_batch(database):
+    for workers in (1, 2, 3, 4):
+        assert affine_partition([], workers) == ([], [])
+    # an empty batch needs no process on either path
+    engine = QueryEngine(database)
+    assert engine.evaluate_many([], executor=ExecutorConfig(workers=4)) == []
+    assert engine.last_batch_report.mode == "serial"
+    assert engine.last_batch_report.num_requests == 0
+    config = ExecutorConfig(workers=2, start_method=START_METHOD)
+    with QueryService(engine, config) as service:
+        assert service.evaluate_many([]) == []
+        report = service.last_batch_report
+        assert report.num_requests == report.num_chunks == 0
 
 
 # --------------------------------------------------------------------- #
@@ -263,6 +301,31 @@ def test_serial_report_accounting(database, requests):
     for removed in ("pool", "chunking", "chunk_size"):  # removed in 3.0.0
         assert removed not in summary
         assert not hasattr(report, removed)
+
+
+def test_process_report_merges_worker_chunks(database, requests):
+    engine = QueryEngine(database)
+    config = ExecutorConfig(workers=2, start_method=START_METHOD)
+    engine.evaluate_many(requests, executor=config)
+    report = engine.last_batch_report
+    assert report.mode == "process"
+    # one ChunkStats per affine chunk, in chunk order, sized like the chunk
+    chunks, _lanes = affine_partition(requests, 2)
+    assert [stats.chunk for stats in report.chunks] == list(range(len(chunks)))
+    assert [stats.size for stats in report.chunks] == [len(c) for c in chunks]
+    # the batch totals are the sums of the chunks' counters
+    assert report.scheduler_steps == sum(s.scheduler_steps for s in report.chunks)
+    assert report.pair_bounds_misses == sum(
+        s.pair_bounds_misses for s in report.chunks
+    )
+    merged: dict[str, int] = {}
+    for stats in report.chunks:
+        for kind, count in stats.kinds.items():
+            merged[kind] = merged.get(kind, 0) + count
+    assert report.kinds == merged
+    assert set(report.worker_pids) == {s.pid for s in report.chunks}
+    assert os.getpid() not in report.worker_pids
+    assert report.busiest_chunk_seconds == max(s.seconds for s in report.chunks)
 
 
 # --------------------------------------------------------------------- #
@@ -489,6 +552,21 @@ def test_worker_pool_pins_chunks_to_lanes(database, requests):
         assert len(pid_of_lane[0]) == 1  # same worker served the lane twice
         assert len(pid_of_lane[1]) == 1
         assert pid_of_lane[0] != pid_of_lane[1]
+
+
+def test_run_chunks_wraps_out_of_range_lanes(database, requests, serial_snapshot):
+    # lanes computed for a larger pool fold onto this one modulo its size
+    engine = QueryEngine(database)
+    with WorkerPool(engine, workers=2, start_method=START_METHOD) as pool:
+        results, stats, faults = pool.run_chunks(
+            requests, [[0, 1], [2], [3, 4, 5, 6]], lanes=[0, 3, 2]
+        )
+        assert _snapshot(results) == serial_snapshot
+        assert [s.chunk for s in stats] == [0, 1, 2]
+        assert [s.size for s in stats] == [2, 1, 4]
+        pid = {lane: pool.probe(lane)["pid"] for lane in (0, 1)}
+        assert [s.pid for s in stats] == [pid[0], pid[1], pid[0]]
+        assert faults == {"worker_respawns": 0, "chunk_retries": 0}
 
 
 def test_affine_dispatch_keeps_index_queries_on_warm_caches(database):

@@ -269,7 +269,7 @@ class TestEngineBackendParity:
         assert engine.last_batch_report.kernel_backend == resolve_backend(backend)
 
     @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_process_pool_backend_is_bit_identical(
         self, database, requests, serial_snapshot, workers, backend
     ):

@@ -151,6 +151,24 @@ def test_engine_evaluate_many_routes_through_service(
         assert set(engine.last_batch_report.worker_pids) <= set(service.worker_pids)
 
 
+def test_engine_evaluate_many_leaves_callers_service_open(
+    database, requests, serial_snapshot
+):
+    # only the short-lived service of an ExecutorConfig is closed by the
+    # call; a caller's service keeps its lanes for the next batch
+    engine = QueryEngine(database)
+    with _service(database, workers=2) as service:
+        pids = []
+        for _ in range(2):
+            got = _snapshot(engine.evaluate_many(requests, executor=service))
+            assert got == serial_snapshot
+            assert not service.closed
+            pids.append(service.worker_pids)
+        # the second batch ran on the same, still-running workers
+        assert pids[0] and pids[1] == pids[0]
+        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
+
+
 def test_engine_routing_rejects_foreign_service(database, requests):
     other = uniform_rectangle_database(num_objects=5, max_extent=0.05, seed=9)
     engine = QueryEngine(other)
