@@ -117,7 +117,7 @@ from .engine import (
     ServiceBatch,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # core

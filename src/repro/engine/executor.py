@@ -521,8 +521,6 @@ def _apply_delta_to_engine(engine: "QueryEngine", delta) -> int:
     respawn).  A delta that does not chain onto the current epoch means the
     histories diverged — that is a bug, not a recoverable condition.
     """
-    from ..uncertain.sharedmem import load_delta_mutations
-
     database = engine.database
     if database.epoch >= delta.new_epoch:
         return database.epoch
@@ -531,7 +529,7 @@ def _apply_delta_to_engine(engine: "QueryEngine", delta) -> int:
             f"mutation delta targets epoch {delta.base_epoch} but the worker "
             f"database is at epoch {database.epoch}"
         )
-    engine.apply_mutations(load_delta_mutations(delta))
+    engine.apply_mutations(pickle.loads(delta.shell))
     return engine.database.epoch
 
 

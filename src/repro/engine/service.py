@@ -76,6 +76,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import pickle
 import queue
 import threading
 import time
@@ -85,7 +86,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..uncertain import UncertainDatabase
 from ..uncertain.sharedmem import (
-    MutationDeltaExport,
+    MutationDelta,
     SharedDatabaseExport,
     shared_memory_available,
 )
@@ -359,10 +360,6 @@ class QueryService:
             if self._export is not None:
                 self._export.release()
             raise
-        # parent-side owners of every mutation delta shipped to the pool;
-        # must outlive the pool (a respawned lane replays the whole delta
-        # history from its block), released in close()
-        self._delta_exports: list[MutationDeltaExport] = []
         #: Merged :class:`~repro.engine.executor.BatchReport` of the most
         #: recently *completed* batch (``None`` before the first one).
         self.last_batch_report: Optional[BatchReport] = None
@@ -668,8 +665,8 @@ class QueryService:
     def _run_mutation_job(self, job: _MutationJob) -> None:
         """Apply one mutation batch: workers first, then the parent engine.
 
-        Ordering: the delta export is built from the *current* snapshot, the
-        pool barrier advances every lane, and only then does the parent
+        Ordering: the delta is built from the *current* snapshot, the pool
+        barrier advances every lane, and only then does the parent
         engine apply — so a failure anywhere before the parent apply leaves
         the parent (and all admission/partitioning state) on the old epoch.
         """
@@ -683,9 +680,13 @@ class QueryService:
         try:
             database = self.engine.database
             resolved = database.resolve_mutations(job.mutations)
-            export = MutationDeltaExport(database, resolved)
-            self._delta_exports.append(export)
-            self._pool.apply_delta(export.delta)
+            self._pool.apply_delta(
+                MutationDelta(
+                    base_epoch=database.epoch,
+                    new_epoch=database.epoch + 1,
+                    shell=pickle.dumps(resolved),
+                )
+            )
             self.engine.apply_mutations(resolved)
         except BaseException as error:
             if self._abandoned and isinstance(
@@ -798,10 +799,6 @@ class QueryService:
         if wait:
             self._dispatcher.join()
         self._pool.close(wait=wait, cancel_pending=not wait)
-        # no worker can attach a delta block once the pool is gone
-        for export in self._delta_exports:
-            export.close()
-        self._delta_exports.clear()
         if self._export is not None:
             self._export.release()
             self._export = None

@@ -22,23 +22,19 @@ from .sampling import (
 )
 from .sharedmem import (
     MutationDelta,
-    MutationDeltaExport,
     SharedDatabaseExport,
     SharedDatabaseHandle,
     attach_shared_database,
     database_transport,
-    load_delta_mutations,
     shared_memory_available,
 )
 
 __all__ = [
     "MutationDelta",
-    "MutationDeltaExport",
     "SharedDatabaseExport",
     "SharedDatabaseHandle",
     "attach_shared_database",
     "database_transport",
-    "load_delta_mutations",
     "shared_memory_available",
     "UncertainDatabase",
     "UncertainObject",

@@ -34,9 +34,14 @@ Ownership and unlink rules (documented in ``docs/architecture.md``):
   closes and unlinks the block;
 * a :mod:`weakref` finalizer backs the explicit paths, so an export that is
   garbage-collected or alive at interpreter exit still unlinks its block;
-* attaching processes never unlink — they also unregister the block from
-  their :mod:`multiprocessing.resource_tracker` so a worker exit cannot
-  destroy a segment the parent still serves from (bpo-39959).
+* attaching processes never unlink, and they leave the block's
+  :mod:`multiprocessing.resource_tracker` registration alone: pool workers
+  share the owner's tracker under every start method, so the owner's
+  registration is what lets the tracker unlink the block should the owner
+  crash.
+
+A service owns exactly one block, its base export.  Mutations reach the
+workers as a :class:`MutationDelta`, a plain pickle of the touched objects.
 
 Platforms without ``multiprocessing.shared_memory`` (or with the
 ``REPRO_DISABLE_SHARED_MEMORY`` environment variable set) fall back to plain
@@ -54,7 +59,7 @@ import pickle
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,23 +67,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .base import UncertainDatabase
 
 try:  # pragma: no cover - the import succeeds on every supported platform
-    from multiprocessing import resource_tracker as _resource_tracker
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platforms without POSIX shm
     _shared_memory = None
-    _resource_tracker = None
 
 __all__ = [
     "MIN_SHARED_NBYTES",
     "MutationDelta",
-    "MutationDeltaExport",
     "SharedDatabaseExport",
     "SharedDatabaseHandle",
     "attach_shared_database",
     "database_transport",
-    "load_delta_mutations",
     "shared_memory_available",
-    "unlink_block",
 ]
 
 #: Arrays below this many bytes stay in the shell pickle: a descriptor plus
@@ -272,7 +272,6 @@ class SharedDatabaseExport:
         self._acquisitions = 0
         self._lock = threading.Lock()
         self._active = True
-        _OWNED_NAMES.add(self._shm.name)
         self._finalizer = weakref.finalize(self, _cleanup_block, self._shm)
 
     # ------------------------------------------------------------------ #
@@ -326,59 +325,6 @@ class SharedDatabaseExport:
         self.release()
 
 
-# Names of blocks created by this process (or inherited from the creating
-# parent under the fork start method, where the resource tracker is shared).
-# Attaching to an owned name must NOT undo the creator's tracker
-# registration, or the crash-cleanup guarantee — and, under fork, the
-# explicit unlink's own unregister — would be lost.
-_OWNED_NAMES: set[str] = set()
-
-
-def _attach_block(name: str):
-    """Attach to a named block without adopting cleanup responsibility.
-
-    Attaching registers the segment with this process's resource tracker on
-    Python < 3.13, which would make a *worker* exit unlink a segment the
-    parent still serves from (bpo-39959) — so the registration is undone,
-    except for blocks this tracker already owns (see ``_OWNED_NAMES``).
-    """
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track= parameter
-        shm = _shared_memory.SharedMemory(name=name)
-        if _resource_tracker is not None and name not in _OWNED_NAMES:
-            try:
-                _resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker already gone
-                pass
-        return shm
-
-
-def unlink_block(name: str) -> bool:
-    """Force-unlink a named shared-memory block; returns whether it existed.
-
-    Simulates losing the segment out from under its consumers (host
-    cleanup scripts, ``/dev/shm`` pressure, a crashed owner's tracker):
-    existing mappings stay valid — POSIX keeps an unlinked segment alive
-    while mapped — but any process attaching *after* the unlink gets
-    ``FileNotFoundError`` and must take its degradation path.  Used by the
-    fault-injection harness (``repro/testing/faults.py``); the owner's own
-    later cleanup tolerates the missing name.
-    """
-    if _shared_memory is None:  # pragma: no cover - platforms without shm
-        return False
-    try:
-        shm = _attach_block(name)
-    except FileNotFoundError:
-        return False
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - raced another unlink
-        pass
-    shm.close()
-    return True
-
-
 # One attachment per block and process: every engine/context unpickled in a
 # worker resolves to the same database instance, so worker-local caches keyed
 # by object identity keep working across chunks.
@@ -402,7 +348,14 @@ def attach_shared_database(handle: SharedDatabaseHandle) -> "UncertainDatabase":
     if cached is not None:
         return cached[1]
     try:
-        shm = _attach_block(handle.shm_name)
+        # Attaching registers the name with the resource tracker.  Pool
+        # workers share their parent's tracker under every start method
+        # (``fork`` inherits it, ``spawn`` and ``forkserver`` children are
+        # handed its fd) and the tracker keeps a set of names, so the
+        # registration is a no-op.  It must not be undone: that would drop
+        # the owner's registration, which the owner's unlink and the
+        # tracker's crash cleanup both rely on.
+        shm = _shared_memory.SharedMemory(name=handle.shm_name)
     except FileNotFoundError as error:
         raise RuntimeError(
             f"shared-memory block {handle.shm_name!r} no longer exists — "
@@ -428,117 +381,16 @@ class MutationDelta:
     Shipping the batch — rather than re-exporting the whole database block —
     is what keeps mutations cheap on the worker path: the payload scales with
     the number of touched objects, not with the database.  ``shell`` is a
-    pickle of the *resolved* mutation tuple (explicit generations, see
-    :meth:`UncertainDatabase.resolve_mutations`); when ``shm_name`` is set,
-    large arrays of the touched objects were extracted into their own small
-    shared block and the shell references them by descriptor, exactly like
-    :class:`SharedDatabaseHandle`.  Replaying a delta is idempotent by epoch:
-    it applies only to a database at ``base_epoch`` and advances it to
-    ``new_epoch``, so a respawned worker that already replayed it skips it.
+    plain pickle of the *resolved* mutation tuple (explicit generations, see
+    :meth:`UncertainDatabase.resolve_mutations`).  Replaying a delta is
+    idempotent by epoch: it applies only to a database at ``base_epoch`` and
+    advances it to ``new_epoch``, so a respawned worker that already
+    replayed it skips it.
     """
 
     base_epoch: int
     new_epoch: int
     shell: bytes
-    shm_name: Optional[str]
-    descriptors: tuple[tuple[int, tuple[int, ...], str], ...]
-
-
-class MutationDeltaExport:
-    """Parent-side owner of one mutation delta (and its block, if any).
-
-    Built from a database snapshot and the resolved mutation batch that
-    advances it.  The export must stay alive while any worker might still
-    attach the delta's block — the worker pool keeps its deltas for lane
-    respawns, and releases them when it shuts down.  Falls back to a plain
-    inline pickle when shared memory is unavailable or nothing qualifies for
-    extraction.
-    """
-
-    def __init__(self, database: "UncertainDatabase", mutations) -> None:
-        arrays: list[np.ndarray] = []
-        buffer = io.BytesIO()
-        _ArrayExtractor(buffer, arrays).dump(tuple(mutations))
-        shm_name: Optional[str] = None
-        descriptors: tuple = ()
-        self._shm = None
-        self._finalizer = None
-        if arrays and shared_memory_available():
-            offsets, total = _layout(arrays)
-            self._shm = _shared_memory.SharedMemory(
-                create=True, size=max(total, 8), name=_next_block_name()
-            )
-            try:
-                for arr, offset in zip(arrays, offsets):
-                    np.ndarray(
-                        arr.shape, dtype=arr.dtype, buffer=self._shm.buf, offset=offset
-                    )[...] = arr
-            except BaseException:  # pragma: no cover - copy failures are fatal
-                _cleanup_block(self._shm)
-                raise
-            shm_name = self._shm.name
-            descriptors = tuple(
-                (offset, arr.shape, arr.dtype.str)
-                for arr, offset in zip(arrays, offsets)
-            )
-            _OWNED_NAMES.add(shm_name)
-            self._finalizer = weakref.finalize(self, _cleanup_block, self._shm)
-        else:
-            # Inline path: re-pickle without extraction so the shell is
-            # self-contained (plain pickle.loads on the worker side).
-            buffer = io.BytesIO()
-            pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(
-                tuple(mutations)
-            )
-        self.delta = MutationDelta(
-            base_epoch=database.epoch,
-            new_epoch=database.epoch + 1,
-            shell=buffer.getvalue(),
-            shm_name=shm_name,
-            descriptors=descriptors,
-        )
-
-    def close(self) -> None:
-        """Unlink the delta's block, if one was created (idempotent)."""
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._shm is not None:
-            _cleanup_block(self._shm)
-            self._shm = None
-
-
-# Delta blocks a receiving process has mapped, kept alive for the process
-# lifetime: the unpickled objects hold read-only views into the mapping.
-_DELTA_ATTACHMENTS: dict[str, object] = {}
-
-
-def load_delta_mutations(delta: MutationDelta):
-    """Rebuild the resolved mutation tuple from a delta in this process.
-
-    On the shared-memory path the touched objects' arrays are mapped
-    read-only from the delta's block; on the inline path the shell is a
-    self-contained pickle.
-    """
-    if delta.shm_name is None:
-        return pickle.loads(delta.shell)
-    shm = _DELTA_ATTACHMENTS.get(delta.shm_name)
-    if shm is None:
-        try:
-            shm = _attach_block(delta.shm_name)
-        except FileNotFoundError as error:
-            raise RuntimeError(
-                f"mutation-delta block {delta.shm_name!r} no longer exists — "
-                "deltas are transport tokens, only valid while the owning "
-                "MutationDeltaExport is alive"
-            ) from error
-        _DELTA_ATTACHMENTS[delta.shm_name] = shm
-    arrays: list[np.ndarray] = []
-    for offset, shape, dtype in delta.descriptors:
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
-        view.flags.writeable = False
-        arrays.append(view)
-    return _ShellUnpickler(io.BytesIO(delta.shell), arrays).load()
 
 
 def database_transport(database: "UncertainDatabase") -> str:

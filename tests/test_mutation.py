@@ -29,8 +29,10 @@ The CI ``mutation`` job matrixes this module over both pool start methods
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 import urllib.request
 
 import numpy as np
@@ -58,7 +60,6 @@ from repro.uncertain import (
     UncertainDatabase,
     Update,
 )
-from repro.uncertain.sharedmem import MutationDeltaExport, load_delta_mutations
 
 # The CI job matrixes the suite over start methods through this variable;
 # locally it is unset and the platform default applies.
@@ -389,25 +390,29 @@ def test_rtree_incremental_matches_bulk_load(database):
 # mutation deltas: the worker transport
 # --------------------------------------------------------------------- #
 def test_mutation_delta_roundtrip(database):
+    # the delta the service ships is a plain pickle of the resolved batch,
+    # arrays included, whatever their size
     rng = np.random.default_rng(11)
-    points = rng.uniform(0.0, 1.0, size=(64, 2))  # big enough for extraction
+    points = rng.uniform(0.0, 1.0, size=(64, 2))
     weights = np.full(64, 1.0 / 64)
     resolved = database.resolve_mutations(
         [Update(2, DiscreteObject(points, weights)), Insert(_box([0.6, 0.6]))]
     )
-    export = MutationDeltaExport(database, resolved)
-    try:
-        delta = export.delta
-        assert (delta.base_epoch, delta.new_epoch) == (0, 1)
-        loaded = load_delta_mutations(delta)
-        assert database.apply(loaded).generations() == database.apply(
-            resolved
-        ).generations()
-        rebuilt = loaded[0].obj
-        np.testing.assert_array_equal(rebuilt.mbr.to_array(),
-                                      resolved[0].obj.mbr.to_array())
-    finally:
-        export.close()
+    with _service(database, workers=1) as service:
+        service.apply(resolved)
+        (delta,) = service._pool._deltas
+    assert [field.name for field in dataclasses.fields(delta)] == [
+        "base_epoch", "new_epoch", "shell"
+    ]
+    assert (delta.base_epoch, delta.new_epoch) == (0, 1)
+    loaded = pickle.loads(delta.shell)
+    assert database.apply(loaded).generations() == database.apply(
+        resolved
+    ).generations()
+    rebuilt = loaded[0].obj
+    np.testing.assert_array_equal(rebuilt.mbr.to_array(),
+                                  resolved[0].obj.mbr.to_array())
+    np.testing.assert_array_equal(rebuilt.points, points)
 
 
 def test_workers_follow_epochs_and_respawn_replays_history(database, requests):

@@ -5,17 +5,24 @@ database's export is active, pickling the database produces a lightweight
 handle whose unpickle *maps* the array payload from one shared block —
 bit-identical data, read-only views, memoised per process — and the last
 release of the export unlinks the block.  Without an export (or with shared
-memory disabled) the plain constructor-based pickle path is taken.
+memory disabled) the plain constructor-based pickle path is taken.  A
+service owns that one block for its whole life — mutation deltas ship as
+plain pickles — and its workers attach without dropping the owner's
+resource-tracker registration, under every start method.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets import uniform_rectangle_database
 from repro.uncertain import (
     UncertainDatabase,
@@ -28,6 +35,13 @@ from repro.uncertain import sharedmem
 
 def _dev_shm_exists(name: str) -> bool:
     return os.path.exists(f"/dev/shm/{name}")
+
+
+def _blocks_of(pid: int) -> set[str]:
+    """Names of the ``/dev/shm`` blocks process ``pid`` created."""
+    return {
+        entry for entry in os.listdir("/dev/shm") if entry.startswith(f"repro_{pid}_")
+    }
 
 
 @pytest.fixture()
@@ -274,3 +288,95 @@ def test_shared_references_stay_shared_after_attach():
         assert clone[0].points is clone[1].points
     finally:
         export.close()
+
+
+# --------------------------------------------------------------------- #
+# a service owns one block: mutation deltas ship inline
+# --------------------------------------------------------------------- #
+needs_shared_memory = pytest.mark.skipif(
+    not shared_memory_available(), reason="no shared memory here"
+)
+
+
+def _evaluated(results) -> list:
+    return [
+        [(m.index, m.probability_lower, m.probability_upper) for m in r.all_evaluated()]
+        for r in results
+    ]
+
+
+@needs_shared_memory
+def test_a_mutated_service_holds_one_block_then_none(database):
+    from repro.engine import ExecutorConfig, KNNQuery, QueryEngine, QueryService
+    from repro.uncertain import DiscreteObject, Update
+
+    rng = np.random.default_rng(8)
+    before = _blocks_of(os.getpid())
+    service = QueryService(
+        QueryEngine(database), ExecutorConfig(workers=2), share_memory=True
+    )
+    try:
+        for step in range(100):
+            # 64 alternatives: arrays well above MIN_SHARED_NBYTES
+            points = rng.uniform(0.0, 1.0, size=(64, 2))
+            service.apply([Update(step % len(database), DiscreteObject(points))])
+        assert _blocks_of(os.getpid()) - before == {service._export.handle.shm_name}
+        requests = [KNNQuery(index, k=3, tau=0.4, max_iterations=3) for index in (0, 5, 9)]
+        got = service.evaluate_many(requests)
+        final = UncertainDatabase(list(service.engine.database.objects))
+    finally:
+        service.close()
+    assert _blocks_of(os.getpid()) == before
+    assert _evaluated(got) == _evaluated(QueryEngine(final).evaluate_many(requests))
+
+
+_SHUTDOWN_SCRIPT = """
+import sys
+
+import numpy as np
+
+from repro.datasets import uniform_rectangle_database
+from repro.engine import ExecutorConfig, KNNQuery, QueryEngine, QueryService
+from repro.uncertain import DiscreteObject, Update, discretise_database
+
+rng = np.random.default_rng(3)
+base = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=1)
+database = discretise_database(base, 64, rng)
+service = QueryService(
+    QueryEngine(database),
+    ExecutorConfig(workers=2, start_method=sys.argv[1]),
+    share_memory=True,
+)
+for _ in range(3):
+    service.apply(
+        [Update(p, DiscreteObject(rng.uniform(0.0, 1.0, size=(64, 2)))) for p in range(4)]
+    )
+service.evaluate_many([KNNQuery(index, k=3, tau=0.4, max_iterations=3) for index in range(4)])
+service.close()
+"""
+
+
+@needs_shared_memory
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_shutdown_is_clean_under_every_start_method(method):
+    """No resource-tracker complaint and no block left, whatever the start method.
+
+    Pool workers share their parent's resource tracker, so a worker that
+    dropped a block's registration would make the owner's unlink fail in
+    the tracker (a ``KeyError`` traceback on stderr) and leave a crashed
+    owner's block behind.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SHUTDOWN_SCRIPT, method],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    _, stderr = child.communicate(timeout=120)
+    assert child.returncode == 0, stderr
+    assert "KeyError" not in stderr
+    assert "leaked shared_memory" not in stderr
+    assert _blocks_of(child.pid) == set()

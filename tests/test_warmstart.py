@@ -71,7 +71,7 @@ from repro.testing.faults import (
     snapshot_resources,
     truncate_store_file,
 )
-from repro.uncertain import BoxUniformObject, Update
+from repro.uncertain import BoxUniformObject, Update, sharedmem
 
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
@@ -383,6 +383,9 @@ def test_a_missing_directory_is_created(tmp_path):
     assert len(_lane_files(str(path))) == 2
 
 
+@pytest.mark.skipif(
+    not sharedmem.shared_memory_available(), reason="no shared memory here"
+)
 def test_restart_over_the_shared_memory_transport(tmp_path):
     path = str(tmp_path / "warm")
     database, batch = _workload()
