@@ -7,9 +7,4 @@ All project metadata lives in ``pyproject.toml``; this file only exists so
 
 from setuptools import setup
 
-setup(
-    # Optional compiled kernel backend for the pair-bounds hot path
-    # (src/repro/core/kernels.py).  Without it the engine transparently
-    # uses the numpy backend; results are bit-identical either way.
-    extras_require={"numba": ["numba"]},
-)
+setup()

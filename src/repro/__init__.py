@@ -38,7 +38,6 @@ from .core import (
     domination_count_bounds,
     domination_count_bounds_batch,
     pdom_bounds,
-    pdom_bounds_batch,
     poisson_binomial_pmf,
     probabilistic_domination_bounds,
     regular_gf_bounds,
@@ -117,7 +116,7 @@ from .engine import (
     ServiceBatch,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # core
@@ -132,7 +131,6 @@ __all__ = [
     "domination_count_bounds_batch",
     "complete_domination_filter",
     "pdom_bounds",
-    "pdom_bounds_batch",
     "probabilistic_domination_bounds",
     "StopCriterion",
     "NeverStop",

@@ -5,7 +5,6 @@ from .domination import (
     complete_domination_filter,
     complete_domination_scan,
     pdom_bounds,
-    pdom_bounds_batch,
     pdom_bounds_from_partitions,
     probabilistic_domination_bounds,
 )
@@ -24,13 +23,9 @@ from .generating_functions import (
 )
 from .idca import IDCA, IDCAResult, IDCARun, IterationStats
 from .kernels import (
-    available_backends,
-    default_backend,
     kernel_environment,
     kernel_stats,
-    numba_available,
     pdom_bounds_csr,
-    resolve_backend,
     total_kernel_seconds,
 )
 from .stop_criteria import (
@@ -47,7 +42,6 @@ __all__ = [
     "complete_domination_filter",
     "complete_domination_scan",
     "pdom_bounds",
-    "pdom_bounds_batch",
     "pdom_bounds_from_partitions",
     "probabilistic_domination_bounds",
     "DominationCountBounds",
@@ -63,13 +57,9 @@ __all__ = [
     "IDCAResult",
     "IDCARun",
     "IterationStats",
-    "available_backends",
-    "default_backend",
     "kernel_environment",
     "kernel_stats",
-    "numba_available",
     "pdom_bounds_csr",
-    "resolve_backend",
     "total_kernel_seconds",
     "AnyOf",
     "MaxIterations",

@@ -32,7 +32,6 @@ from ..geometry import (
     min_dist_arrays,
 )
 from ..uncertain import DecompositionTree, UncertainDatabase, UncertainObject
-from .kernels import validate_partition_grids
 
 __all__ = [
     "CompleteDominationResult",
@@ -40,14 +39,9 @@ __all__ = [
     "complete_domination_filter",
     "reference_min_dists",
     "pdom_bounds_from_partitions",
-    "pdom_bounds_batch",
     "pdom_bounds",
     "probabilistic_domination_bounds",
 ]
-
-# cap on the number of broadcast elements materialised at once by the batched
-# kernel; larger grids are processed in slabs along the target-partition axis
-_BATCH_BLOCK_ELEMENTS = 1 << 22
 
 # relative slack of the filter's distance pre-screen: objects whose MinDist to
 # the reference exceeds the target's MaxDist by less than this go to the exact
@@ -258,117 +252,6 @@ def pdom_bounds_from_partitions(
     lower = min(max(lower, 0.0), 1.0)
     upper = min(max(upper, lower), 1.0)
     return lower, upper
-
-
-def pdom_bounds_batch(
-    candidate_regions: np.ndarray,
-    candidate_masses: np.ndarray,
-    target_regions: np.ndarray,
-    reference_regions: np.ndarray,
-    p: float = 2.0,
-    criterion: DominationCriterion = "optimal",
-    partition_counts: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``PDom`` bounds: all candidates against all partition pairs.
-
-    This is the vectorised generalisation of
-    :func:`pdom_bounds_from_partitions` — the four spatial-domination tests of
-    every *(target partition, reference partition, candidate, candidate
-    partition)* combination are evaluated by one broadcast
-    :func:`~repro.geometry.domination_bulk` dispatch instead of one tiny call
-    per triple, which is what the IDCA hot path spends its time on otherwise.
-
-    This padded-dense layout is the **legacy** batched kernel: the hot path
-    now batches candidates in the ragged CSR layout consumed by
-    :func:`repro.core.kernels.pdom_bounds_csr`, which carries no pad rows and
-    supports pluggable backends.  This function is retained as a reference
-    implementation and compatibility surface for external callers.
-
-    Parameters
-    ----------
-    candidate_regions, candidate_masses:
-        Dense stacked partition tensors of shape ``(c, m, d, 2)`` and
-        ``(c, m)``.  Candidates at different adaptive decomposition depths are
-        padded to the common width ``m`` with zero-mass rows (see
-        ``DecompositionTree.partitions_arrays(depth, pad_to=...)``); padding
-        can never influence a bound because every mass reduction below only
-        runs over a candidate's own ``partition_counts[i]`` leading rows.
-    target_regions, reference_regions:
-        Partition grids ``(n_b, d, 2)`` and ``(n_r, d, 2)`` of the target
-        object ``B`` and the reference object ``R``.
-    partition_counts:
-        Number of real (non-padding) partitions per candidate; defaults to
-        ``m`` for every candidate (no padding).  A count of 0 is legal — an
-        object whose decomposition carries no probability mass (e.g. a
-        negligible existence probability) gets the same ``(0, 0)`` bounds the
-        scalar path produces for empty partition arrays.
-
-    Returns
-    -------
-    (lower, upper):
-        Arrays of shape ``(n_b * n_r, c)``; row ``b_idx * n_r + r_idx`` holds
-        the per-candidate ``PDom(A_i, B', R')`` bounds of that partition pair,
-        clamped to probabilities exactly like the scalar path.  Each column
-        depends only on its own candidate's partitions and the two grids, so
-        columns are cacheable and independent of which candidates happened to
-        be batched together.
-    """
-    candidate_regions = np.asarray(candidate_regions, dtype=float)
-    candidate_masses = np.asarray(candidate_masses, dtype=float)
-    if candidate_regions.ndim != 4 or candidate_masses.ndim != 2:
-        raise ValueError("candidate tensors must have shapes (c, m, d, 2) and (c, m)")
-    if candidate_regions.shape[:2] != candidate_masses.shape:
-        raise ValueError("candidate_regions and candidate_masses disagree on (c, m)")
-    # a transposed (d, n, 2) grid would broadcast into silently wrong bounds,
-    # so the grids are validated up front like the candidate tensors
-    target_regions, reference_regions = validate_partition_grids(
-        target_regions,
-        reference_regions,
-        candidate_regions.shape[2] if candidate_regions.shape[0] else None,
-    )
-    num_candidates, max_partitions = candidate_masses.shape
-    num_target = target_regions.shape[0]
-    num_reference = reference_regions.shape[0]
-    num_pairs = num_target * num_reference
-    if partition_counts is None:
-        counts = np.full(num_candidates, max_partitions, dtype=int)
-    else:
-        counts = np.asarray(partition_counts, dtype=int)
-        if counts.shape != (num_candidates,):
-            raise ValueError("partition_counts must have one entry per candidate")
-        if np.any(counts < 0) or np.any(counts > max_partitions):
-            raise ValueError("partition_counts must lie in [0, m]")
-    if num_candidates == 0:
-        empty = np.empty((num_pairs, 0), dtype=float)
-        return empty, empty.copy()
-
-    cand = candidate_regions[None, None]            # (1, 1, c, m, d, 2)
-    targets = target_regions[:, None, None, None]   # (n_b, 1, 1, 1, d, 2)
-    refs = reference_regions[None, :, None, None]   # (1, n_r, 1, 1, d, 2)
-
-    dominating = np.empty((num_target, num_reference, num_candidates, max_partitions), dtype=bool)
-    dominated = np.empty_like(dominating)
-    per_target = num_reference * num_candidates * max_partitions * candidate_regions.shape[2]
-    block = max(1, _BATCH_BLOCK_ELEMENTS // max(per_target, 1))
-    for start in range(0, num_target, block):
-        slab = slice(start, start + block)
-        dominating[slab] = domination_bulk(cand, targets[slab], refs, p, criterion)
-        dominated[slab] = domination_bulk(targets[slab], cand, refs, p, criterion)
-
-    lower = np.empty((num_target, num_reference, num_candidates), dtype=float)
-    upper = np.empty_like(lower)
-    for c in range(num_candidates):
-        m = int(counts[c])
-        masses = candidate_masses[c, :m]
-        total = float(masses.sum())
-        lower_c = np.where(dominating[:, :, c, :m], masses, 0.0).sum(axis=-1)
-        dominated_mass = np.where(dominated[:, :, c, :m], masses, 0.0).sum(axis=-1)
-        # same probability clamps as the scalar path
-        np.clip(lower_c, 0.0, 1.0, out=lower_c)
-        upper_c = np.minimum(np.maximum(total - dominated_mass, lower_c), 1.0)
-        lower[:, :, c] = lower_c
-        upper[:, :, c] = upper_c
-    return lower.reshape(num_pairs, num_candidates), upper.reshape(num_pairs, num_candidates)
 
 
 def pdom_bounds(

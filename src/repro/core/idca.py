@@ -44,10 +44,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ..geometry import DominationCriterion
+from ..geometry.metrics import _validate_p
 from ..uncertain import DecompositionTree, UncertainDatabase, UncertainObject
 from ..uncertain.decomposition import AxisPolicy, csr_partitions_batch
 from .domination import complete_domination_filter, reference_min_dists
-from .kernels import pdom_bounds_csr, resolve_backend
+from .kernels import pdom_bounds_csr
 from .domination_count import (
     DominationCountBounds,
     _combine_windows,
@@ -78,11 +79,8 @@ class IterationStats:
     iteration: columns served from / missed in / appended to the file.  They
     stay zero when no file is attached — e.g. on the serial path.
 
-    ``kernel_backend`` names the pair-bounds kernel backend the iteration
-    resolved to (``"numpy"`` or ``"numba"``); ``kernel_seconds`` is the
-    wall-clock spent inside the CSR kernel itself, zero when every candidate
-    column was served from the memo.  Backends are bit-identical, so these
-    fields only attribute time — they never explain a result difference.
+    ``kernel_seconds`` is the wall-clock spent inside the CSR kernel itself,
+    zero when every candidate column was served from the memo.
 
     When several runs step together (:func:`step_runs`), one UGF expansion
     can serve rows of many runs; its time is split across those runs by
@@ -100,7 +98,6 @@ class IterationStats:
     shared_hits: int = 0
     shared_misses: int = 0
     shared_publishes: int = 0
-    kernel_backend: str = ""
     kernel_seconds: float = 0.0
 
 
@@ -203,15 +200,7 @@ class IDCA:
         every (target partition, reference partition) pair, so a hit skips an
         entire kernel column instead of a single scalar.  Entries are
         deterministic functions of their key, so sharing never changes
-        results.  The key deliberately excludes the kernel backend: backends
-        are bit-identical by construction, so columns computed under one
-        backend are valid under every other.
-    kernel_backend:
-        Pair-bounds kernel backend: ``"numpy"``, ``"numba"`` or ``None`` to
-        resolve through the fallback ladder (``REPRO_KERNEL_BACKEND``
-        environment variable, then the best available backend).  The
-        *request* is stored and re-resolved at every use, so a pickled IDCA
-        resolves against whatever is importable in the receiving worker.
+        results.
     """
 
     def __init__(
@@ -228,18 +217,14 @@ class IDCA:
         adaptive_width_threshold: float = 0.01,
         tree_cache: Optional[dict] = None,
         pair_bounds_cache: Optional[dict] = None,
-        kernel_backend: Optional[str] = None,
     ):
+        _validate_p(p)
         if max_target_depth < 0 or max_reference_depth < 0:
             raise ValueError("decomposition depth caps must be non-negative")
         if max_candidate_depth is not None and max_candidate_depth < 1:
             raise ValueError("max_candidate_depth must be at least 1")
         if adaptive_width_threshold < 0:
             raise ValueError("adaptive_width_threshold must be non-negative")
-        # validate the name eagerly but store the request: resolution happens
-        # per use, so pickled instances re-resolve in the receiving worker
-        resolve_backend(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.database = database
         self.p = p
         self.criterion = criterion
@@ -611,7 +596,6 @@ class IDCARun:
         else:
             missing = list(range(num_candidates))
 
-        kernel_backend = resolve_backend(idca.kernel_backend)
         kernel_seconds = 0.0
         if missing:
             # one batched kernel call covers every uncached candidate column;
@@ -631,7 +615,6 @@ class IDCARun:
                 reference_regions,
                 p=idca.p,
                 criterion=idca.criterion,
-                backend=kernel_backend,
             )
             kernel_seconds = time.perf_counter() - kernel_start
             lower_matrix[:, missing] = fresh_lower
@@ -678,7 +661,6 @@ class IDCARun:
                 getattr(cache, "shared_misses", 0) - shared_before[1],
                 getattr(cache, "shared_publishes", 0) - shared_before[2],
             ),
-            kernel_backend=kernel_backend,
             kernel_seconds=kernel_seconds,
             seconds=time.perf_counter() - iter_start,
         )
@@ -712,7 +694,6 @@ class IDCARun:
                 shared_hits=shared_hits,
                 shared_misses=shared_misses,
                 shared_publishes=shared_publishes,
-                kernel_backend=planned.kernel_backend,
                 kernel_seconds=planned.kernel_seconds,
             )
         )
@@ -747,7 +728,6 @@ class _Iteration:
     candidate_partitions: int
     cache_seconds: float
     shared: tuple[int, int, int]
-    kernel_backend: str
     kernel_seconds: float
     seconds: float
     window_lower: Optional[np.ndarray] = None

@@ -229,7 +229,6 @@ class RefinementContext:
         p: float = 2.0,
         criterion: DominationCriterion = "optimal",
         k_cap: Optional[int] = None,
-        **idca_kwargs,
     ) -> IDCA:
         """An IDCA instance wired to the shared caches, memoised by parameters.
 
@@ -238,7 +237,7 @@ class RefinementContext:
         instance to every query of a batch is both safe and what makes the
         batch fast.
         """
-        key = (p, criterion, k_cap, tuple(sorted(idca_kwargs.items())))
+        key = (p, criterion, k_cap)
         idca = self._idca_instances.get(key)
         if idca is None:
             idca = IDCA(
@@ -249,7 +248,6 @@ class RefinementContext:
                 k_cap=k_cap,
                 tree_cache=self.tree_cache,
                 pair_bounds_cache=self.pair_bounds_cache,
-                **idca_kwargs,
             )
             self._idca_instances[key] = idca
         return idca

@@ -34,6 +34,7 @@ from ..core import (
     UncertaintyBelow,
 )
 from ..geometry import DominationCriterion
+from ..geometry.metrics import _validate_p
 from ..index import RTree
 from ..queries.common import (
     ObjectSpec,
@@ -64,7 +65,8 @@ class QueryEngine:
         The uncertain database to query.
     p, criterion:
         Distance norm and complete-domination criterion shared by every query
-        this engine evaluates.
+        this engine evaluates; ``p`` must be ``>= 1`` (NaN raises
+        ``ValueError`` here).
     candidate_source:
         Spatial filter implementation; defaults to the R-tree source when
         ``rtree`` is given and the vectorised scan otherwise.
@@ -78,14 +80,6 @@ class QueryEngine:
         Refinement scheduler; the default drains every candidate's budget,
         most-uncertain first.  Pass one with ``global_iteration_budget`` to
         cap the total refinement effort per query.
-    kernel_backend:
-        Pair-bounds kernel backend for every IDCA instance this engine
-        creates: ``"numpy"``, ``"numba"`` or ``None`` (default) to resolve
-        through the fallback ladder (``REPRO_KERNEL_BACKEND``, then the best
-        available backend).  The request — not the resolution — is stored,
-        so a pickled engine re-resolves in each worker against whatever is
-        importable there.  Backends are bit-identical by construction; this
-        only selects the implementation, never the results.
     """
 
     def __init__(
@@ -98,15 +92,11 @@ class QueryEngine:
         context: Optional[RefinementContext] = None,
         scheduler: Optional[RefinementScheduler] = None,
         axis_policy: AxisPolicy = "round_robin",
-        kernel_backend: Optional[str] = None,
     ):
-        from ..core.kernels import resolve_backend
-
-        resolve_backend(kernel_backend)  # eager name validation only
+        _validate_p(p)
         self.database = database
         self.p = p
         self.criterion = criterion
-        self.kernel_backend = kernel_backend
         self.candidate_source = candidate_source or make_candidate_source(database, rtree)
         self.context = context or RefinementContext(database, axis_policy=axis_policy)
         self.scheduler = scheduler or RefinementScheduler()
@@ -150,9 +140,7 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     def _threshold_idca(self, idca: Optional[IDCA], k: int) -> IDCA:
         if idca is None:
-            return self.context.idca_for(
-                self.p, self.criterion, k_cap=k, kernel_backend=self.kernel_backend
-            )
+            return self.context.idca_for(self.p, self.criterion, k_cap=k)
         if idca.k_cap is not None and idca.k_cap < k:
             raise ValueError("the supplied IDCA instance truncates below the requested k")
         return idca
@@ -388,9 +376,7 @@ class QueryEngine:
         exclude: set[int] = set()
         query_obj = resolve_object(self.database, query, exclude)
         if idca is None:
-            idca = self.context.idca_for(
-                self.p, self.criterion, kernel_backend=self.kernel_backend
-            )
+            idca = self.context.idca_for(self.p, self.criterion)
         if idca.k_cap is not None:
             raise ValueError("expected-rank ranking requires an untruncated IDCA instance")
         if candidate_indices is None:
@@ -448,9 +434,7 @@ class QueryEngine:
         target_obj = resolve_object(self.database, target, exclude)
         reference_obj = resolve_object(self.database, reference, exclude)
         if idca is None:
-            idca = self.context.idca_for(
-                self.p, self.criterion, kernel_backend=self.kernel_backend
-            )
+            idca = self.context.idca_for(self.p, self.criterion)
         if stop is None and uncertainty_budget is not None:
             stop = UncertaintyBelow(uncertainty_budget)
         run = idca.domination_count(
@@ -478,9 +462,7 @@ class QueryEngine:
     ) -> IDCAResult:
         """Raw IDCA domination count through the shared context."""
         if idca is None:
-            idca = self.context.idca_for(
-                self.p, self.criterion, k_cap=k_cap, kernel_backend=self.kernel_backend
-            )
+            idca = self.context.idca_for(self.p, self.criterion, k_cap=k_cap)
         return idca.domination_count(
             target,
             reference,

@@ -168,8 +168,7 @@ class ChunkStats:
     the kernel, ``shared_misses`` local misses the file could not serve, and
     ``shared_publishes`` freshly computed columns appended to the file.
 
-    ``kernel_backend`` is the pair-bounds backend the chunk's engine resolves
-    to and ``kernel_seconds`` the wall-clock its worker spent inside the CSR
+    ``kernel_seconds`` is the wall-clock its worker spent inside the CSR
     kernel during the chunk (a delta of the process-local counters in
     ``repro/core/kernels.py``), so batch time can be attributed to the
     kernel layer without reaching into refinement state.
@@ -194,7 +193,6 @@ class ChunkStats:
     shared_hits: int = 0
     shared_misses: int = 0
     shared_publishes: int = 0
-    kernel_backend: str = ""
     kernel_seconds: float = 0.0
     shared_rejected: int = 0
     shared_duplicates: int = 0
@@ -300,17 +298,6 @@ class BatchReport:
         return sum(stats.kernel_seconds for stats in self.chunks)
 
     @property
-    def kernel_backend(self) -> str:
-        """Pair-bounds backend(s) the chunks resolved to.
-
-        A single name in the common case; chunks that resolved differently
-        (e.g. numba importable in some workers only) are joined with ``+``.
-        Backends are bit-identical, so a mixed batch is still deterministic.
-        """
-        names = sorted({stats.kernel_backend for stats in self.chunks if stats.kernel_backend})
-        return "+".join(names)
-
-    @property
     def shared_hit_rate(self) -> float:
         """Fraction of local-memo misses the warm-start file served.
 
@@ -358,7 +345,6 @@ class BatchReport:
             "worker_respawns": self.worker_respawns,
             "chunk_retries": self.chunk_retries,
             "completed_requests": self.completed_requests,
-            "kernel_backend": self.kernel_backend,
             "kernel_seconds": self.kernel_seconds,
             "kinds": self.kinds,
             "chunk_sizes": [stats.size for stats in self.chunks],
@@ -562,7 +548,7 @@ def run_chunk_on_engine(
     :meth:`RefinementScheduler.refine`) cuts *inside* a request; this one
     cuts between requests, so an expired chunk never starts new work.
     """
-    from ..core.kernels import resolve_backend, total_kernel_seconds
+    from ..core.kernels import total_kernel_seconds
 
     before = engine.context.stats()
     steps_before = engine.scheduler.steps_taken
@@ -594,7 +580,6 @@ def run_chunk_on_engine(
         shared_hits=after["shared_hits"] - before["shared_hits"],
         shared_misses=after["shared_misses"] - before["shared_misses"],
         shared_publishes=after["shared_publishes"] - before["shared_publishes"],
-        kernel_backend=resolve_backend(getattr(engine, "kernel_backend", None)),
         kernel_seconds=total_kernel_seconds() - kernel_before,
     )
     return results, stats

@@ -46,12 +46,6 @@ __all__ = [
 ]
 
 
-def _average_uncertainty(idca_result) -> float:
-    """Average bound width per influence object (the Figure 7 quality metric)."""
-    influence = max(1, idca_result.num_influence)
-    return idca_result.bounds.uncertainty() / influence
-
-
 # ---------------------------------------------------------------------- #
 # Figure 5 — runtime of the Monte-Carlo partner vs sample size
 # ---------------------------------------------------------------------- #

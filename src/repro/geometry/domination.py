@@ -31,6 +31,7 @@ from typing import Literal
 
 import numpy as np
 
+from .metrics import _validate_p
 from .rectangle import Rectangle
 
 __all__ = [
@@ -69,8 +70,7 @@ def dominates_optimal(a: Rectangle, b: Rectangle, r: Rectangle, p: float = 2.0) 
     """
     if math.isinf(p):
         raise ValueError("the optimal criterion requires a finite p; use dominates_minmax")
-    if p < 1:
-        raise ValueError(f"Lp norms require p >= 1, got {p}")
+    _validate_p(p)
 
     total = 0.0
     for ai, bi, ri in zip(a.intervals, b.intervals, r.intervals):
@@ -129,10 +129,11 @@ def domination_bulk(
         rectangles of the (potential) dominators, dominatees and reference
         regions.  Typically ``r_rect`` is a single rectangle of shape
         ``(d, 2)`` and one of ``a_rects`` / ``b_rects`` a database of shape
-        ``(n, d, 2)``; the batched pair-bounds kernel instead passes a padded
-        ``(1, 1, c, m, d, 2)`` candidate tensor against ``(n_b, 1, 1, 1, d, 2)``
-        target and ``(1, n_r, 1, 1, d, 2)`` reference grids, evaluating every
-        (pair, candidate, partition) combination in one call.
+        ``(n, d, 2)``; the batched pair-bounds kernel instead passes the
+        ``(1, 1, T, d, 2)`` concatenated candidate partitions against
+        ``(n_b, 1, 1, d, 2)`` target and ``(1, n_r, 1, d, 2)`` reference
+        grids, evaluating every (pair, candidate partition) combination in
+        one call.
     p:
         Finite ``Lp`` norm parameter (``p >= 1``).
     criterion:
@@ -144,8 +145,7 @@ def domination_bulk(
         Boolean array of the broadcast shape ``(...)`` — entry ``i`` is True
         iff ``A_i`` completely dominates ``B_i`` w.r.t. ``R_i``.
     """
-    if p < 1:
-        raise ValueError(f"Lp norms require p >= 1, got {p}")
+    _validate_p(p)
     if math.isinf(p):
         raise ValueError("domination_bulk requires a finite p")
 

@@ -37,7 +37,12 @@ __all__ = [
 
 
 def _validate_p(p: float) -> float:
-    if p < 1:
+    """``p`` as a float, or ``ValueError`` unless ``p >= 1`` (``inf`` passes).
+
+    Written as ``not p >= 1`` so that NaN — for which every comparison is
+    false — is rejected instead of slipping through a ``p < 1`` test.
+    """
+    if not p >= 1:
         raise ValueError(f"Lp norms require p >= 1, got {p}")
     return float(p)
 

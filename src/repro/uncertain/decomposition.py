@@ -197,48 +197,20 @@ class DecompositionTree:
             if node.probability > _MASS_EPS
         ]
 
-    def partitions_arrays(
-        self, depth: int, pad_to: Optional[int] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def partitions_arrays(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Partitions at ``depth`` as ``(regions, masses)`` numpy arrays.
 
         ``regions`` has shape ``(k, d, 2)``, ``masses`` shape ``(k,)``; this is
-        the representation consumed by the vectorised bound computations.
-        The arrays are cached per depth (the frontier at a depth never changes
-        once built) and must be treated as read-only — IDCA iterations, the
-        shared refinement context and repeated queries all reuse them.
-
-        With ``pad_to`` the arrays are padded to ``pad_to`` rows so several
-        trees at different adaptive depths can be stacked into the dense
-        ``(num_candidates, max_partitions, d, 2)`` tensor consumed by the
-        legacy padded pair-bounds kernel.  Padding rows carry **zero
-        probability mass** and a degenerate point rectangle at the origin;
-        any domination verdict computed for them is weighted by zero mass and
-        therefore can never influence a bound.  Padded variants are built
-        fresh from the cached base arrays on every call.
-
-        .. deprecated::
-            ``pad_to`` is retained only as a compatibility shim for external
-            callers of the padded-dense layout.  The hot path batches
-            candidates with :func:`csr_partitions_batch`, whose ragged CSR
-            layout carries no pad rows at all and is cached per depth-set.
+        the representation consumed by the vectorised bound computations and
+        concatenated by :func:`csr_partitions_batch`.  The arrays are cached
+        per depth (the frontier at a depth never changes once built) and must
+        be treated as read-only — IDCA iterations, the shared refinement
+        context and repeated queries all reuse them.
         """
         if depth < 0:
             raise ValueError("depth must be non-negative")
         if self.max_depth is not None:
             depth = min(depth, self.max_depth)
-        if pad_to is not None:
-            base_regions, base_masses = self.partitions_arrays(depth)
-            k = base_masses.shape[0]
-            if pad_to < k:
-                raise ValueError(
-                    f"pad_to={pad_to} is smaller than the {k} partitions at depth {depth}"
-                )
-            regions = np.zeros((pad_to, base_regions.shape[1], 2), dtype=float)
-            masses = np.zeros(pad_to, dtype=float)
-            regions[:k] = base_regions
-            masses[:k] = base_masses
-            return regions, masses
         cached = self._arrays_cache.get(depth)
         if cached is not None:
             return cached
@@ -269,9 +241,8 @@ class CSRPartitionBatch:
     ``(k_i, d, 2)`` partition rectangles, ``masses`` the matching probability
     masses, and ``offsets`` the ``(num_candidates + 1,)`` monotone row
     offsets: candidate ``i`` owns rows ``offsets[i]:offsets[i + 1]`` and
-    nothing else.  Unlike the padded-dense ``(c, m, d, 2)`` tensor this
-    layout carries **no pad rows** — candidates at mixed adaptive depths
-    batch together at exactly their own partition counts.
+    nothing else, so candidates at mixed adaptive depths batch together at
+    exactly their own partition counts.
 
     The arrays are marked read-only: batches are cached per depth-set and
     shared between IDCA iterations, refinement contexts and tests.
@@ -288,7 +259,7 @@ class CSRPartitionBatch:
 
     @property
     def total_partitions(self) -> int:
-        """Total partition rows across all candidates (no pad rows)."""
+        """Total partition rows across all candidates."""
         return self.masses.shape[0]
 
     @property
@@ -359,7 +330,7 @@ def csr_partitions(
     """Uncached ragged CSR concatenation of several trees' partition sets.
 
     Same layout and depth clamping as :func:`csr_partitions_batch`, built
-    from the per-depth cached base arrays (no pad copies).  Callers whose
+    from the per-depth cached base arrays.  Callers whose
     batches never recur — a range query batches its own refine candidates —
     use this directly so one-off batches do not fill the shared cache.
     """

@@ -270,8 +270,7 @@ class TestFilterPreScreenEquivalence:
 
         engine = QueryEngine(database)
         before = snapshot(engine.evaluate_many([request])[0])
-        idca = engine.context.idca_for(engine.p, engine.criterion, k_cap=3,
-                                       kernel_backend=engine.kernel_backend)
+        idca = engine.context.idca_for(engine.p, engine.criterion, k_cap=3)
         profile_before = idca._min_dists_to(reference)
         assert idca._min_dists_to(reference) is profile_before  # reused within a snapshot
 

@@ -1,30 +1,27 @@
-"""Kernel backend ladder, CSR batch cache, and engine-level backend parity.
+"""The pair-bounds kernel's plumbing: CSR batch cache, timing, engine parity.
 
 Complements ``tests/test_pdom_batch.py`` (numerical parity of the kernel
-implementations) with the plumbing around them: backend resolution and
-fallback (explicit argument > ``REPRO_KERNEL_BACKEND`` > availability),
-``csr_partitions_batch`` construction and its per-depth-set cache, the
-kernel timing counters surfaced in ``IterationStats`` / ``BatchReport``,
-and bit-identical engine results across backends × worker counts × shared
-bounds store on/off.
+with the scalar loop) with the plumbing around it: ``csr_partitions_batch``
+construction and its per-depth-set cache, the kernel timing counters
+surfaced in ``IterationStats`` / ``BatchReport``, bit-identical engine
+results across worker counts × warm-start store on/off, the removal of the
+former backend selection (``kernel_backend=``, ``REPRO_KERNEL_BACKEND``),
+and the typed rejection of a NaN norm parameter.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import IDCA, MaxIterations
-from repro.core import kernels as kernels_module
 from repro.core.kernels import (
-    KERNEL_BACKENDS,
-    available_backends,
-    default_backend,
     kernel_environment,
     kernel_stats,
-    numba_available,
     pdom_bounds_csr,
-    resolve_backend,
     total_kernel_seconds,
 )
 from repro.datasets import random_reference_object, uniform_rectangle_database
@@ -88,69 +85,65 @@ def _snapshot(results) -> list:
 
 
 # --------------------------------------------------------------------- #
-# backend resolution ladder
+# one kernel: no backend selection is left
 # --------------------------------------------------------------------- #
-class TestBackendResolution:
-    def test_explicit_numpy_always_resolves(self):
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_numba_request_degrades_gracefully(self):
-        resolved = resolve_backend("numba")
-        if numba_available():
-            assert resolved == "numba"
-        else:
-            assert resolved == "numpy"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("mkl")
-
-    def test_default_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert default_backend() == expected
-        assert resolve_backend(None) == expected
-
-    def test_env_variable_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert resolve_backend(None) == "numpy"
-        assert default_backend() == "numpy"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        if numba_available():
-            assert resolve_backend("numba") == "numba"
-        else:
-            assert resolve_backend("numba") == "numpy"
-
-    def test_unknown_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend(None)
-
-    def test_empty_env_value_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "")
-        assert resolve_backend(None) in KERNEL_BACKENDS
-
-    def test_available_backends_always_contains_numpy(self):
-        backends = available_backends()
-        assert "numpy" in backends
-        assert ("numba" in backends) == numba_available()
-
+class TestSingleKernel:
     def test_kernel_environment_metadata(self):
         env = kernel_environment()
         assert env["numpy_version"] == np.__version__
         assert env["cpu_count"] >= 1
-        assert env["default_backend"] in KERNEL_BACKENDS
-        assert set(env["available_backends"]) <= set(KERNEL_BACKENDS)
-        if not numba_available():
-            assert env["numba_version"] is None
+        assert env["default_backend"] == "numpy"
+        assert env["numba_version"] is None
 
-    def test_idca_and_engine_validate_backend_name(self, database):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            IDCA(database, kernel_backend="bogus")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            QueryEngine(database, kernel_backend="bogus")
+    def test_backend_keywords_are_gone(self, database):
+        with pytest.raises(TypeError):
+            IDCA(database, kernel_backend="numpy")
+        with pytest.raises(TypeError):
+            QueryEngine(database, kernel_backend="numpy")
+        grid, _ = DecompositionTree(database[1]).partitions_arrays(1)
+        batch = csr_partitions_batch([DecompositionTree(database[0])], [2])
+        with pytest.raises(TypeError):
+            pdom_bounds_csr(
+                batch.regions, batch.masses, batch.offsets, grid, grid, backend="numpy"
+            )
+
+    def test_removed_names_are_not_exported(self):
+        from repro import core
+
+        for name in ("pdom_bounds_batch", "resolve_backend", "numba_available"):
+            assert not hasattr(repro, name)
+            assert not hasattr(core, name)
+
+
+class TestNanNormParameter:
+    """A NaN ``p`` passes every ``p < 1`` test, so it must be rejected
+    explicitly instead of answering with vacuous bounds."""
+
+    def test_engine_and_idca_reject_nan_p(self, database):
+        with pytest.raises(ValueError, match="p >= 1"):
+            QueryEngine(database, p=math.nan)
+        with pytest.raises(ValueError, match="p >= 1"):
+            IDCA(database, p=math.nan)
+
+    def test_kernel_rejects_nan_p(self, database):
+        grid, _ = DecompositionTree(database[1]).partitions_arrays(1)
+        batch = csr_partitions_batch([DecompositionTree(database[0])], [2])
+        with pytest.raises(ValueError, match="p >= 1"):
+            pdom_bounds_csr(
+                batch.regions, batch.masses, batch.offsets, grid, grid, p=math.nan
+            )
+
+    def test_geometry_rejects_nan_p(self, database):
+        from repro.geometry import dominates_optimal, domination_bulk, lp_distance
+
+        a, b, r = (database[i].mbr for i in range(3))
+        with pytest.raises(ValueError, match="p >= 1"):
+            dominates_optimal(a, b, r, p=math.nan)
+        grid, _ = DecompositionTree(database[1]).partitions_arrays(1)
+        with pytest.raises(ValueError, match="p >= 1"):
+            domination_bulk(grid, grid, grid, p=math.nan)
+        with pytest.raises(ValueError, match="p >= 1"):
+            lp_distance([0.0, 0.0], [1.0, 1.0], p=math.nan)
 
 
 # --------------------------------------------------------------------- #
@@ -220,22 +213,18 @@ class TestKernelTiming:
         grid, _ = DecompositionTree(database[1]).partitions_arrays(1)
         before_seconds = total_kernel_seconds()
         before_calls = kernel_stats()["kernel_calls"]
-        pdom_bounds_csr(
-            batch.regions, batch.masses, batch.offsets, grid, grid, backend="numpy"
-        )
+        pdom_bounds_csr(batch.regions, batch.masses, batch.offsets, grid, grid)
         assert total_kernel_seconds() > before_seconds
         assert kernel_stats()["kernel_calls"] == before_calls + 1
-        assert kernel_stats()["per_backend_calls"]["numpy"] >= 1
 
-    def test_iteration_stats_record_backend_and_time(self, database, reference):
-        idca = IDCA(database, kernel_backend="numpy")
+    def test_iteration_stats_record_kernel_time(self, database, reference):
+        idca = IDCA(database)
         result = idca.domination_count(
             0, reference, stop=MaxIterations(2), max_iterations=2
         )
         refined = result.iterations[1:]
         assert refined, "expected at least one refinement iteration"
         for stat in refined:
-            assert stat.kernel_backend == "numpy"
             assert 0.0 <= stat.kernel_seconds <= stat.elapsed_seconds
         # the fresh run computed at least one column in the kernel
         assert any(stat.kernel_seconds > 0.0 for stat in refined)
@@ -244,48 +233,40 @@ class TestKernelTiming:
         engine = QueryEngine(database)
         engine.evaluate_many(requests)
         report = engine.last_batch_report
-        assert report.kernel_backend == resolve_backend(None)
         assert report.kernel_seconds > 0.0
         payload = report.to_dict()
-        assert payload["kernel_backend"] == report.kernel_backend
+        assert "kernel_backend" not in payload
         assert payload["kernel_seconds"] == report.kernel_seconds
 
 
 # --------------------------------------------------------------------- #
-# engine-level parity: backends × workers × shared bounds store
+# engine-level parity: workers × warm-start store
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def serial_snapshot(database, requests):
     return _snapshot(QueryEngine(database).evaluate_many(requests))
 
 
-class TestEngineBackendParity:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_serial_backend_is_bit_identical(
-        self, database, requests, serial_snapshot, backend
-    ):
-        engine = QueryEngine(database, kernel_backend=backend)
+class TestEngineParity:
+    def test_serial_is_bit_identical(self, database, requests, serial_snapshot):
+        engine = QueryEngine(database)
         assert _snapshot(engine.evaluate_many(requests)) == serial_snapshot
-        assert engine.last_batch_report.kernel_backend == resolve_backend(backend)
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_process_pool_backend_is_bit_identical(
-        self, database, requests, serial_snapshot, workers, backend
+    def test_process_pool_is_bit_identical(
+        self, database, requests, serial_snapshot, workers
     ):
-        engine = QueryEngine(database, kernel_backend=backend)
+        engine = QueryEngine(database)
         config = ExecutorConfig(workers=workers)
         assert _snapshot(engine.evaluate_many(requests, config)) == serial_snapshot
-        report = engine.last_batch_report
-        assert report.kernel_backend == resolve_backend(backend)
 
     @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_service_backend_is_bit_identical(
+    def test_service_is_bit_identical(
         self, database, requests, serial_snapshot, workers, warm_start, tmp_path
     ):
         directory = str(tmp_path) if warm_start else None
-        engine = QueryEngine(database, kernel_backend="numpy")
+        engine = QueryEngine(database)
         config = ExecutorConfig(workers=workers)
         with QueryService(engine, config, bounds_store_path=directory) as service:
             for _ in range(2):
@@ -294,15 +275,16 @@ class TestEngineBackendParity:
                     assert service.last_batch_report.shared_hits == 0
         if warm_start:
             # a restart over the lanes' files serves the same bytes warm
-            engine = QueryEngine(database, kernel_backend="numpy")
+            engine = QueryEngine(database)
             with QueryService(engine, config, bounds_store_path=directory) as service:
                 assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
                 assert service.last_batch_report.shared_hits > 0
 
-    def test_forced_numpy_env_is_bit_identical(
+    def test_former_backend_env_variable_is_ignored(
         self, database, requests, serial_snapshot, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        """``REPRO_KERNEL_BACKEND`` selected a backend once; any value,
+        even a bogus one, now neither raises nor changes a result."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
         engine = QueryEngine(database)
         assert _snapshot(engine.evaluate_many(requests)) == serial_snapshot
-        assert engine.last_batch_report.kernel_backend == "numpy"
