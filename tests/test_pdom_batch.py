@@ -143,6 +143,40 @@ def _fold_reference(parts, target_regions, reference_regions, p=2.0, criterion="
     return lower, upper
 
 
+class TestPartitionsArrays:
+    def test_repeat_calls_return_the_cached_arrays(self):
+        """The arrays at a depth are built once and shared by every caller."""
+        database = uniform_rectangle_database(3, max_extent=0.1, seed=3)
+        tree = DecompositionTree(database[0])
+        first = tree.partitions_arrays(2)
+        second = tree.partitions_arrays(2)
+        assert first[0] is second[0] and first[1] is second[1]
+        assert tree.partitions_arrays(1)[0] is not first[0]
+
+    def test_arrays_mirror_the_partition_list(self):
+        database = uniform_rectangle_database(3, max_extent=0.1, seed=3)
+        tree = DecompositionTree(database[1])
+        regions, masses = tree.partitions_arrays(3)
+        parts = tree.partitions(3)
+        assert regions.shape == (len(parts), database[1].dimensions, 2)
+        assert masses.shape == (len(parts),)
+        for row, part in enumerate(parts):
+            assert np.array_equal(regions[row, :, 0], part.region.lows)
+            assert np.array_equal(regions[row, :, 1], part.region.highs)
+            assert masses[row] == part.probability
+        assert math.isclose(masses.sum(), 1.0, rel_tol=0, abs_tol=1e-12)
+
+    def test_depth_is_clamped_to_max_depth(self):
+        database = uniform_rectangle_database(3, max_extent=0.1, seed=3)
+        tree = DecompositionTree(database[2], max_depth=2)
+        assert tree.partitions_arrays(5)[0] is tree.partitions_arrays(2)[0]
+
+    def test_negative_depth_raises(self):
+        database = uniform_rectangle_database(3, max_extent=0.1, seed=3)
+        with pytest.raises(ValueError):
+            DecompositionTree(database[0]).partitions_arrays(-1)
+
+
 class TestPdomBoundsBatch:
     def test_zero_mass_rows_cannot_change_bounds(self):
         """Degenerate zero-mass point rows appended to every candidate's
@@ -474,6 +508,114 @@ class TestCSRKernelParity:
             pdom_bounds_csr(regions, masses, np.array([0, 2, 1, 3]), grid, grid)
         with pytest.raises(ValueError):  # masses/regions row mismatch
             pdom_bounds_csr(regions, masses[:2], np.array([0, 2]), grid, grid)
+
+
+class TestKernelProperties:
+    """Structural promises of the CSR kernel: refinement only tightens,
+    columns belong to their own candidate, and pair rows are target-major."""
+
+    def _fixture(self, seed=40, num=8):
+        database = uniform_rectangle_database(num, max_extent=0.08, seed=seed)
+        trees = [DecompositionTree(obj) for obj in database]
+        target = DecompositionTree(random_reference_object(extent=0.08, seed=seed + 1))
+        reference = DecompositionTree(random_reference_object(extent=0.08, seed=seed + 2))
+        return trees, target.partitions_arrays(1)[0], reference.partitions_arrays(1)[0]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+    def test_refining_candidates_never_loosens_bounds(self, p, criterion):
+        """A sub-partition of a dominating (dominated) partition still
+        dominates (is dominated), so deeper candidates can only raise the
+        lower bound and lower the upper bound."""
+        trees, target_regions, reference_regions = self._fixture()
+        previous = None
+        for depth in range(4):
+            batch = csr_partitions_batch(trees, [depth] * len(trees))
+            lower, upper = pdom_bounds_csr(
+                batch.regions, batch.masses, batch.offsets,
+                target_regions, reference_regions, p=p, criterion=criterion,
+            )
+            if previous is not None:
+                assert np.all(lower >= previous[0] - 1e-12)
+                assert np.all(upper <= previous[1] + 1e-12)
+            previous = (lower, upper)
+
+    def test_candidate_permutation_permutes_columns(self):
+        trees, target_regions, reference_regions = self._fixture(seed=43)
+        depths = [1 + (i % 3) for i in range(len(trees))]
+        batch = csr_partitions_batch(trees, depths)
+        lower, upper = pdom_bounds_csr(
+            batch.regions, batch.masses, batch.offsets, target_regions, reference_regions
+        )
+        order = np.random.default_rng(44).permutation(len(trees))
+        shuffled = csr_partitions_batch([trees[i] for i in order], [depths[i] for i in order])
+        lower_s, upper_s = pdom_bounds_csr(
+            shuffled.regions, shuffled.masses, shuffled.offsets,
+            target_regions, reference_regions,
+        )
+        assert np.array_equal(lower_s, lower[:, order])
+        assert np.array_equal(upper_s, upper[:, order])
+
+    def test_column_does_not_depend_on_batch_composition(self):
+        """Each candidate's column is bit-identical alone and in the batch."""
+        trees, target_regions, reference_regions = self._fixture(seed=46)
+        depths = [1 + (i % 4) for i in range(len(trees))]
+        batch = csr_partitions_batch(trees, depths)
+        lower, upper = pdom_bounds_csr(
+            batch.regions, batch.masses, batch.offsets, target_regions, reference_regions
+        )
+        for i, (tree, depth) in enumerate(zip(trees, depths)):
+            regions, masses = tree.partitions_arrays(depth)
+            alone = pdom_bounds_csr(
+                *_csr([(regions, masses)]), target_regions, reference_regions
+            )
+            assert np.array_equal(alone[0][:, 0], lower[:, i])
+            assert np.array_equal(alone[1][:, 0], upper[:, i])
+
+    def test_pair_rows_are_target_major(self):
+        trees, target_regions, reference_regions = self._fixture(seed=49)
+        batch = csr_partitions_batch(trees, [2] * len(trees))
+        lower, upper = pdom_bounds_csr(
+            batch.regions, batch.masses, batch.offsets, target_regions, reference_regions
+        )
+        num_reference = reference_regions.shape[0]
+        for b in range(target_regions.shape[0]):
+            for r in range(num_reference):
+                one = pdom_bounds_csr(
+                    batch.regions, batch.masses, batch.offsets,
+                    target_regions[b:b + 1], reference_regions[r:r + 1],
+                )
+                row = b * num_reference + r
+                assert np.array_equal(one[0][0], lower[row])
+                assert np.array_equal(one[1][0], upper[row])
+
+    def test_offsets_accept_any_integer_sequence(self):
+        rng = np.random.default_rng(52)
+        regions = _random_rects(rng, (5,))
+        masses = np.array([0.5, 0.5, 0.25, 0.25, 0.5])
+        grid = _random_rects(rng, (2,))
+        expected = pdom_bounds_csr(
+            regions, masses, np.array([0, 2, 5], dtype=np.int64), grid, grid
+        )
+        for offsets in ([0, 2, 5], np.array([0, 2, 5], dtype=np.int32)):
+            got = pdom_bounds_csr(regions, masses, offsets, grid, grid)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+    def test_rejected_and_empty_calls_leave_the_counters_alone(self):
+        from repro.core.kernels import kernel_stats
+
+        rng = np.random.default_rng(53)
+        grid = _random_rects(rng, (1,))
+        before = kernel_stats()
+        pdom_bounds_csr(np.empty((0, 2, 2)), np.empty(0), np.zeros(1, dtype=np.int64), grid, grid)
+        with pytest.raises(ValueError):
+            pdom_bounds_csr(grid, np.ones(1), np.array([0, 1]), grid, grid, p=math.nan)
+        assert kernel_stats() == before
+        pdom_bounds_csr(grid, np.ones(1), np.array([0, 1]), grid, grid)
+        after = kernel_stats()
+        assert after["kernel_calls"] == before["kernel_calls"] + 1
+        assert after["kernel_seconds"] >= before["kernel_seconds"]
 
 
 class TestGridValidation:
