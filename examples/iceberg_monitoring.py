@@ -13,12 +13,10 @@ vessel (itself reporting an imprecise position) wants to know:
 
 The second half turns the one-shot analysis into a *streaming* watch: the
 database is served through :class:`~repro.engine.QueryService` and the HTTP
-gateway, the vessel's kNN and range interests are registered as standing
-queries, and each monitoring tick applies a batch of drift re-sightings via
+gateway, and each monitoring tick applies a batch of drift re-sightings via
 ``POST /v1/mutate``.  The gateway advances the snapshot epoch behind its
-mutation barrier and refreshes the standing queries incrementally — a far
-new sighting leaves the vessel's range watch untouched (patched/skipped)
-while the kNN watch re-evaluates against the new snapshot.
+mutation barrier; after each tick the vessel re-posts its kNN and range
+documents to ``POST /v1/query`` and reads answers for the new snapshot.
 
 Run with::
 
@@ -95,20 +93,19 @@ def main() -> None:
         )
 
     # ------------------------------------------------------------------ #
-    # streaming: standing queries over the HTTP gateway, drift via /v1/mutate
+    # streaming: drift via /v1/mutate, the vessel's queries via /v1/query
     # ------------------------------------------------------------------ #
     streaming_watch(icebergs, vessel)
 
 
 def streaming_watch(icebergs, vessel) -> None:
-    """Serve the database and keep the vessel's watches fresh across drift.
+    """Serve the database and re-ask the vessel's questions across drift.
 
-    Registers a standing kNN query ("the 5 icebergs probably nearest the
-    vessel") and a standing range query ("icebergs probably within
-    ``epsilon`` of the vessel"), then applies three rounds of mutations:
-    drift re-sightings of the nearest icebergs, plus a far-away new
-    sighting whose insertion cannot change the range result — the gateway
-    patches that watch instead of re-evaluating it.
+    Applies three rounds of mutations — drift re-sightings of the nearest
+    icebergs, then a far-away new sighting, then another drift round — and
+    after each one re-posts the vessel's kNN document ("the 5 icebergs
+    probably nearest the vessel") and range document ("icebergs probably
+    within ``epsilon`` of the vessel") to ``/v1/query``.
     """
     import json
     import urllib.request
@@ -126,10 +123,6 @@ def streaming_watch(icebergs, vessel) -> None:
         with urllib.request.urlopen(request) as response:
             return json.loads(response.read())
 
-    def get(url: str) -> dict:
-        with urllib.request.urlopen(url) as response:
-            return json.loads(response.read())
-
     mbr = vessel.mbr
     vessel_literal = {
         "box": {
@@ -137,28 +130,17 @@ def streaming_watch(icebergs, vessel) -> None:
             "upper": [iv.hi for iv in mbr.intervals],
         }
     }
+    knn_document = {"type": "knn", "query": vessel_literal, "k": 5, "tau": 0.5,
+                    "max_iterations": 6}
+    range_document = {"type": "range", "query": vessel_literal, "epsilon": 0.015,
+                      "tau": 0.2, "max_depth": 4}
     watched = knn_candidate_subset(icebergs, vessel, limit=3)
     centers = {i: icebergs[i].mean() for i in watched}
     drift_rng = np.random.default_rng(41)
 
-    print("\n--- streaming watch (standing queries over the gateway) ---")
+    print("\n--- streaming watch (queries re-posted after each mutation) ---")
     with QueryService(icebergs, ExecutorConfig(workers=2)) as service:
         with GatewayServer(service) as server:
-            knn_watch = post(
-                f"{server.url}/v1/standing",
-                {"query": {"type": "knn", "query": vessel_literal, "k": 5,
-                           "tau": 0.5, "max_iterations": 6}},
-            )
-            range_watch = post(
-                f"{server.url}/v1/standing",
-                {"query": {"type": "range", "query": vessel_literal,
-                           "epsilon": 0.015, "tau": 0.2, "max_depth": 4}},
-            )
-            print(
-                f"registered {knn_watch['id']} (knn) and {range_watch['id']} "
-                f"(range) at epoch {knn_watch['epoch']}"
-            )
-
             for tick in range(3):
                 ops = []
                 if tick != 1:
@@ -173,26 +155,24 @@ def streaming_watch(icebergs, vessel) -> None:
                                                     "std": [0.0008, 0.0008]}},
                         })
                 else:
-                    # a brand-new sighting far from the vessel: too distant to
-                    # enter the range result, so that watch is patched, not
-                    # re-evaluated — only the kNN watch re-runs
+                    # a brand-new sighting far from the vessel
                     ops.append({
                         "op": "insert",
                         "object": {"gaussian": {"mean": [0.95, 0.95],
                                                 "std": [0.002, 0.002]}},
                     })
                 outcome = post(f"{server.url}/v1/mutate", {"mutations": ops})
-                refreshed = outcome["standing"]
-                current = get(f"{server.url}/v1/standing/{knn_watch['id']}")
-                matches = current["result"]["matches"]
+                knn = post(f"{server.url}/v1/query", knn_document)["result"]
+                nearby = post(f"{server.url}/v1/query", range_document)["result"]
                 print(
                     f"tick {tick}: {outcome['applied']} ops -> epoch "
-                    f"{outcome['epoch']} ({outcome['size']} icebergs); standing: "
-                    f"{refreshed['reevaluated']} re-evaluated, "
-                    f"{refreshed['patched']} patched, {refreshed['skipped']} skipped"
+                    f"{outcome['epoch']} ({outcome['size']} icebergs); "
+                    f"{len(knn['matches'])} kNN matches, "
+                    f"{len(nearby['matches'])} within range"
                 )
                 database = service.engine.database
-                for match in sorted(matches, key=lambda m: -m["probability_upper"])[:3]:
+                ranked = sorted(knn["matches"], key=lambda m: -m["probability_upper"])
+                for match in ranked[:3]:
                     label = database[match["index"]].label or f"object-{match['index']}"
                     print(
                         f"    {label}: P(among 5 nearest) in "

@@ -1,10 +1,24 @@
-"""Setuptools shim for legacy editable installs (environments without wheel).
+"""Packaging metadata for the ``repro`` library (the source lives in ``src/``).
 
-All project metadata lives in ``pyproject.toml``; this file only exists so
-``pip install -e . --no-use-pep517`` works in offline environments where the
-``wheel`` package is unavailable.
+The version is read from ``src/repro/__init__.py`` without importing the
+package, so ``python setup.py --name --version`` works before numpy and
+scipy are installed.  ``pip install -e .`` installs the checkout.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -5,15 +5,15 @@ The network tier of the service stack (see ``docs/architecture.md`` ·
 types as JSON over ``POST /v1/query`` / ``POST /v1/batch``, with typed
 service errors mapped onto status codes, client deadlines propagated into
 service deadlines, in-flight request coalescing on stable request keys,
-per-tenant iteration budgets, and ``GET /metrics`` / ``GET /healthz``.
-``POST /v1/mutate`` applies a mutation batch through the service's
-snapshot barrier, and the ``/v1/standing`` routes maintain registered
-queries incrementally across epochs (see ``gateway/server.py``).
+and ``GET /metrics`` / ``GET /healthz``.  ``POST /v1/mutate`` applies a
+mutation batch through the service's snapshot barrier (see
+``gateway/server.py``).
 
 Entry points:
 
-* :class:`GatewayServer` — synchronous host (background loop thread);
-  the right choice for scripts, tests and the README quickstart.
+* :class:`GatewayServer` — synchronous host (background loop thread,
+  ``gateway/host.py``); the right choice for scripts, tests and the
+  README quickstart.
 * :class:`AsyncGateway` — the gateway itself, for callers that already
   run an event loop.
 * ``python -m repro.gateway`` — demo server over a synthetic database.
@@ -28,8 +28,9 @@ from .codec import (
     request_key,
 )
 from .http import HttpRequest, ProtocolError, encode_response, read_request
+from .host import GatewayServer
 from .metrics import GatewayMetrics, LatencyHistogram
-from .server import AsyncGateway, GatewayConfig, GatewayServer
+from .server import AsyncGateway, GatewayConfig
 
 __all__ = [
     "AsyncGateway",

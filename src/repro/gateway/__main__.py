@@ -12,7 +12,8 @@ import time
 
 from ..datasets import uniform_rectangle_database
 from ..engine import ExecutorConfig, QueryService
-from .server import GatewayConfig, GatewayServer
+from .host import GatewayServer
+from .server import GatewayConfig
 
 
 def main(argv=None) -> int:

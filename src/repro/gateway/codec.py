@@ -9,9 +9,9 @@ Three jobs, all deterministic:
   arguments accept a database position or an inline uncertain-object
   literal (box-uniform, discrete, truncated Gaussian);
 * **key** — derive the process-independent *request key* used for
-  in-flight request coalescing: the PR-5
+  in-flight request coalescing: the snapshot epoch, the
   :func:`~repro.engine.boundstore.stable_object_key` identity of every
-  object argument plus the full result-relevant parameter tuple.  Two
+  object argument and the full result-relevant parameter tuple.  Two
   requests with equal keys are guaranteed to produce equal results (the
   engine is deterministic), so the gateway can serve both from one
   evaluation;
@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CodecError",
-    "STANDING_KINDS",
     "SUPPORTED_KINDS",
     "canonical_json",
     "decode_mutations",
@@ -63,11 +62,6 @@ __all__ = [
 
 #: The five query types the gateway serves.
 SUPPORTED_KINDS = ("knn", "rknn", "range", "ranking", "inverse_ranking")
-
-#: The query types that may be registered as standing queries (re-evaluated
-#: on mutation).  Restricted to the kinds whose results the gateway knows
-#: how to maintain incrementally — see ``gateway/server.py``.
-STANDING_KINDS = ("knn", "range", "ranking")
 
 
 class CodecError(ValueError):
@@ -184,8 +178,8 @@ def decode_query(payload, database: "UncertainDatabase") -> QueryRequest:
     request dataclass.  Unknown fields are rejected (a typo'd optional
     field silently falling back to its default would change results), as
     are values of the wrong type — all as :class:`CodecError`, which the
-    server maps to HTTP 400.  Transport-level fields (``timeout_ms``,
-    ``tenant``) are the server's job and must be stripped before calling.
+    server maps to HTTP 400.  The transport-level field ``timeout_ms`` is
+    the server's job and must be stripped before calling.
     """
     if not isinstance(payload, dict):
         raise CodecError("query must be a JSON object")
@@ -352,12 +346,14 @@ def _object_key(database: "UncertainDatabase", spec) -> tuple:
 def request_key(database: "UncertainDatabase", request: QueryRequest) -> bytes:
     """Process-independent identity of one decoded request.
 
-    Built from the :func:`~repro.engine.boundstore.stable_object_key` of
-    every object argument plus all result-relevant parameters — equal keys
-    imply bit-identical results, so the gateway may serve concurrent
-    duplicates from a single evaluation.  Transport fields (timeouts,
-    tenants) never enter the key: they affect *whether and when* a request
-    runs, not what it returns.
+    Built from the database's snapshot epoch, the
+    :func:`~repro.engine.boundstore.stable_object_key` of every object
+    argument and all result-relevant parameters — equal keys imply
+    bit-identical results, so the gateway may serve concurrent duplicates
+    from a single evaluation.  A database position and an inline literal
+    never share a key, even for equal content.  The transport field
+    ``timeout_ms`` never enters the key: it affects *whether and when* a
+    request runs, not what it returns.
     """
     if isinstance(request, KNNQuery):
         parts = (

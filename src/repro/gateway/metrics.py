@@ -119,7 +119,6 @@ class GatewayMetrics:
         self._status_counts: dict[int, int] = {}
         self._requests_total = 0
         self._coalesce_hits = 0
-        self._tenant_rejections = 0
         self._in_flight = 0
         self._connections_open = 0
         self._connections_total = 0
@@ -163,10 +162,6 @@ class GatewayMetrics:
         with self._lock:
             self._coalesce_hits += 1
 
-    def tenant_rejected(self) -> None:
-        with self._lock:
-            self._tenant_rejections += 1
-
     def record_report(self, report) -> None:
         """Fold one resolved :class:`~repro.engine.BatchReport` into the totals."""
         with self._lock:
@@ -200,7 +195,6 @@ class GatewayMetrics:
                     for code, count in sorted(self._status_counts.items())
                 },
                 "coalesce_hits": self._coalesce_hits,
-                "tenant_rejections": self._tenant_rejections,
                 "queue_depth": self._in_flight,
                 "connections_open": self._connections_open,
                 "connections_total": self._connections_total,

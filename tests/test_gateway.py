@@ -4,12 +4,14 @@ Every test talks to a live ``GatewayServer`` through ``http.client``
 connections — real TCP, real framing — and asserts the contracts of the
 network tier: byte-identical payloads vs serial evaluation at every
 worker count, the typed-error → status-code mapping (429/503/504/400),
-in-flight coalescing, per-tenant budgets, graceful drain and crash
-recovery behind the gateway.
+in-flight coalescing, graceful drain and crash recovery behind the
+gateway.  The coalescing key (``codec.request_key``) and the validation of
+``GatewayConfig`` are unit-tested without a socket.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import threading
@@ -20,12 +22,16 @@ import pytest
 from repro.datasets import uniform_rectangle_database
 from repro.engine import ExecutorConfig, QueryEngine, QueryService
 from repro.gateway import (
+    AsyncGateway,
     GatewayConfig,
     GatewayServer,
     canonical_json,
     decode_query,
     encode_result,
+    request_key,
 )
+from repro.gateway.server import MAX_BATCH_QUERIES, MAX_MUTATION_OPS
+from repro.uncertain import Update
 from repro.testing.faults import ANY_LANE, FaultPlan, inject_faults
 from repro.testing.load import run_ramp
 
@@ -78,7 +84,7 @@ def _post(server, path, document):
 def _serial_payload(database, document):
     """The canonical payload bytes of ``document`` evaluated serially."""
     request = decode_query(
-        {k: v for k, v in document.items() if k not in ("timeout_ms", "tenant")},
+        {k: v for k, v in document.items() if k != "timeout_ms"},
         database,
     )
     (result,) = QueryEngine(database).evaluate_many([request])
@@ -210,6 +216,38 @@ def test_empty_batch_maps_to_400(shared_server):
     assert _post(shared_server, "/v1/batch", {})[0] == 400
 
 
+def test_removed_standing_routes_answer_404(shared_server):
+    for method, path in [
+        ("POST", "/v1/standing"),
+        ("GET", "/v1/standing"),
+        ("GET", "/v1/standing/sq-1"),
+        ("DELETE", "/v1/standing/sq-1"),
+    ]:
+        document = {"query": QUERY_DOCS[0]} if method == "POST" else None
+        status, _headers, body = _request(shared_server, method, path, document)
+        assert status == 404, (method, path, body)
+
+
+def test_tenant_field_is_an_unknown_query_field(shared_server):
+    status, _headers, body = _post(
+        shared_server, "/v1/query", dict(QUERY_DOCS[0], tenant="acme")
+    )
+    assert status == 400, body
+    message = json.loads(body)["error"]
+    assert "unknown field" in message and "tenant" in message
+
+
+def test_input_limits_map_to_413(shared_server):
+    queries = [QUERY_DOCS[0]] * (MAX_BATCH_QUERIES + 1)
+    status, _headers, body = _post(shared_server, "/v1/batch", {"queries": queries})
+    assert status == 413, body
+    literal = {"box": {"lower": [0.1, 0.1], "upper": [0.2, 0.2]}}
+    mutations = [{"op": "insert", "object": literal}] * (MAX_MUTATION_OPS + 1)
+    status, _headers, body = _post(shared_server, "/v1/mutate", {"mutations": mutations})
+    assert status == 413, body
+    assert shared_server.gateway.service.epoch == 0
+
+
 def test_overload_maps_to_429_with_retry_after(gateway_database):
     plan = FaultPlan(delay_lane=ANY_LANE, delay_seconds=1.0, delay_once=False)
     with inject_faults(plan):
@@ -322,25 +360,127 @@ def test_coalescing_window_is_in_flight_only(shared_server):
 
 
 # --------------------------------------------------------------------- #
-# tenant budgets
+# the coalescing key: equal keys must mean bit-identical results
 # --------------------------------------------------------------------- #
-def test_tenant_budget_maps_to_429(gateway_database):
-    config = GatewayConfig(tenant_budget=1, tenant_refill_seconds=120.0)
-    with QueryService(gateway_database, ExecutorConfig(workers=1)) as service:
-        with GatewayServer(service, config) as server:
-            document = dict(QUERY_DOCS[0], tenant="acme")
-            status, _headers, _body = _post(server, "/v1/query", document)
-            assert status == 200
-            # the first batch charged its actual iterations (> 1 token):
-            # the tenant is now overdrawn and must wait out the debt
-            status, headers, body = _post(server, "/v1/query", document)
-            assert status == 429, body
-            assert int(headers["Retry-After"]) >= 1
-            assert server.metrics()["tenant_rejections"] == 1
-            # other tenants (and untenanted requests) are unaffected
-            other = dict(QUERY_DOCS[0], tenant="zen")
-            assert _post(server, "/v1/query", other)[0] == 200
-            assert _post(server, "/v1/query", QUERY_DOCS[0])[0] == 200
+def _key(database, document) -> bytes:
+    return request_key(database, decode_query(document, database))
+
+
+#: Per kind, one changed value for every field of the request dataclass the
+#: codec decodes (``InverseRankingQuery.stop`` has no document field).
+FIELD_CHANGES = {
+    "knn": {"query": 7, "k": 4, "tau": 0.6, "max_iterations": 4, "strict": True},
+    "rknn": {
+        "query": 7, "k": 3, "tau": 0.6, "max_iterations": 4,
+        "candidate_indices": [0, 1, 2], "strict": True,
+    },
+    "range": {
+        "query": 7, "epsilon": 0.25, "tau": 0.6, "max_depth": 5, "strict": True,
+    },
+    "ranking": {
+        "query": 7, "max_iterations": 3, "uncertainty_budget": 0.5,
+        "candidate_indices": [0, 1, 2],
+    },
+    "inverse_ranking": {
+        "target": 7, "reference": 8, "max_iterations": 4,
+        "uncertainty_budget": 0.5, "exclude_indices": [9],
+    },
+}
+
+
+def test_request_key_equal_documents_equal_keys(gateway_database):
+    literal = {"box": {"lower": [0.4, 0.4], "upper": [0.45, 0.45]}}
+    documents = QUERY_DOCS + [dict(QUERY_DOCS[0], query=literal)]
+    for document in documents:
+        # decoded twice: distinct request objects (and literal objects)
+        assert _key(gateway_database, document) == _key(
+            gateway_database, json.loads(json.dumps(document))
+        )
+    keys = {_key(gateway_database, document) for document in documents}
+    assert len(keys) == len(documents)
+
+
+def test_request_key_differs_across_epochs(gateway_database):
+    mutated = gateway_database.apply([Update(20, gateway_database[21])])
+    assert mutated.epoch == gateway_database.epoch + 1
+    for document in QUERY_DOCS:  # none of them names position 20
+        assert _key(gateway_database, document) != _key(mutated, document)
+
+
+@pytest.mark.parametrize(
+    "document", QUERY_DOCS, ids=[document["type"] for document in QUERY_DOCS]
+)
+def test_request_key_changes_with_every_result_field(gateway_database, document):
+    changes = FIELD_CHANGES[document["type"]]
+    request = decode_query(document, gateway_database)
+    decoded_fields = {field.name for field in dataclasses.fields(request)} - {"stop"}
+    assert set(changes) == decoded_fields
+    base = _key(gateway_database, document)
+    for field_name, value in changes.items():
+        assert document.get(field_name) != value
+        changed = dict(document, **{field_name: value})
+        assert _key(gateway_database, changed) != base, field_name
+
+
+def test_request_key_ignores_timeout_ms(gateway_database):
+    for document in QUERY_DOCS:
+        stripped = AsyncGateway._strip_transport(dict(document, timeout_ms=50))
+        assert stripped == document
+        assert _key(gateway_database, stripped) == _key(gateway_database, document)
+
+
+def test_request_key_separates_position_from_equal_literal(gateway_database):
+    mbr = gateway_database[0].mbr
+    literal = {"box": {"lower": list(mbr.lows), "upper": list(mbr.highs)}}
+    by_position = dict(QUERY_DOCS[0], query=0)
+    by_literal = dict(QUERY_DOCS[0], query=literal)
+    assert _key(gateway_database, by_position) != _key(gateway_database, by_literal)
+
+
+# --------------------------------------------------------------------- #
+# configuration: three fields, validated at construction
+# --------------------------------------------------------------------- #
+REMOVED_CONFIG_FIELDS = [
+    "coalesce", "coalesce_grace_seconds", "tenant_budget",
+    "tenant_refill_seconds", "max_batch_queries", "max_mutation_ops",
+    "max_standing_queries", "drain_grace_seconds", "max_header_bytes",
+    "max_body_bytes",
+]
+
+
+def test_gateway_config_has_three_fields():
+    names = [field.name for field in dataclasses.fields(GatewayConfig)]
+    assert names == ["host", "port", "default_timeout_ms"]
+    # the boundary values are valid
+    GatewayConfig(port=65535, default_timeout_ms=1)
+    GatewayConfig(port=0, default_timeout_ms=None)
+    with pytest.raises(TypeError):
+        AsyncGateway(None, metrics=None)
+
+
+@pytest.mark.parametrize("field_name", REMOVED_CONFIG_FIELDS)
+def test_removed_config_fields_raise_type_error(field_name):
+    with pytest.raises(TypeError, match=field_name):
+        GatewayConfig(**{field_name: 1})
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("default_timeout_ms", 0),
+        ("default_timeout_ms", -5),
+        ("default_timeout_ms", True),
+        ("default_timeout_ms", 1.5),
+        ("default_timeout_ms", "100"),
+        ("port", -1),
+        ("port", 65536),
+        ("port", True),
+        ("port", "8080"),
+    ],
+)
+def test_gateway_config_rejects_invalid_values(field_name, value):
+    with pytest.raises(ValueError, match=field_name):
+        GatewayConfig(**{field_name: value})
 
 
 # --------------------------------------------------------------------- #

@@ -7,6 +7,10 @@ other (IDCA vs MC vs exact oracle, scan vs R-tree candidates, optimal vs
 MinMax criterion).
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,7 +37,15 @@ from repro.uncertain import DiscreteObject
 
 class TestPublicAPI:
     def test_version(self):
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
+
+    def test_setup_metadata_matches_package(self):
+        root = Path(__file__).resolve().parent.parent
+        completed = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert completed.stdout.split() == ["repro", repro.__version__]
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

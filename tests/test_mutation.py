@@ -18,9 +18,9 @@ The contract under test (threaded through ``uncertain/base.py`` →
   one (any staleness would break bit-identity);
 * worker lanes follow the parent across epochs by replaying **mutation
   deltas** — including lanes respawned after a crash;
-* the gateway applies mutations behind the barrier and keeps **standing
-  queries** equal to a from-scratch evaluation, whether it re-evaluates
-  them or takes the incremental patch/skip path.
+* the gateway applies mutations behind the barrier, and every
+  ``/v1/query`` answer after a ``/v1/mutate`` equals a from-scratch
+  serial evaluation over the mutated content.
 
 The CI ``mutation`` job matrixes this module over both pool start methods
 (``REPRO_TEST_START_METHOD``) and the no-shared-memory fallback
@@ -503,7 +503,7 @@ def test_lane_memos_stay_warm_across_small_mutations(database):
 
 
 # --------------------------------------------------------------------- #
-# gateway: /v1/mutate behind the barrier, standing queries stay exact
+# gateway: /v1/mutate behind the barrier, query answers follow exactly
 # --------------------------------------------------------------------- #
 def _http(method, url, document=None):
     data = None if document is None else json.dumps(document).encode()
@@ -522,89 +522,59 @@ def _query_payload(server, document) -> bytes:
     return body[len(b'{"result":'):-1]
 
 
-def _standing_payload(server, standing_id) -> bytes:
-    status, body = _http("GET", f"{server.url}/v1/standing/{standing_id}")
-    assert status == 200, body
-    marker = b',"result":'
-    assert marker in body and body.endswith(b"}")
-    return body[body.index(marker) + len(marker):-1]
+def _fresh_payload(database, document) -> bytes:
+    """Canonical result bytes of ``document`` on a serial engine over a
+    freshly constructed copy of ``database``."""
+    from repro.gateway import canonical_json, decode_query, encode_result
+
+    rebuilt = UncertainDatabase(list(database.objects))
+    (result,) = QueryEngine(rebuilt).evaluate_many([decode_query(document, rebuilt)])
+    return canonical_json(encode_result(result))
 
 
-def test_gateway_mutations_keep_standing_queries_exact(database):
+def test_gateway_query_answers_follow_mutations_exactly(database):
     from repro.gateway import GatewayServer
 
-    knn_doc = {"type": "knn", "query": {"box": {"lower": [0.4, 0.4],
-                                                "upper": [0.45, 0.45]}},
-               "k": 3, "tau": 0.5, "max_iterations": 4}
-    range_doc = {"type": "range", "query": {"box": {"lower": [0.4, 0.4],
-                                                    "upper": [0.45, 0.45]}},
-                 "epsilon": 0.05, "tau": 0.3, "max_depth": 3}
+    region = {"box": {"lower": [0.4, 0.4], "upper": [0.45, 0.45]}}
+    documents = [
+        {"type": "knn", "query": region, "k": 3, "tau": 0.5, "max_iterations": 4},
+        {"type": "range", "query": region, "epsilon": 0.05, "tau": 0.3,
+         "max_depth": 3},
+        {"type": "ranking", "query": region, "max_iterations": 2,
+         "candidate_indices": list(range(12))},
+    ]
+    # updates, then an insert, then a delete — each near the query region
+    batches = [
+        [{"op": "update", "position": 3,
+          "object": {"box": {"lower": [0.41, 0.41], "upper": [0.44, 0.44]}}},
+         {"op": "update", "position": 7,
+          "object": {"box": {"lower": [0.46, 0.40], "upper": [0.48, 0.43]}}}],
+        [{"op": "insert",
+          "object": {"gaussian": {"mean": [0.43, 0.42], "std": [0.004, 0.004]}}}],
+        [{"op": "delete", "position": 3}],
+    ]
     with _service(database, workers=2) as service:
         with GatewayServer(service) as server:
-            registered = {}
-            for doc in (knn_doc, range_doc):
+            before = [_query_payload(server, doc) for doc in documents]
+            size = len(database)
+            for epoch, mutations in enumerate(batches, start=1):
                 status, body = _http(
-                    "POST", f"{server.url}/v1/standing", {"query": doc}
+                    "POST", f"{server.url}/v1/mutate", {"mutations": mutations}
                 )
                 assert status == 200, body
-                entry = json.loads(body)
-                assert entry["epoch"] == 0
-                registered[entry["kind"]] = entry["id"]
-
-            # a batch touching the neighbourhood of both queries: every
-            # standing entry re-evaluates, and each equals a from-scratch
-            # evaluation of the same document at the new epoch
-            status, body = _http(
-                "POST",
-                f"{server.url}/v1/mutate",
-                {"mutations": [
-                    {"op": "update", "position": 3,
-                     "object": {"box": {"lower": [0.41, 0.41],
-                                        "upper": [0.44, 0.44]}}},
-                    {"op": "insert",
-                     "object": {"gaussian": {"mean": [0.43, 0.42],
-                                             "std": [0.004, 0.004]}}},
-                ]},
-            )
-            assert status == 200, body
-            outcome = json.loads(body)
-            assert outcome["applied"] == 2
-            assert outcome["epoch"] == 1
-            assert outcome["size"] == len(database) + 1
-            assert outcome["standing"]["reevaluated"] == 2
-            for doc, kind in ((knn_doc, "knn"), (range_doc, "range")):
-                assert _standing_payload(server, registered[kind]) == _query_payload(
-                    server, doc
+                size += sum(
+                    {"insert": 1, "delete": -1}.get(op["op"], 0) for op in mutations
                 )
-
-            # a far-away insert cannot enter the range result: the gateway
-            # patches that entry instead of re-evaluating it — and the
-            # patched payload still equals a from-scratch evaluation
-            status, body = _http(
-                "POST",
-                f"{server.url}/v1/mutate",
-                {"mutations": [{"op": "insert",
-                                "object": {"box": {"lower": [0.94, 0.94],
-                                                   "upper": [0.96, 0.96]}}}]},
-            )
-            assert status == 200, body
-            outcome = json.loads(body)
-            assert outcome["standing"]["reevaluated"] == 1  # the knn entry
-            assert outcome["standing"]["patched"] == 1      # the range entry
-            for doc, kind in ((knn_doc, "knn"), (range_doc, "range")):
-                assert _standing_payload(server, registered[kind]) == _query_payload(
-                    server, doc
-                )
-
-            # registry listing and removal
-            status, body = _http("GET", f"{server.url}/v1/standing")
-            listing = json.loads(body)
-            assert listing["epoch"] == 2
-            assert {e["id"] for e in listing["standing"]} == set(registered.values())
-            status, body = _http(
-                "DELETE", f"{server.url}/v1/standing/{registered['range']}"
-            )
-            assert status == 200 and json.loads(body)["removed"]
+                assert json.loads(body) == {
+                    "applied": len(mutations), "epoch": epoch, "size": size,
+                }
+                mutated = service.engine.database
+                assert mutated.epoch == epoch and len(mutated) == size
+                answers = [_query_payload(server, doc) for doc in documents]
+                assert answers == [_fresh_payload(mutated, doc) for doc in documents]
+                if epoch == 1:
+                    # the updates moved objects into the region: answers moved
+                    assert answers != before
 
 
 def test_gateway_rejects_malformed_mutations(database):
@@ -630,17 +600,6 @@ def test_gateway_rejects_malformed_mutations(database):
                 assert status == 400, (mutations, body)
             # nothing was applied along the way
             assert service.epoch == 0
-
-            # standing registration rejects non-standing kinds
-            try:
-                status, body = _http(
-                    "POST", f"{server.url}/v1/standing",
-                    {"query": {"type": "inverse_ranking", "target": 1,
-                               "reference": 2}},
-                )
-            except urllib.error.HTTPError as error:
-                status, body = error.code, error.read()
-            assert status == 400, body
 
 
 def test_decode_mutations_tracks_sequential_positions(database):
