@@ -152,14 +152,16 @@ def streaming_watch(icebergs, vessel) -> None:
                             "op": "update",
                             "position": i,
                             "object": {"gaussian": {"mean": list(centers[i]),
-                                                    "std": [0.0008, 0.0008]}},
+                                                    "std": [0.0008, 0.0008]},
+                                       "label": icebergs[i].label},
                         })
                 else:
                     # a brand-new sighting far from the vessel
                     ops.append({
                         "op": "insert",
                         "object": {"gaussian": {"mean": [0.95, 0.95],
-                                                "std": [0.002, 0.002]}},
+                                                "std": [0.002, 0.002]},
+                                   "label": f"iceberg-{len(icebergs)}"},
                     })
                 outcome = post(f"{server.url}/v1/mutate", {"mutations": ops})
                 knn = post(f"{server.url}/v1/query", knn_document)["result"]
@@ -173,7 +175,7 @@ def streaming_watch(icebergs, vessel) -> None:
                 database = service.engine.database
                 ranked = sorted(knn["matches"], key=lambda m: -m["probability_upper"])
                 for match in ranked[:3]:
-                    label = database[match["index"]].label or f"object-{match['index']}"
+                    label = database[match["index"]].label
                     print(
                         f"    {label}: P(among 5 nearest) in "
                         f"[{match['probability_lower']:.2f}, "

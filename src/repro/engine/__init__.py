@@ -6,13 +6,11 @@ candidate source → shared refinement context → refinement scheduler →
 result assembly.  :class:`QueryEngine` wires them together; the public
 functions in :mod:`repro.queries` are thin adapters over it, and
 :meth:`QueryEngine.evaluate_many` exposes batch evaluation with shared
-caches across a whole workload — serially or, with an
-:class:`ExecutorConfig` of more than one worker, on a short-lived pool of
-worker processes (see ``engine/executor.py`` for the worker lifecycle and
-determinism contract).
-For long-running processes, :class:`QueryService` keeps one worker pool
-alive across every batch and ships the dataset to the workers through
-shared memory (see ``engine/service.py``).  The service tier is
+caches across a whole workload — serially, or on the worker processes of
+a :class:`QueryService`, which keeps one worker pool alive across every
+batch; every lane starts from the engine's current snapshot (see
+``engine/executor.py`` for the worker lifecycle and determinism contract,
+and ``engine/service.py``).  The service tier is
 fault-tolerant — crashed workers are respawned and their chunks re-driven,
 batches can carry deadlines, and admission control bounds the queue — with
 the failure contract expressed by the typed errors of ``engine/errors.py``.

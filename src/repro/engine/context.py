@@ -191,17 +191,14 @@ class RefinementContext:
         are keyed by object identity (meaningless in another process) and
         pair-bounds columns are keyed by process-unique tree tokens.  Reducing
         to the constructor arguments makes a context cheap to ship to worker
-        processes — each worker rebuilds its own empty, *local* caches, which
-        is exactly the worker lifecycle the parallel batch executor relies on
-        (see ``engine/executor.py``).  Memoised bounds are deterministic, so
+        processes — each worker rebuilds its own empty, *local* caches (see
+        ``engine/executor.py``).  Memoised bounds are deterministic, so
         rebuilding them locally never changes results.
 
         A warm-start file is likewise never shipped: worker lanes open
-        their own through the pool initializer.  The database itself decides
-        its own transport: with an active shared-memory export
-        (``UncertainDatabase.share_memory``) it pickles to a lightweight
-        handle that workers *attach* — so shipping a context costs kilobytes
-        regardless of database size — and to a full copy otherwise.
+        their own through the pool initializer.  Only lanes started by
+        ``spawn`` / ``forkserver`` unpickle a context; a forked lane inherits
+        the parent's.
         """
         return (type(self), (self.database, self.axis_policy))
 
@@ -255,21 +252,21 @@ class RefinementContext:
     # ------------------------------------------------------------------ #
     # warm-start file
     # ------------------------------------------------------------------ #
-    def attach_warm_start(self, warm: "WarmStartFile") -> None:
+    def attach_warm_start(self, warm: "WarmStartFile", generations: int) -> None:
         """Back the pair-bounds memo with a lane's warm-start file.
 
-        Called by the worker-pool initializer on a freshly unpickled context,
-        before any mutation delta is replayed, so :attr:`database` is the
-        snapshot whose digest the file's handshake checked.  Only columns
-        whose database members all belong to that snapshot (generation below
-        its largest one plus one) are read from or appended to the file: a
-        generation issued by a later mutation names different content in a
-        restarted service that mutates differently.  Swaps both caches for
-        their warm-start versions and forgets handed-out IDCA instances,
-        which hold the old ones.
+        Only columns whose database members all belong to the snapshot the
+        file's handshake covers — generation below ``generations`` — are
+        read from or appended to the file: a generation issued by a later
+        mutation names different content in a restarted service that
+        mutates differently.  The worker-pool initializer passes the bound
+        of the snapshot the service was built over, whatever epoch the lane
+        starts at.  Swaps both
+        caches for their warm-start versions and forgets handed-out IDCA
+        instances, which hold the old ones.
         """
         self.warm_start = warm
-        self._warm_generations = max(self.database.generations()) + 1
+        self._warm_generations = generations
         trees = self.tree_cache
         self.tree_cache = _RegisteringTreeCache(self)
         for key, tree in trees.items():

@@ -49,7 +49,7 @@ from ..uncertain import UncertainDatabase
 from ..uncertain.decomposition import AxisPolicy, csr_partitions
 from .candidates import CandidateSource, ScanCandidateSource, make_candidate_source
 from .context import RefinementContext
-from .executor import BatchReport, ExecutorConfig, run_chunk_on_engine
+from .executor import BatchReport, run_chunk_on_engine
 from .requests import QueryRequest
 from .scheduler import RefinementScheduler
 
@@ -481,18 +481,13 @@ class QueryEngine:
     ) -> list:
         """Evaluate a heterogeneous batch of query requests.
 
-        There are two execution paths.  Serially (``executor=None``, or an
-        :class:`~repro.engine.executor.ExecutorConfig` whose
-        ``effective_workers`` is 1, or a batch of at most one request),
+        There are two execution paths.  Serially (``executor=None``),
         every request runs against this engine's shared refinement context,
         so decomposition trees and pairwise domination bounds computed for
-        one query are reused by all later queries of the batch.  Otherwise
-        the batch runs on a :class:`~repro.engine.service.QueryService`:
-        the one passed as ``executor`` (it must serve this engine's
-        database), or, for an ``ExecutorConfig``, a short-lived service over
-        this engine that is closed before the call returns.  The short-lived
-        service never creates a shared-memory export; it ships an export the
-        caller made and leaves it open.
+        one query are reused by all later queries of the batch.  With a
+        :class:`~repro.engine.service.QueryService` as ``executor`` (it must
+        serve this engine's database), the batch runs on the service's
+        worker lanes.
 
         Results are returned in request order and are identical to
         evaluating each request on a fresh engine — sharing caches only
@@ -503,20 +498,13 @@ class QueryEngine:
         from .service import QueryService
 
         requests = list(requests)
-        if isinstance(executor, ExecutorConfig):
-            if executor.effective_workers == 1 or len(requests) <= 1:
-                executor = None
-            else:
-                with QueryService(
-                    self, executor, share_memory=False, atexit_cleanup=False
-                ) as service:
-                    return self._evaluate_on(service, requests)
         if executor is None:
             return self._evaluate_serial(requests)
         if not isinstance(executor, QueryService):
             raise TypeError(
-                "executor must be None, an ExecutorConfig or a QueryService, "
-                f"got {type(executor).__name__}"
+                "executor must be None or a QueryService (build one with "
+                "QueryService(engine, ExecutorConfig(...)) to run on worker "
+                f"processes), got {type(executor).__name__}"
             )
         if executor.engine.database is not self.database:
             raise ValueError("the supplied QueryService serves a different database")

@@ -25,26 +25,32 @@ Together these give the determinism guarantee documented in
 ``docs/architecture.md``: ``evaluate_many`` returns bit-identical results for
 every worker count, including the serial path.
 
-Worker lifecycle: the parent pickles the engine **once**; every worker
-process receives that payload through the pool initializer, unpickles it, and
-thereby rebuilds an *empty* worker-local :class:`RefinementContext` (see
-``RefinementContext.__reduce__``).  Workers keep their engine across chunks,
-so cache warm-up is paid once per worker, not once per chunk.  Dispatch is
-worker-affine: each affinity key hashes to a stable lane, so requests that
-share a query object run on one worker in this batch and every later one.
+Worker lifecycle: every lane starts from the parent's **current** engine.
+A forked lane inherits the engine object — nothing is pickled.  Under
+``spawn`` / ``forkserver`` the parent pickles the engine once per lane start
+into a private temporary file and passes only its path, so a process-start
+pipe write stays a few KiB; the copy rebuilds an *empty* worker-local
+:class:`RefinementContext` (see ``RefinementContext.__reduce__``).  Workers
+keep their engine across chunks, so cache warm-up is paid once per worker.
+Dispatch is worker-affine: each affinity key hashes to a stable lane, so
+requests that share a query object run on one worker in every batch.
+:class:`WorkerPool` owns the lanes; its one caller is
+:class:`~repro.engine.service.QueryService`.  Live lanes follow mutations
+through the :meth:`WorkerPool.apply_delta` barrier; a lane started later
+needs no history.
 
-:class:`WorkerPool` owns the lanes.  Its one caller is
-:class:`~repro.engine.service.QueryService`, which keeps a pool alive across
-batches; ``QueryEngine.evaluate_many(executor=ExecutorConfig(...))`` runs
-its batch on a short-lived service.  When the database carries an active
-shared-memory export (``UncertainDatabase.share_memory``), the engine
-payload is a lightweight handle and workers *map* the dataset instead of
-unpickling a copy.
+Thread invariant: a lane process starts eagerly inside
+:meth:`WorkerPool._new_lane`, which runs only at pool construction (before
+the service's dispatcher thread exists) or on the dispatcher thread — the
+one thread that mutates the parent engine's snapshot — so no lane starts
+from a half-applied mutation.  Other threads may fill the parent engine's
+caches (adapter calls on a service), which a forked lane may inherit;
+caches never change results.
 
 Fault tolerance: the pool *supervises* its lanes.  A lane whose worker dies
 (SIGKILL, OOM, segfault) surfaces as ``BrokenProcessPool`` on the in-flight
-future; the pool respawns the lane with the very same initargs — engine
-payload, warm-start spec, lane index — and re-drives the chunk with
+future; the pool respawns the lane from the current engine, with the same
+warm-start spec and lane index, and re-drives the chunk with
 bounded exponential backoff.  The retry is bit-identical because results
 are deterministic; with a warm-start directory the respawned worker also
 loads every column its predecessor appended, so the replay is cheaper than
@@ -61,12 +67,20 @@ import multiprocessing
 import os
 import pickle
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import DeadlineExceeded, WorkerCrashError
 
@@ -99,6 +113,18 @@ DEFAULT_RETRY_BACKOFF_SECONDS = 0.05
 #: noticed the deadline in-worker and is busy raising/unwinding.
 DEFAULT_WATCHDOG_GRACE_SECONDS = 2.0
 
+#: Longest single wait of :meth:`WorkerPool.run_chunks` before it checks
+#: for cancelled chunks and the watchdog deadline again.
+_POLL_SECONDS = 0.25
+
+#: A block every lane allocates and frees as it starts.  glibc's malloc
+#: raises its mmap threshold to the largest mmapped block freed so far;
+#: a lane that never frees one mmaps, and page-faults afresh, every numpy
+#: temporary above the 128 KiB default (on ``mutate_mixed_15k`` that was
+#: nine times the minor faults and a fifth more query latency).  Unpickling
+#: an engine payload used to raise the threshold as a side effect.
+_MALLOC_WARMUP_BYTES = 4 << 20
+
 #: Environment variable the fault-injection harness plants its plan in
 #: (see ``repro/testing/faults.py``).  Workers check the variable once per
 #: chunk; when unset — always, outside chaos tests — the hook is never
@@ -108,12 +134,8 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """How many worker processes run a batch, and how they start.
-
-    Pass one to :class:`~repro.engine.service.QueryService`, or to
-    :meth:`QueryEngine.evaluate_many`, which runs the batch serially when
-    :attr:`effective_workers` is 1 or the batch has at most one request,
-    and on a short-lived service otherwise.
+    """How many worker processes a :class:`~repro.engine.service.QueryService`
+    runs, and how they start.
 
     Parameters
     ----------
@@ -125,9 +147,9 @@ class ExecutorConfig:
     start_method:
         Optional :mod:`multiprocessing` start method.  ``None`` prefers
         ``"fork"`` when the platform offers it (cheapest on Linux) and falls
-        back to the platform default otherwise.  All methods receive the same
-        explicitly pickled engine payload, so cache state is identical —
-        empty — regardless of the start method.
+        back to the platform default otherwise.  A forked lane inherits the
+        parent engine, caches included; any other method unpickles a copy
+        with empty caches.  Caches never change results.
     """
 
     workers: Optional[int] = None
@@ -411,11 +433,11 @@ def affine_partition(
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
-# One engine per worker process, installed by the pool initializer.  The
-# payload is pickled by the parent exactly once; unpickling rebuilds the
-# refinement context with empty worker-local caches (RefinementContext
-# reduces to its constructor arguments) and a fresh scheduler accounting
-# state (RefinementScheduler reduces to its configuration).
+# One engine per worker process, installed by the pool initializer: the
+# parent's engine object itself in a forked lane, an unpickled copy
+# otherwise (RefinementContext reduces to its constructor arguments and
+# RefinementScheduler to its configuration, so the copy's caches and step
+# accounting start empty).
 _WORKER_ENGINE: Optional["QueryEngine"] = None
 
 # Lane index this worker serves (shipped as an initarg), used only by the
@@ -458,58 +480,52 @@ def result_iteration_stats(results: Sequence) -> tuple[int, float]:
 
 
 def _initialise_worker(
-    payload: bytes,
-    warm_start: Optional[tuple[str, bytes, bytes]] = None,
+    engine: Union["QueryEngine", str],
+    warm_start: Optional[tuple[str, bytes, bytes, int]] = None,
     lane: Optional[int] = None,
-    deltas: tuple = (),
 ) -> None:
-    """Pool initializer: unpack the engine shipped by the parent process.
+    """Pool initializer: install the parent's current engine in this worker.
 
-    ``warm_start`` is ``(directory, database digest, config fingerprint)``
-    when the service has a warm-start directory: the worker then opens its
-    lane's :class:`~repro.engine.boundstore.WarmStartFile`, which loads the
-    columns every lane appended so far, and attaches it to its context.  A
-    file that cannot be opened (e.g. the directory became unwritable)
-    leaves the worker on purely local memoisation — never a failed spawn.
-    A respawned lane runs this initializer again with identical arguments,
-    so it starts from every column its predecessor appended.
+    ``engine`` is the parent's engine object in a forked lane, otherwise
+    the path of the file the parent pickled it into for this lane start.
 
-    ``deltas`` is the pool's accumulated mutation-delta history: the engine
-    payload is pickled exactly once at pool construction, so a lane spawned
-    (or respawned) after the database mutated replays the deltas in order to
-    reach the pool's current snapshot epoch bit-identically.  The warm-start
-    file attaches first, while the context still holds the snapshot the
-    file's handshake covers.
+    ``warm_start`` is ``(directory, database digest, config fingerprint,
+    generation bound)`` when the service has a warm-start directory: the
+    worker then opens its lane's
+    :class:`~repro.engine.boundstore.WarmStartFile`, which loads the columns
+    every lane appended so far, and attaches it to its context.  Digest and
+    bound describe the snapshot the service was built over — the one the
+    file's handshake covers — whatever epoch the lane starts at.  A file
+    that cannot be opened leaves the worker on purely local memoisation,
+    never a failed start.  A respawned lane opens the same file again.
     """
     global _WORKER_ENGINE, _WORKER_LANE
-    _WORKER_ENGINE = pickle.loads(payload)
+    bytearray(_MALLOC_WARMUP_BYTES)  # freed at once: see the constant
+    if isinstance(engine, str):
+        with open(engine, "rb") as handle:
+            engine = pickle.load(handle)
+    _WORKER_ENGINE = engine
     _WORKER_LANE = lane
     if warm_start is not None:
         from .boundstore import WarmStartFile
 
-        directory, digest, config = warm_start
+        directory, digest, config, generations = warm_start
         try:
             warm = WarmStartFile(directory, lane, digest, config)
         except OSError:
             warm = None
         if warm is not None:
-            _WORKER_ENGINE.context.attach_warm_start(warm)
-    for delta in deltas:
-        _apply_delta_to_engine(_WORKER_ENGINE, delta)
+            engine.context.attach_warm_start(warm, generations)
 
 
 def _apply_delta_to_engine(engine: "QueryEngine", delta) -> int:
-    """Replay one mutation delta on an engine; returns the engine's epoch.
+    """Apply one mutation delta to an engine; returns the engine's new epoch.
 
-    Idempotent by epoch: a delta whose ``new_epoch`` the engine has already
-    reached is skipped (a respawned lane replays the full history through the
-    initializer before the pool re-submits the delta that triggered the
-    respawn).  A delta that does not chain onto the current epoch means the
-    histories diverged — that is a bug, not a recoverable condition.
+    A delta that does not chain onto the engine's current epoch means the
+    lane and the parent diverged — that is a bug, not a recoverable
+    condition.
     """
     database = engine.database
-    if database.epoch >= delta.new_epoch:
-        return database.epoch
     if database.epoch != delta.base_epoch:
         raise RuntimeError(
             f"mutation delta targets epoch {delta.base_epoch} but the worker "
@@ -611,24 +627,16 @@ def _run_chunk(
 def _worker_probe() -> dict:
     """Introspect the worker-local engine (runs inside a worker process).
 
-    Reports the worker's pid and how it obtained its database: on the
-    shared-memory path the worker *attached* the dataset (arrays are
-    read-only views into the parent's block, named by ``shm_name``); on the
-    fallback path it unpickled a private copy.  Used by
-    ``QueryService.probe_workers`` and the transport tests.
+    Reports the worker's pid, the size of its database and the snapshot
+    epoch it serves.  Used by ``QueryService.warm`` / ``probe_workers``.
     """
-    from ..uncertain.sharedmem import database_transport
-
     engine = _WORKER_ENGINE
     if engine is None:  # pragma: no cover - defensive: initializer not run
         raise RuntimeError("worker engine was never initialised")
-    database = engine.database
     return {
         "pid": os.getpid(),
-        "transport": database_transport(database),
-        "shm_name": getattr(database, "_shm_name", None),
-        "num_objects": len(database),
-        "epoch": database.epoch,
+        "num_objects": len(engine.database),
+        "epoch": engine.database.epoch,
     }
 
 
@@ -652,17 +660,13 @@ def _pool_context(start_method: Optional[str]) -> multiprocessing.context.BaseCo
 
 
 class WorkerPool:
-    """A process pool bound to one pickled engine payload, reusable across
-    batches.
+    """A set of worker lanes over one engine, reusable across batches.
 
-    The pool owns the worker lifecycle the parallel executor relies on: the
-    engine is pickled exactly once at construction (with a shared-memory
-    export active on the database, the payload is a lightweight handle —
-    see ``repro/uncertain/sharedmem.py``), every worker rebuilds it through
-    the pool initializer, and the worker-local caches then persist across
-    every chunk the pool ever executes.  A
-    :class:`~repro.engine.service.QueryService` keeps one alive across its
-    whole lifetime, which is where pool startup and cache warm-up
+    Every lane starts from the engine as it is at that moment (see the
+    module docstring for the start path and its thread invariant), and the
+    worker-local caches then persist across every chunk the lane executes.
+    A :class:`~repro.engine.service.QueryService` keeps one pool alive
+    across its whole lifetime, which is where lane startup and cache warm-up
     amortisation pay off.
 
     Internally the pool is a set of single-worker **lanes** (one
@@ -673,16 +677,16 @@ class WorkerPool:
     influences results, only where warm-up happens.
 
     With ``warm_start`` set (``(directory, database digest, config
-    fingerprint)``), every worker opens its lane's warm-start file through
-    the initializer (see :func:`_initialise_worker`).
+    fingerprint, generation bound)``), every worker opens its lane's
+    warm-start file through the initializer (see :func:`_initialise_worker`).
 
     Supervision (``supervised=True``, the default): a lane whose worker
     process dies surfaces ``BrokenProcessPool`` on its futures; the pool
-    replaces the lane's executor with a fresh one built from the *same*
-    initargs and re-drives the failed chunk there, with exponential backoff
-    and at most ``max_chunk_retries`` attempts per chunk before the crash
-    escalates as :class:`~repro.engine.errors.WorkerCrashError`.  Chunks
-    merely *queued* behind the crash are resubmitted the same way.
+    replaces the lane with a fresh worker started from the current engine
+    and re-drives the failed chunk there, with exponential backoff and at
+    most ``max_chunk_retries`` attempts per chunk before the crash escalates
+    as :class:`~repro.engine.errors.WorkerCrashError`.  Chunks merely
+    *queued* behind the crash are resubmitted the same way.
     """
 
     def __init__(
@@ -690,7 +694,7 @@ class WorkerPool:
         engine: "QueryEngine",
         workers: int,
         start_method: Optional[str] = None,
-        warm_start: Optional[tuple[str, bytes, bytes]] = None,
+        warm_start: Optional[tuple[str, bytes, bytes, int]] = None,
         supervised: bool = True,
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF_SECONDS,
@@ -710,12 +714,12 @@ class WorkerPool:
         self.retry_backoff = retry_backoff
         self.watchdog_grace = watchdog_grace
         self.respawns = 0
-        self._payload = pickle.dumps(engine)
+        #: Bytes of the engine pickle behind the latest lane start (0: fork).
+        self.payload_nbytes = 0
+        self._engine = engine
         self._mp_context = _pool_context(start_method)
+        self._fork = self._mp_context.get_start_method() == "fork"
         self._warm_start = warm_start
-        # mutation-delta history: replayed by every lane spawned after the
-        # payload was pickled, so respawns land on the current snapshot
-        self._deltas: list = []
         self._lanes = [self._new_lane(lane) for lane in range(workers)]
         # bumped on every respawn of a lane, so concurrent failures of many
         # futures from the same dead executor trigger exactly one respawn
@@ -724,17 +728,30 @@ class WorkerPool:
         self._closed = False
 
     def _new_lane(self, lane: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
+        """Start one lane's worker process now, from the current engine.
+
+        Under ``spawn`` / ``forkserver`` the engine's pickle file is removed
+        once the lane has started, or failed to.
+        """
+        engine: Union["QueryEngine", str] = self._engine
+        if not self._fork:
+            payload = pickle.dumps(self._engine)
+            self.payload_nbytes = len(payload)
+            descriptor, engine = tempfile.mkstemp(
+                prefix="repro-lane-", suffix=".pickle"
+            )
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(payload)
+        executor = ProcessPoolExecutor(
             max_workers=1,
             mp_context=self._mp_context,
             initializer=_initialise_worker,
-            initargs=(self._payload, self._warm_start, lane, tuple(self._deltas)),
+            initargs=(engine, self._warm_start, lane),
         )
-
-    @property
-    def payload_nbytes(self) -> int:
-        """Size of the engine payload each worker receives, in bytes."""
-        return len(self._payload)
+        started = executor.submit(_worker_probe)  # the process starts now
+        if not self._fork:
+            started.add_done_callback(lambda _future: os.unlink(engine))
+        return executor
 
     @property
     def closed(self) -> bool:
@@ -742,7 +759,7 @@ class WorkerPool:
         return self._closed
 
     def _respawn_lane(self, lane: int, generation: int) -> None:
-        """Replace a dead lane's executor with a fresh worker (same initargs).
+        """Replace a dead lane's executor with a fresh worker.
 
         ``generation`` is the lane generation the caller observed when it
         submitted the failed work: if the lane has already been respawned
@@ -767,34 +784,33 @@ class WorkerPool:
             except Exception:  # pragma: no cover - process already gone
                 pass
 
+    def _submit(self, lane: int, function, *args) -> Future:
+        """Submit ``function(*args)`` to ``lane``; a dead lane fails the future."""
+        try:
+            return self._lanes[lane].submit(function, *args)
+        except BrokenExecutor as error:
+            failed: Future = Future()
+            failed.set_exception(error)
+            return failed
+
     def submit_chunk(
         self,
         chunk_index: int,
         requests: Sequence["QueryRequest"],
         lane: int,
         deadline_epoch: Optional[float] = None,
-    ):
+    ) -> Future:
         """Dispatch one chunk to ``lane``; the future resolves to
         ``(chunk_index, results, stats)``.
 
         Out-of-range lanes wrap modulo the pool size, so lane assignments
-        computed for a larger pool degrade gracefully.  On a supervised
-        pool, submitting to a lane whose worker has died respawns the lane
-        and submits to the fresh worker.
+        computed for a larger pool degrade gracefully.  A lane whose worker
+        has died fails the future with ``BrokenProcessPool``;
+        :meth:`run_chunks` respawns the lane and re-drives the chunk.
         """
-        lane %= self.workers
-        try:
-            return self._lanes[lane].submit(
-                _run_chunk, chunk_index, list(requests), deadline_epoch
-            )
-        except BrokenExecutor:
-            # the lane died between batches: respawn once and retry there
-            if not self.supervised:
-                raise
-            self._respawn_lane(lane, self._generation[lane])
-            return self._lanes[lane].submit(
-                _run_chunk, chunk_index, list(requests), deadline_epoch
-            )
+        return self._submit(
+            lane % self.workers, _run_chunk, chunk_index, list(requests), deadline_epoch
+        )
 
     def run_chunks(
         self,
@@ -844,15 +860,20 @@ class WorkerPool:
             _submit(index)
         try:
             while pending:
-                timeout = None
-                if deadline_epoch is not None:
-                    timeout = max(
-                        0.0, deadline_epoch + self.watchdog_grace - time.time()
-                    )
+                # a bounded wait: closing the pool with cancel_pending
+                # cancels queued chunks without waking wait(), so each round
+                # also looks for cancelled futures
                 done, _ = wait(
-                    set(pending), timeout=timeout, return_when=FIRST_COMPLETED
+                    set(pending), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
                 )
                 if not done:
+                    if any(future.cancelled() for future in pending):
+                        raise CancelledError("the worker pool closed under this batch")
+                    if (
+                        deadline_epoch is None
+                        or time.time() < deadline_epoch + self.watchdog_grace
+                    ):
+                        continue
                     # watchdog: nothing finished by deadline + grace — the
                     # lane(s) are wedged beyond what in-worker deadline
                     # checks can reach.  Kill, respawn, fail the batch.
@@ -903,48 +924,52 @@ class WorkerPool:
         return results, chunk_stats, faults
 
     def probe(self, lane: int = 0) -> dict:
-        """Run the worker probe on one worker lane and return its report."""
-        return self._lanes[lane % self.workers].submit(_worker_probe).result()
+        """Run the worker probe on one worker lane and return its report.
+
+        Waits for the lane to start.  A lane whose worker died, also while
+        starting, raises :class:`~repro.engine.errors.WorkerCrashError`; the
+        probe does not respawn it (lanes start only on the thread that
+        drives the pool).
+        """
+        lane %= self.workers
+        try:
+            return self._submit(lane, _worker_probe).result()
+        except BrokenExecutor as error:
+            raise WorkerCrashError(f"worker lane {lane} died: {error}") from error
 
     def apply_delta(self, delta) -> None:
         """Advance every worker lane to the delta's snapshot epoch.
 
-        Appends the delta to the pool's replay history first, so a lane that
-        dies mid-apply (or any time later) is respawned straight onto the new
-        epoch — the initializer replays the history and the re-submitted
-        apply becomes an epoch-checked no-op.  Blocks until every lane
-        confirmed the new epoch; callers (the service dispatcher) run this
-        between batches, which is what makes it a barrier.
+        Blocks until every lane confirmed the new epoch; the caller (the
+        service dispatcher) runs this between batches, which is what makes
+        it a barrier, and applies the same mutations to the parent engine
+        only afterwards.  A lane that dies mid-apply is respawned from the
+        parent engine, still at the delta's base epoch, and receives the
+        delta again; a lane that keeps dying escalates as
+        :class:`~repro.engine.errors.WorkerCrashError`.
         """
         if self._closed:
             raise RuntimeError("the worker pool is closed")
-        self._deltas.append(delta)
-        pending = {
-            lane: (self._lanes[lane], self._generation[lane])
-            for lane in range(self.workers)
-        }
+        pending = list(range(self.workers))
         attempts = 0
         while pending:
-            futures = {}
-            for lane, (executor, generation) in pending.items():
+            generations = {lane: self._generation[lane] for lane in pending}
+            futures = {
+                lane: self._submit(lane, _worker_apply_delta, delta) for lane in pending
+            }
+            pending = []
+            for lane, future in futures.items():
                 try:
-                    futures[lane] = (executor.submit(_worker_apply_delta, delta), generation)
-                except BrokenExecutor:
-                    futures[lane] = (None, generation)
-            retry: dict[int, tuple] = {}
-            for lane, (future, generation) in futures.items():
-                try:
-                    if future is None:
-                        raise BrokenExecutor("lane died before the delta apply")
                     future.result()
-                except BrokenExecutor:
+                except BrokenExecutor as error:
                     if not self.supervised or attempts >= self.max_chunk_retries:
-                        raise
-                    self._respawn_lane(lane, generation)
-                    retry[lane] = (self._lanes[lane], self._generation[lane])
-            if retry:
-                attempts += 1
-            pending = retry
+                        raise WorkerCrashError(
+                            f"worker lane {lane} died applying the mutation "
+                            f"delta to epoch {delta.new_epoch}"
+                        ) from error
+                    self._respawn_lane(lane, generations[lane])
+                    pending.append(lane)
+            attempts += 1
 
     def close(self, wait: bool = True, cancel_pending: bool = False) -> None:
         """Shut the pool down (idempotent).

@@ -4,11 +4,9 @@ Each request dataclass mirrors the keyword surface of the corresponding
 :class:`~repro.engine.engine.QueryEngine` method; ``evaluate_many`` executes a
 heterogeneous sequence of them against one shared refinement context.  The
 requests are plain data so workloads can be built up front (or generated) and
-shipped to the engine in one call — or, with an
-:class:`~repro.engine.executor.ExecutorConfig`, pickled to worker processes
-(requests therefore must stay picklable: the same property lets
-:class:`~repro.engine.service.QueryService` enqueue them for its persistent
-pool, where only the request — never the database — crosses the process
+shipped to the engine in one call — or pickled to the worker processes of a
+:class:`~repro.engine.service.QueryService` (requests therefore must stay
+picklable: only the request — never the database — crosses the process
 boundary per batch).
 Every request carries a ``kind`` tag (used by the batch report) and an
 ``affinity_key`` (hashed to a worker lane, so requests that share cacheable

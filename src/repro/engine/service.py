@@ -5,22 +5,18 @@ service's parts share one dispatcher thread and one lock: admission
 control, the FIFO queue, the mutation barrier and shutdown each read the
 counters and flags the others write, so they stay in one class.
 
-``QueryEngine.evaluate_many`` with an :class:`~repro.engine.executor
-.ExecutorConfig` runs its batch on a short-lived service, closed when the
-batch returns — every such batch pays pool startup and per-worker engine
-rebuild.  A long-lived :class:`QueryService` hoists that cost out of the
-batch loop:
+A :class:`QueryService` is the one way to run batches on worker
+processes (``QueryEngine.evaluate_many(executor=service)`` routes a batch
+through one):
 
-* the **worker pool** (:class:`~repro.engine.executor.WorkerPool`) is
-  spawned once at construction and reused by every batch until the service
-  closes, so pool startup and worker-local cache warm-up are paid once per
-  *process lifetime*;
-* the **dataset** travels by shared memory when the platform supports it:
-  the database's array payload is exported into one
-  :mod:`multiprocessing.shared_memory` block (see
-  ``repro/uncertain/sharedmem.py``) before the pool starts, so every worker
-  maps — not copies — the data and the per-worker payload shrinks to a
-  handle of a few kilobytes;
+* the **worker pool** (:class:`~repro.engine.executor.WorkerPool`) starts
+  every lane at construction and reuses them for every batch until the
+  service closes, so lane startup and worker-local cache warm-up are paid
+  once per *process lifetime*;
+* every lane starts from the engine's **current** snapshot: a forked lane
+  inherits the engine object, any other start method unpickles the engine
+  from a private file the parent wrote for that start (see
+  ``engine/executor.py`` for the start path and its thread invariant);
 * an **async-friendly request queue** fronts the pool: :meth:`QueryService.submit`
   enqueues a batch and immediately returns a :class:`ServiceBatch` handle,
   a single dispatcher thread drains the queue in FIFO order (chunks of one
@@ -33,11 +29,12 @@ batch loop:
 * the **database is versioned in place**: :meth:`QueryService.apply`
   threads a mutation batch through the same FIFO queue as query batches,
   which makes it a *snapshot barrier* — a batch admitted at epoch ``E``
-  sees exactly snapshot ``E``, never a half-applied update.  Workers
-  advance by replaying a small
+  sees exactly snapshot ``E``, never a half-applied update.  Live lanes
+  advance by applying a small
   :class:`~repro.uncertain.sharedmem.MutationDelta` (touched objects only)
   instead of re-importing the dataset, and each lane's memo stays warm for
-  untouched objects (see ``RefinementContext.advance``);
+  untouched objects (see ``RefinementContext.advance``); a lane that starts
+  later starts from the current snapshot and needs no delta;
 * **warm start** (``bounds_store_path``): every lane appends the columns it
   computes to its own file in that directory and loads all lanes' files
   when it spawns, so a restarted service — or a respawned lane — starts
@@ -60,9 +57,8 @@ complete.
 
 Shutdown is deterministic and idempotent: :meth:`QueryService.close` (or the
 context manager, or the ``atexit`` fallback for services that are never
-closed explicitly) drains the queue, stops the dispatcher, shuts the pool
-down and releases the shared-memory export — the last release unlinks the
-block.  The closed-check and the enqueue in :meth:`QueryService.submit`
+closed explicitly) drains the queue, stops the dispatcher and shuts the pool
+down.  The closed-check and the enqueue in :meth:`QueryService.submit`
 happen atomically under one lock, so a submit racing :meth:`close` either
 raises :class:`~repro.engine.errors.ServiceClosedError` or returns a handle
 the dispatcher is guaranteed to resolve — batches a non-waiting close
@@ -85,11 +81,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..uncertain import UncertainDatabase
-from ..uncertain.sharedmem import (
-    MutationDelta,
-    SharedDatabaseExport,
-    shared_memory_available,
-)
+from ..uncertain.sharedmem import MutationDelta
 from .boundstore import config_fingerprint, database_digest, inspect_warm_start
 from .errors import (
     DeadlineExceeded,
@@ -246,16 +238,10 @@ class QueryService:
         from :func:`os.cpu_count`) and start method.  A service always owns
         a process pool, even of one worker; use ``engine.evaluate_many``
         directly for serial evaluation.
-    share_memory:
-        ``True`` exports the database into shared memory before the pool
-        starts (raises when the platform cannot); ``False`` forces the
-        plain-pickling transport; ``None`` (default) uses shared memory
-        exactly when :func:`~repro.uncertain.sharedmem.shared_memory_available`
-        says so, falling back silently if the export fails at OS level.
     atexit_cleanup:
         Register an :mod:`atexit` fallback so a service never explicitly
-        closed still shuts its pool down and unlinks its shared-memory
-        block at interpreter exit.  :meth:`close` unregisters it.
+        closed still shuts its pool down at interpreter exit.
+        :meth:`close` unregisters it.
     max_pending_batches / max_pending_requests:
         Admission-control bounds on work that has been submitted but not
         yet finished (queued *and* in-flight).  A submit that would exceed
@@ -300,7 +286,6 @@ class QueryService:
         engine: Union["QueryEngine", UncertainDatabase],
         executor: Optional[ExecutorConfig] = None,
         *,
-        share_memory: Optional[bool] = None,
         atexit_cleanup: bool = True,
         max_pending_batches: Optional[int] = None,
         max_pending_requests: Optional[int] = None,
@@ -320,46 +305,28 @@ class QueryService:
             engine = QueryEngine(engine)
         self.engine = engine
         self.config = executor if executor is not None else ExecutorConfig()
-        self._export: Optional[SharedDatabaseExport] = None
-        self._transport = "pickle"
-        if share_memory is None:
-            if shared_memory_available():
-                try:
-                    self._export = engine.database.share_memory().acquire()
-                    self._transport = "shared_memory"
-                except OSError:  # pragma: no cover - e.g. /dev/shm missing
-                    self._export = None
-        elif share_memory:
-            self._export = engine.database.share_memory().acquire()
-            self._transport = "shared_memory"
-        workers = self.config.effective_workers
         warm_start = None
         self._warm_start_stats: Optional[dict] = None
-        try:
-            if bounds_store_path is not None:
-                # the handshake every lane file is checked against: a file
-                # written over different data or config is rebuilt, never
-                # served
-                directory = os.fspath(bounds_store_path)
-                os.makedirs(directory, exist_ok=True)
-                warm_start = (
-                    directory,
-                    database_digest(engine.database),
-                    config_fingerprint(engine.context.axis_policy),
-                )
-                self._warm_start_stats = inspect_warm_start(*warm_start)
-            self._pool = WorkerPool(
-                engine,
-                workers,
-                self.config.start_method,
-                warm_start=warm_start,
-                max_chunk_retries=max_chunk_retries,
-                watchdog_grace=watchdog_grace,
-            )
-        except BaseException:
-            if self._export is not None:
-                self._export.release()
-            raise
+        if bounds_store_path is not None:
+            # the handshake every lane file is checked against (a file
+            # written over different data or config is rebuilt, never
+            # served), and the generation bound of the snapshot it covers
+            directory = os.fspath(bounds_store_path)
+            os.makedirs(directory, exist_ok=True)
+            digest = database_digest(engine.database)
+            config = config_fingerprint(engine.context.axis_policy)
+            self._warm_start_stats = inspect_warm_start(directory, digest, config)
+            generations = max(engine.database.generations()) + 1
+            warm_start = (directory, digest, config, generations)
+        # lanes start here, before the dispatcher thread exists
+        self._pool = WorkerPool(
+            engine,
+            self.config.effective_workers,
+            self.config.start_method,
+            warm_start=warm_start,
+            max_chunk_retries=max_chunk_retries,
+            watchdog_grace=watchdog_grace,
+        )
         #: Merged :class:`~repro.engine.executor.BatchReport` of the most
         #: recently *completed* batch (``None`` before the first one).
         self.last_batch_report: Optional[BatchReport] = None
@@ -395,11 +362,6 @@ class QueryService:
     def workers(self) -> int:
         """Size of the persistent worker pool."""
         return self._pool.workers
-
-    @property
-    def transport(self) -> str:
-        """Dataset transport to the workers: ``"shared_memory"`` or ``"pickle"``."""
-        return self._transport
 
     @property
     def epoch(self) -> int:
@@ -459,24 +421,20 @@ class QueryService:
 
     @property
     def payload_nbytes(self) -> int:
-        """Bytes of engine payload each worker received at pool startup.
+        """Bytes of the engine pickle behind the latest lane start.
 
-        On the shared-memory path this is a few kilobytes regardless of
-        database size — the array payload lives in the shared block.
+        0 under ``fork``, where a lane inherits the engine instead.
         """
         return self._pool.payload_nbytes
 
     def warm(self) -> None:
-        """Force every worker lane's process to exist *now*.
+        """Wait until every worker lane has started.
 
-        Pool lanes spawn their worker process on first use; under the
-        ``fork`` start method a late spawn copies every file descriptor
-        the parent holds at that moment — including client sockets a
-        network tier accepted before the first batch, which then keeps
-        those connections alive in the kernel long after the client's
-        close.  Front-ends (the HTTP gateway) call this before accepting
-        traffic so every fork happens while the parent holds no
-        connection fds.  Idempotent; costs one probe round-trip per lane.
+        Lanes start at construction; this blocks until each one answers a
+        probe, so front-ends (the HTTP gateway) know every lane is up before
+        they accept traffic.  A lane that died while starting raises
+        :class:`~repro.engine.errors.WorkerCrashError`.  Idempotent; costs
+        one probe round-trip per lane.
         """
         if self._closed:
             raise ServiceClosedError("the service is closed")
@@ -484,10 +442,11 @@ class QueryService:
             self._pool.probe(lane)
 
     def probe_workers(self) -> dict:
-        """One worker's self-report: pid, dataset transport, block name.
+        """One worker's self-report: ``pid``, ``num_objects`` and ``epoch``.
 
-        Workers are interchangeable (they all received the same payload),
-        so a single report characterises the pool.
+        Workers are interchangeable (they all start from the same engine),
+        so a single report characterises the pool.  A dead lane raises
+        :class:`~repro.engine.errors.WorkerCrashError`.
         """
         if self._closed:
             raise ServiceClosedError("the service is closed")
@@ -776,8 +735,7 @@ class QueryService:
 
         ``wait=True`` (default) drains the queue — already-submitted batches
         complete and their handles resolve — then stops the dispatcher,
-        shuts the pool down (no worker processes remain) and releases the
-        shared-memory export, whose last release unlinks the block.
+        shuts the pool down (no worker processes remain).
         ``wait=False`` abandons pending work: queued batches resolve with
         :class:`~repro.engine.errors.ServiceClosedError`, unstarted chunks
         are cancelled, and the in-flight batch (if any) resolves with its
@@ -799,9 +757,6 @@ class QueryService:
         if wait:
             self._dispatcher.join()
         self._pool.close(wait=wait, cancel_pending=not wait)
-        if self._export is not None:
-            self._export.release()
-            self._export = None
         if self._atexit_registered:
             atexit.unregister(self.close)
             self._atexit_registered = False

@@ -130,15 +130,19 @@ def _decode_object(
             f"{name} literal must have exactly one of 'box', 'points', "
             f"'gaussian', got {sorted(spec)}"
         )
+    (shape,) = kinds
+    allowed = {shape, "label", "weights"} if shape == "points" else {shape, "label"}
+    _reject_unknown(spec, allowed, f"{name} literal")
+    label = spec.get("label")
+    if label is not None and not isinstance(label, str):
+        raise CodecError(f"{name}.label must be a string, got {label!r}")
     try:
-        if "box" in spec:
-            box = spec["box"]
-            if not isinstance(box, dict):
-                raise CodecError(f"{name}.box must be an object")
+        if shape == "box":
+            box = _nested(spec, "box", {"lower", "upper"}, name)
             lower = _vector(_require(box, "lower"), f"{name}.box.lower")
             upper = _vector(_require(box, "upper"), f"{name}.box.upper")
-            return BoxUniformObject(Rectangle.from_bounds(lower, upper))
-        if "points" in spec:
+            return BoxUniformObject(Rectangle.from_bounds(lower, upper), label=label)
+        if shape == "points":
             points = spec["points"]
             if not isinstance(points, list) or not points:
                 raise CodecError(f"{name}.points must be a non-empty list")
@@ -146,25 +150,30 @@ def _decode_object(
             weights = spec.get("weights")
             if weights is not None:
                 weights = _vector(weights, f"{name}.weights")
-            return DiscreteObject(rows, weights)
-        gaussian = spec["gaussian"]
-        if not isinstance(gaussian, dict):
-            raise CodecError(f"{name}.gaussian must be an object")
+            return DiscreteObject(rows, weights, label=label)
+        gaussian = _nested(spec, "gaussian", {"mean", "std"}, name)
         mean = _vector(_require(gaussian, "mean"), f"{name}.gaussian.mean")
         std = _vector(_require(gaussian, "std"), f"{name}.gaussian.std")
-        return TruncatedGaussianObject(mean, std)
+        return TruncatedGaussianObject(mean, std, label=label)
     except CodecError:
         raise
     except (TypeError, ValueError) as error:
         raise CodecError(f"invalid {name} literal: {error}") from error
 
 
-def _reject_unknown(payload: dict, allowed: set, kind: str) -> None:
+def _nested(spec: dict, shape: str, allowed: set, name: str) -> dict:
+    """The ``box`` / ``gaussian`` object of a literal, its fields checked."""
+    value = spec[shape]
+    if not isinstance(value, dict):
+        raise CodecError(f"{name}.{shape} must be an object")
+    _reject_unknown(value, allowed, f"{name}.{shape}")
+    return value
+
+
+def _reject_unknown(payload: dict, allowed: set, where: str) -> None:
     unknown = set(payload) - allowed
     if unknown:
-        raise CodecError(
-            f"unknown field(s) for {kind!r} query: {sorted(unknown)}"
-        )
+        raise CodecError(f"unknown field(s) in {where}: {sorted(unknown)}")
 
 
 # --------------------------------------------------------------------- #

@@ -8,14 +8,12 @@ heterogeneous batch here mirrors the seeded equivalence scenarios, so a
 pass chains all the way back to the pre-engine implementations.
 
 Also covered: the stable cross-process keys of ``engine/boundstore.py``,
-worker-affine dispatch (stable lanes across batches), the short-lived
-service behind ``evaluate_many(executor=ExecutorConfig(...))`` never
-leaking a worker or an export, and a service without a warm-start
-directory doing no stable-key work at all.
+worker-affine dispatch (stable lanes across batches), ``evaluate_many``
+accepting only ``None`` or a ``QueryService`` as its executor, and a
+service without a warm-start directory doing no stable-key work and
+creating no shared-memory block.
 
-``REPRO_TEST_START_METHOD`` picks the pool start method, and the file runs
-on either dataset transport (``REPRO_DISABLE_SHARED_MEMORY=1`` selects the
-pickle one).
+``REPRO_TEST_START_METHOD`` picks the pool start method.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from repro.engine.boundstore import (
     encode_stable_key,
     stable_object_key,
 )
-from repro.uncertain.sharedmem import shared_memory_available
 
 # The CI jobs matrix this file over start methods through this variable;
 # locally it is unset and the platform default applies.
@@ -123,23 +120,21 @@ def test_results_and_report_identical_across_worker_counts(
     config = ExecutorConfig(workers=workers, start_method=START_METHOD)
     before = set(multiprocessing.active_children())
     engine = QueryEngine(database)
-    if path == "engine":
-        got = _snapshot(engine.evaluate_many(requests, executor=config))
-        report = engine.last_batch_report
-        # the short-lived service behind the call reaped its workers
-        assert not (set(multiprocessing.active_children()) - before)
-    else:
-        with QueryService(engine, config) as service:
+    with QueryService(engine, config) as service:
+        if path == "engine":
+            got = _snapshot(engine.evaluate_many(requests, executor=service))
+            report = engine.last_batch_report
+        else:
             got = _snapshot(service.evaluate_many(requests))
             report = service.last_batch_report
+    # closing the service reaped its workers
+    assert not (set(multiprocessing.active_children()) - before)
     assert got == serial_snapshot
-    # one worker on the engine path is the serial path; a service always
-    # runs its lanes, even a single one
-    serial = path == "engine" and workers == 1
-    assert report.mode == ("serial" if serial else "process")
+    # a service always runs its lanes, even a single one
+    assert report.mode == "process"
     # one chunk per lane the batch's affinity keys hash to
     _chunks, lanes = affine_partition(requests, workers)
-    assert report.num_chunks == (1 if serial else len(lanes))
+    assert report.num_chunks == len(lanes)
     assert report.completed_requests == report.num_requests == len(requests)
     assert report.kinds == {
         "knn": 3, "rknn": 1, "range": 1, "ranking": 1, "inverse_ranking": 1
@@ -159,42 +154,7 @@ def test_serial_engine_repeats_batches_identically(database, requests, serial_sn
         assert _snapshot(engine.evaluate_many(requests)) == serial_snapshot
 
 
-def test_serial_config_matches_no_config(database, requests, serial_snapshot):
-    # a one-worker config is the serial path itself: this process, this
-    # engine's shared context, and the same one-chunk report as no config
-    before = set(multiprocessing.active_children())
-    engine = QueryEngine(database)
-    config = ExecutorConfig(workers=1, start_method=START_METHOD)
-    got = _snapshot(engine.evaluate_many(requests, executor=config))
-    assert got == serial_snapshot
-    assert not (set(multiprocessing.active_children()) - before)
-    assert engine.context.stats()["trees"] > 0
-    report = engine.last_batch_report
-    assert report.mode == "serial"
-    assert report.worker_pids == (os.getpid(),)
-    plain = QueryEngine(database)
-    plain.evaluate_many(requests)
-    assert report.num_chunks == plain.last_batch_report.num_chunks == 1
-    assert report.kinds == plain.last_batch_report.kinds
-
-
-def test_single_worker_or_single_request_runs_serially(
-    database, requests, serial_snapshot
-):
-    engine = QueryEngine(database)
-    got = _snapshot(engine.evaluate_many(requests, executor=ExecutorConfig(workers=1)))
-    assert got == serial_snapshot
-    assert engine.last_batch_report.mode == "serial"
-    # nothing to parallelise: a one-request batch stays in this process
-    got = _snapshot(
-        engine.evaluate_many(requests[:1], executor=ExecutorConfig(workers=4))
-    )
-    assert got == serial_snapshot[:1]
-    assert engine.last_batch_report.mode == "serial"
-
-
-def test_auto_mode_resolution_table(database, requests, monkeypatch):
-    engine = QueryEngine(database)
+def test_auto_mode_resolution_table(monkeypatch):
     # the default derives workers from the CPU count at resolution time, so
     # one config scales out on multi-core machines ...
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -202,8 +162,6 @@ def test_auto_mode_resolution_table(database, requests, monkeypatch):
     # ... and still means serial where there is only one core to scale to
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert ExecutorConfig().effective_workers == 1
-    engine.evaluate_many(requests, executor=ExecutorConfig())
-    assert engine.last_batch_report.mode == "serial"
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # cpu_count may fail
     assert ExecutorConfig().effective_workers == 1
     assert ExecutorConfig(workers=3).effective_workers == 3
@@ -234,6 +192,18 @@ def test_evaluate_many_rejects_unknown_executors(database, requests):
         QueryEngine(database).evaluate_many(requests, executor="process")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_executor_config_is_rejected_naming_query_service(database, requests, workers):
+    # evaluate_many runs serially or on a caller's service; a bare config
+    # no longer builds a short-lived one
+    before = set(multiprocessing.active_children())
+    engine = QueryEngine(database)
+    with pytest.raises(TypeError, match="QueryService"):
+        engine.evaluate_many(requests, executor=ExecutorConfig(workers=workers))
+    assert engine.last_batch_report is None
+    assert not (set(multiprocessing.active_children()) - before)
+
+
 # --------------------------------------------------------------------- #
 # partitioning
 # --------------------------------------------------------------------- #
@@ -248,9 +218,9 @@ def test_affinity_groups_shared_queries(requests, workers):
 def test_partition_empty_batch(database):
     for workers in (1, 2, 3, 4):
         assert affine_partition([], workers) == ([], [])
-    # an empty batch needs no process on either path
+    # an empty batch runs on either path
     engine = QueryEngine(database)
-    assert engine.evaluate_many([], executor=ExecutorConfig(workers=4)) == []
+    assert engine.evaluate_many([]) == []
     assert engine.last_batch_report.mode == "serial"
     assert engine.last_batch_report.num_requests == 0
     config = ExecutorConfig(workers=2, start_method=START_METHOD)
@@ -306,7 +276,8 @@ def test_serial_report_accounting(database, requests):
 def test_process_report_merges_worker_chunks(database, requests):
     engine = QueryEngine(database)
     config = ExecutorConfig(workers=2, start_method=START_METHOD)
-    engine.evaluate_many(requests, executor=config)
+    with QueryService(engine, config) as service:
+        engine.evaluate_many(requests, executor=service)
     report = engine.last_batch_report
     assert report.mode == "process"
     # one ChunkStats per affine chunk, in chunk order, sized like the chunk
@@ -400,53 +371,18 @@ def test_adapters_inherit_configuration_from_engine(database, reference):
 
 
 # --------------------------------------------------------------------- #
-# error paths: the short-lived service never leaks workers or shared memory
+# error paths
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "caller_export",
-    [
-        False,
-        pytest.param(
-            True,
-            marks=pytest.mark.skipif(
-                not shared_memory_available(), reason="no shared memory here"
-            ),
-        ),
-    ],
-    ids=["no-export", "caller-export"],
-)
-def test_poisoned_request_tears_the_short_lived_service_down(
-    database, requests, caller_export
-):
-    before = set(multiprocessing.active_children())
-    engine = QueryEngine(database)
-    export = engine.database.share_memory() if caller_export else None
-    name = export.handle.shm_name if caller_export else None
-    try:
-        poisoned = [requests[0], KNNQuery(0, k=0, tau=0.5)]  # k=0 raises
-        config = ExecutorConfig(workers=2, start_method=START_METHOD)
-        with pytest.raises(ValueError, match="k must be positive"):
-            engine.evaluate_many(poisoned, executor=config)
-        # closing the short-lived service reaped every worker
-        assert not (set(multiprocessing.active_children()) - before)
-        if export is not None:
-            # the shared block is owned by the export, not the batch: still linked
-            assert export.active
-    finally:
-        if export is not None:
-            export.close()
-    if caller_export and os.path.isdir("/dev/shm"):
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-
-def test_partitioning_error_raises_before_any_worker_starts(database, requests):
-    before = set(multiprocessing.active_children())
+def test_partitioning_error_raises_in_the_caller(database, requests, serial_snapshot):
     engine = QueryEngine(database)
     config = ExecutorConfig(workers=2, start_method=START_METHOD)
     broken = object()  # no affinity_key(): partitioning fails in the parent
-    with pytest.raises(AttributeError):
-        engine.evaluate_many([requests[0], broken], executor=config)
-    assert not (set(multiprocessing.active_children()) - before)
+    with QueryService(engine, config) as service:
+        with pytest.raises(AttributeError):
+            engine.evaluate_many([requests[0], broken], executor=service)
+        # nothing was enqueued, and the service still serves
+        assert service.pending_batches == 0
+        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
 
 
 # --------------------------------------------------------------------- #
@@ -593,14 +529,12 @@ def test_affine_dispatch_keeps_index_queries_on_warm_caches(database):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_repeated_batches_identical_without_shared_memory(
-    database, requests, serial_snapshot, workers, monkeypatch
+def test_repeated_batches_identical_on_one_service(
+    database, requests, serial_snapshot, workers
 ):
-    monkeypatch.setenv("REPRO_DISABLE_SHARED_MEMORY", "1")
     with QueryService(
-        QueryEngine(database), ExecutorConfig(workers=workers)
+        QueryEngine(database), ExecutorConfig(workers=workers, start_method=START_METHOD)
     ) as service:
-        assert service.transport == "pickle"
         assert service.bound_store_stats() is None
         for _ in range(3):
             assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
@@ -647,7 +581,6 @@ def test_service_without_warm_start_encodes_no_keys_and_adds_no_block(
     serial = _snapshot(QueryEngine(database).evaluate_many(batch))
     config = ExecutorConfig(workers=2, start_method="fork")
     with QueryService(QueryEngine(database), config) as service:
-        exported = service.transport == "shared_memory"
         assert isinstance(service.engine.context.pair_bounds_cache, CacheStats)
         for _ in range(2):
             assert _snapshot(service.evaluate_many(batch)) == serial
@@ -655,5 +588,5 @@ def test_service_without_warm_start_encodes_no_keys_and_adds_no_block(
             assert report.shared_hits == report.shared_misses == 0
             assert report.shared_publishes == 0
         assert len(report.worker_pids) == 2
-    assert len(created) == int(exported)  # the dataset export, nothing else
+    assert created == []  # lanes start from the engine, not from a block
 

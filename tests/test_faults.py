@@ -2,20 +2,23 @@
 
 Every test drives a real fault through ``repro.testing.faults`` — a
 ``SIGKILL`` delivered inside a worker, a lane wedged past its deadline, a
-torn or scribbled-on warm-start file under a live service — and asserts the recovery contract of ``docs/architecture.md``'s failure
+lane whose start raises, a torn or scribbled-on warm-start file under a
+live service — and asserts the recovery contract of ``docs/architecture.md``'s failure
 model: results stay **bit-identical to the serial path**, the service
 stays usable, and nothing leaks (the autouse fixture fails any test that
 orphans a child process or leaves a ``/dev/shm`` block linked).
 
-The suite honours two environment switches the CI fault-injection job
-matrixes over: ``REPRO_TEST_START_METHOD`` (``fork`` / ``spawn``) picks
-the pool start method, and ``REPRO_DISABLE_SHARED_MEMORY=1`` runs the
-whole suite on the pickle transport.
+The CI fault-injection job matrixes the suite over
+``REPRO_TEST_START_METHOD`` (``fork`` / ``spawn``), which picks the pool
+start method; the lane-start test names both methods itself.
 """
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
 import os
+import tempfile
 import threading
 import time
 
@@ -204,6 +207,57 @@ def test_retry_budget_exhaustion_raises_worker_crash(database, requests):
             with pytest.raises(WorkerCrashError, match="died running chunk"):
                 pool.run_chunks(requests, chunks, [0])
             assert pool.respawns >= 2
+
+
+# --------------------------------------------------------------------- #
+# lane start failure: typed, bounded, leak-free
+# --------------------------------------------------------------------- #
+class _FailsToLoad:
+    """Pickles in the parent; unpickling it in a spawned lane raises."""
+
+    def __reduce__(self):
+        return (int, ("a lane start that fails",))
+
+
+def _raise_at_start(*_args):
+    raise RuntimeError("a lane start that fails")
+
+
+@pytest.mark.parametrize(
+    "method",
+    [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()],
+)
+def test_lane_start_failure_raises_worker_crash_error(
+    database, requests, method, monkeypatch
+):
+    import repro.engine.executor as executor_module
+
+    engine = QueryEngine(database)
+    if method == "fork":
+        # a forked lane runs the initializer object the parent holds
+        monkeypatch.setattr(executor_module, "_initialise_worker", _raise_at_start)
+    else:
+        # a spawned lane unpickles the engine, and this attribute with it
+        engine.lane_start_fault = _FailsToLoad()
+    lane_files = os.path.join(tempfile.gettempdir(), "repro-lane-*")
+    files_before = set(glob.glob(lane_files))
+    started = time.monotonic()
+    service = QueryService(
+        engine, ExecutorConfig(workers=1, start_method=method), max_chunk_retries=1
+    )
+    try:
+        with pytest.raises(WorkerCrashError):
+            service.warm()
+        with pytest.raises(WorkerCrashError):
+            service.probe_workers()
+        # the first batch respawns the lane, which fails to start again
+        with pytest.raises(WorkerCrashError):
+            service.evaluate_many(requests)
+    finally:
+        service.close()
+    assert time.monotonic() - started < 30.0
+    assert set(glob.glob(lane_files)) <= files_before  # no engine pickle left
+    # no child is left: checked by the autouse no_leaked_resources fixture
 
 
 # --------------------------------------------------------------------- #

@@ -26,6 +26,7 @@ from repro.gateway import (
     GatewayConfig,
     GatewayServer,
     canonical_json,
+    decode_mutations,
     decode_query,
     encode_result,
     request_key,
@@ -191,6 +192,57 @@ def test_malformed_requests_map_to_400(shared_server):
         status, _headers, body = _post(shared_server, "/v1/query", document)
         assert status == 400, (document, body)
         assert "error" in json.loads(body)
+
+
+_BOX = {"lower": [0.1, 0.1], "upper": [0.2, 0.2]}
+_GAUSSIAN = {"mean": [0.5, 0.5], "std": [0.01, 0.01]}
+_POINTS = [[0.3, 0.3], [0.4, 0.35]]
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        {"box": _BOX, "colour": "red"},  # unknown literal field
+        {"box": dict(_BOX, extra=1)},  # unknown field inside box
+        {"gaussian": dict(_GAUSSIAN, skew=0.1)},  # unknown field inside gaussian
+        {"box": _BOX, "weights": [1.0]},  # weights without points
+        {"gaussian": _GAUSSIAN, "weights": [1.0]},
+        {"points": _POINTS, "label": 7},  # a label must be a string
+    ],
+)
+def test_malformed_literals_map_to_400(shared_server, literal):
+    for path, document in (
+        ("/v1/query", {"type": "knn", "query": literal, "k": 3, "tau": 0.5}),
+        ("/v1/mutate", {"mutations": [{"op": "insert", "object": literal}]}),
+    ):
+        status, _headers, body = _post(shared_server, path, document)
+        assert status == 400, (path, document, body)
+        assert "error" in json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        {"box": _BOX},
+        {"points": _POINTS, "weights": [0.25, 0.75]},
+        {"gaussian": _GAUSSIAN},
+    ],
+    ids=["box", "points", "gaussian"],
+)
+def test_literal_label_is_carried_into_the_object(gateway_database, literal):
+    labelled = dict(literal, label="iceberg-7")
+    request = decode_query(
+        {"type": "knn", "query": labelled, "k": 3, "tau": 0.5}, gateway_database
+    )
+    assert request.query.label == "iceberg-7"
+    (update,) = decode_mutations(
+        [{"op": "update", "position": 7, "object": labelled}], gateway_database
+    )
+    assert update.obj.label == "iceberg-7"
+    # the label is optional
+    assert decode_query(
+        {"type": "knn", "query": literal, "k": 3, "tau": 0.5}, gateway_database
+    ).query.label is None
 
 
 def test_invalid_json_body_maps_to_400(shared_server):

@@ -257,8 +257,8 @@ class TestEngineParity:
         self, database, requests, serial_snapshot, workers
     ):
         engine = QueryEngine(database)
-        config = ExecutorConfig(workers=workers)
-        assert _snapshot(engine.evaluate_many(requests, config)) == serial_snapshot
+        with QueryService(engine, ExecutorConfig(workers=workers)) as service:
+            assert _snapshot(engine.evaluate_many(requests, service)) == serial_snapshot
 
     @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("workers", [1, 4])

@@ -16,15 +16,15 @@ The contract under test (threaded through ``uncertain/base.py`` →
 * **warm caches**: after mutating a small fraction of the objects, each
   lane's memo keeps serving the untouched columns and never serves a stale
   one (any staleness would break bit-identity);
-* worker lanes follow the parent across epochs by replaying **mutation
-  deltas** — including lanes respawned after a crash;
+* live worker lanes follow the parent across epochs by applying **mutation
+  deltas**, and a lane respawned after a crash starts from the parent's
+  current snapshot with no history to replay;
 * the gateway applies mutations behind the barrier, and every
   ``/v1/query`` answer after a ``/v1/mutate`` equals a from-scratch
   serial evaluation over the mutated content.
 
 The CI ``mutation`` job matrixes this module over both pool start methods
-(``REPRO_TEST_START_METHOD``) and the no-shared-memory fallback
-(``REPRO_DISABLE_SHARED_MEMORY=1``).
+(``REPRO_TEST_START_METHOD``).
 """
 
 from __future__ import annotations
@@ -398,9 +398,17 @@ def test_mutation_delta_roundtrip(database):
     resolved = database.resolve_mutations(
         [Update(2, DiscreteObject(points, weights)), Insert(_box([0.6, 0.6]))]
     )
+    shipped = []
     with _service(database, workers=1) as service:
+        apply_delta = service._pool.apply_delta
+
+        def recording_apply_delta(delta):
+            shipped.append(delta)
+            apply_delta(delta)
+
+        service._pool.apply_delta = recording_apply_delta
         service.apply(resolved)
-        (delta,) = service._pool._deltas
+    (delta,) = shipped
     assert [field.name for field in dataclasses.fields(delta)] == [
         "base_epoch", "new_epoch", "shell"
     ]
@@ -415,7 +423,7 @@ def test_mutation_delta_roundtrip(database):
     np.testing.assert_array_equal(rebuilt.points, points)
 
 
-def test_workers_follow_epochs_and_respawn_replays_history(database, requests):
+def test_workers_follow_epochs_and_respawn_at_the_current_snapshot(database, requests):
     from repro.testing.faults import kill_worker
 
     steps = _mutation_steps(np.random.default_rng(94))
@@ -427,13 +435,30 @@ def test_workers_follow_epochs_and_respawn_replays_history(database, requests):
         assert probe["epoch"] == len(steps)
         expected = _fresh_snapshot(service.engine.database, requests)
         assert _snapshot(service.evaluate_many(requests)) == expected
-        # a respawned lane must replay the whole delta history before
-        # serving chunks — kill a worker and check nothing drifts
+        # a respawned lane starts from the parent's current snapshot —
+        # kill a worker and check nothing drifts
         victim = service.last_batch_report.worker_pids[0]
         kill_worker(victim)
         assert _snapshot(service.evaluate_many(requests)) == expected
         assert service.worker_respawns >= 1
         assert service.probe_workers()["epoch"] == len(steps)
+
+
+def test_lane_killed_after_200_updates_restarts_on_the_current_snapshot(requests):
+    from repro.testing.faults import kill_worker
+
+    database = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=3)
+    rng = np.random.default_rng(200)
+    with _service(database, workers=1) as service:
+        for step in range(200):
+            position = int(rng.integers(0, len(database)))
+            service.apply([Update(position, _box(rng.uniform(0.1, 0.9, size=2)))])
+        kill_worker(service.probe_workers()["pid"])
+        got = _snapshot(service.evaluate_many(requests))
+        assert service.last_batch_report.worker_respawns == 1
+        assert service.last_batch_report.epoch == 200
+        expected = _fresh_snapshot(service.engine.database, requests)
+    assert got == expected
 
 
 # --------------------------------------------------------------------- #
@@ -575,6 +600,21 @@ def test_gateway_query_answers_follow_mutations_exactly(database):
                 if epoch == 1:
                     # the updates moved objects into the region: answers moved
                     assert answers != before
+
+
+def test_gateway_update_keeps_the_literal_label(database):
+    from repro.gateway import GatewayServer
+
+    mutations = [{"op": "update", "position": 4,
+                  "object": {"gaussian": {"mean": [0.4, 0.4], "std": [0.01, 0.01]},
+                             "label": "iceberg-377"}}]
+    with _service(database, workers=1) as service:
+        with GatewayServer(service) as server:
+            status, body = _http(
+                "POST", f"{server.url}/v1/mutate", {"mutations": mutations}
+            )
+            assert status == 200, body
+            assert service.engine.database[4].label == "iceberg-377"
 
 
 def test_gateway_rejects_malformed_mutations(database):

@@ -1,22 +1,22 @@
 """QueryService lifecycle: pool reuse, determinism, queue, shutdown, leaks.
 
 The contract under test (``repro/engine/service.py``): one worker pool —
-spawned at construction — serves every batch of the service's lifetime
+started at construction — serves every batch of the service's lifetime
 (observable through stable worker pids), results stay bit-identical to the
-serial path at every worker count, workers attach the dataset through
-shared memory (falling back to pickling cleanly), and shutdown is
-idempotent, drains the queue, reaps every worker process and unlinks the
-shared block even after a poisoned batch.
+serial path at every worker count, every lane starts from the engine
+itself (inherited under ``fork``, a small file handle under ``spawn``),
+and shutdown is idempotent, drains the queue and reaps every worker
+process even after a poisoned batch.
 
-The file runs on either dataset transport: under
-``REPRO_DISABLE_SHARED_MEMORY=1`` the shared-memory cases are skipped and
-the lifecycle checks run on the pickle transport.
+``REPRO_TEST_START_METHOD`` picks the pool start method of the lifecycle
+tests; the start-path tests name theirs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 
@@ -33,21 +33,10 @@ from repro.engine import (
     RankingQuery,
     RKNNQuery,
 )
-from repro.uncertain import sharedmem
 
-#: ``share_memory=`` values for the lifecycle tests: the pickle transport
-#: always, the shared-memory one where the platform (and the environment)
-#: allows it.
-TRANSPORTS = [
-    pytest.param(False, id="pickle"),
-    pytest.param(
-        True,
-        id="shared_memory",
-        marks=pytest.mark.skipif(
-            not sharedmem.shared_memory_available(), reason="no shared memory here"
-        ),
-    ),
-]
+# The CI jobs matrix this file over start methods through this variable;
+# locally it is unset and the platform default applies.
+START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +93,11 @@ def serial_snapshot(database, requests):
     return _snapshot(engine.evaluate_many(requests))
 
 
-def _service(database, workers=2, **kwargs):
+def _service(database, workers=2, start_method=START_METHOD, **kwargs):
     return QueryService(
-        QueryEngine(database), ExecutorConfig(workers=workers), **kwargs
+        QueryEngine(database),
+        ExecutorConfig(workers=workers, start_method=start_method),
+        **kwargs,
     )
 
 
@@ -154,8 +145,7 @@ def test_engine_evaluate_many_routes_through_service(
 def test_engine_evaluate_many_leaves_callers_service_open(
     database, requests, serial_snapshot
 ):
-    # only the short-lived service of an ExecutorConfig is closed by the
-    # call; a caller's service keeps its lanes for the next batch
+    # a caller's service keeps its lanes for the next batch
     engine = QueryEngine(database)
     with _service(database, workers=2) as service:
         pids = []
@@ -230,49 +220,42 @@ def test_concurrent_submit_from_threads(database, requests, serial_snapshot):
 
 
 # --------------------------------------------------------------------- #
-# shared-memory transport and its fallback
+# the lane start path
 # --------------------------------------------------------------------- #
-@pytest.mark.skipif(
-    not sharedmem.shared_memory_available(), reason="no shared memory here"
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
 )
-def test_workers_attach_database_via_shared_memory(database, requests):
-    import pickle
 
-    # measured before the export exists: the full-copy payload per worker
-    plain_engine = len(pickle.dumps(QueryEngine(database)))
-    with _service(database, workers=2) as service:
-        assert service.transport == "shared_memory"
+
+@needs_fork
+def test_forked_lanes_inherit_the_engine_without_a_pickle(database, requests):
+    with _service(database, workers=2, start_method="fork") as service:
+        assert service.payload_nbytes == 0
         probe = service.probe_workers()
-        assert probe["transport"] == "shared_memory"
-        assert probe["shm_name"] == service._export.handle.shm_name
-        assert probe["num_objects"] == len(database)
-        # the per-worker payload is a handle, not a database copy
-        assert service.payload_nbytes < plain_engine
+        assert probe == {
+            "pid": probe["pid"], "num_objects": len(database), "epoch": 0
+        }
+        assert probe["pid"] != os.getpid()
 
 
-def test_fallback_when_shared_memory_unavailable(
-    database, requests, serial_snapshot, monkeypatch
-):
-    monkeypatch.setenv(sharedmem.DISABLE_ENV, "1")
-    with _service(database, workers=2) as service:
-        assert service.transport == "pickle"
-        probe = service.probe_workers()
-        assert probe["transport"] == "pickle"
-        assert probe["shm_name"] is None
-        got = _snapshot(service.evaluate_many(requests))
-        assert got == serial_snapshot
+def test_spawned_lane_initargs_stay_under_a_pipe_buffer():
+    # a process start writes the initargs through a pipe; past 64 KiB a
+    # lane that dies at bootstrap would leave that write blocked forever
+    big = uniform_rectangle_database(num_objects=15_000, max_extent=0.006, seed=5)
+    engine = QueryEngine(big)
+    with QueryService(engine, ExecutorConfig(workers=1, start_method="spawn")) as service:
+        (lane,) = service._pool._lanes
+        (path, _warm_start, _lane) = lane._initargs
+        assert len(pickle.dumps(lane._initargs)) < 64 * 1024
+        # the engine itself went through the lane's file instead
+        assert service.payload_nbytes > 64 * 1024
+        assert service.probe_workers()["num_objects"] == 15_000
+        assert not os.path.exists(path)  # removed once the lane started
 
 
-def test_share_memory_explicitly_false(database, requests, serial_snapshot):
-    with _service(database, workers=1, share_memory=False) as service:
-        assert service.transport == "pickle"
-        assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-
-
-def test_share_memory_true_raises_when_unavailable(database, monkeypatch):
-    monkeypatch.setenv(sharedmem.DISABLE_ENV, "1")
-    with pytest.raises(RuntimeError, match="unavailable"):
-        _service(database, workers=1, share_memory=True)
+def test_share_memory_option_is_gone(database):
+    with pytest.raises(TypeError, match="share_memory"):
+        _service(database, workers=1, share_memory=False)
 
 
 # --------------------------------------------------------------------- #
@@ -290,45 +273,28 @@ def test_close_is_idempotent_and_rejects_submits(database, requests):
         service.probe_workers()
 
 
-@pytest.mark.parametrize("share_memory", TRANSPORTS)
-def test_close_reaps_workers_and_unlinks_block(database, requests, share_memory):
+def test_close_reaps_workers(database, requests):
     before = set(multiprocessing.active_children())
-    service = _service(database, workers=2, share_memory=share_memory)
+    service = _service(database, workers=2)
     service.evaluate_many(requests[:2])
-    if share_memory:
-        name = service._export.handle.shm_name
-        if os.path.isdir("/dev/shm"):  # POSIX shm is a real fs only on Linux
-            assert os.path.exists(f"/dev/shm/{name}")
-        export_active = service._export.active
-        assert export_active
     service.close()
     leaked = set(multiprocessing.active_children()) - before
     assert not leaked
-    assert service._export is None
-    if share_memory:
-        assert not os.path.exists(f"/dev/shm/{name}")
 
 
-@pytest.mark.parametrize("share_memory", TRANSPORTS)
 def test_poisoned_request_fails_batch_but_not_service(
-    database, requests, serial_snapshot, share_memory
+    database, requests, serial_snapshot
 ):
     before = set(multiprocessing.active_children())
-    service = _service(database, workers=2, share_memory=share_memory)
-    name = service._export.handle.shm_name if share_memory else None
+    service = _service(database, workers=2)
     poisoned = [requests[0], KNNQuery(reference_or_index(database), k=0, tau=0.5)]
     with pytest.raises(ValueError, match="k must be positive"):
         service.evaluate_many(poisoned)
     # the pool survived: the next batch still runs, on the same pids
     got = _snapshot(service.evaluate_many(requests))
     assert got == serial_snapshot
-    export = service._export
     service.close()
     assert not (set(multiprocessing.active_children()) - before)
-    if share_memory:
-        assert not export.active  # unlinked on every platform ...
-        if os.path.isdir("/dev/shm"):  # ... and verifiably gone where shm is a fs
-            assert not os.path.exists(f"/dev/shm/{name}")
 
 
 def reference_or_index(database):

@@ -6,9 +6,9 @@ handle whose unpickle *maps* the array payload from one shared block —
 bit-identical data, read-only views, memoised per process — and the last
 release of the export unlinks the block.  Without an export (or with shared
 memory disabled) the plain constructor-based pickle path is taken.  A
-service owns that one block for its whole life — mutation deltas ship as
-plain pickles — and its workers attach without dropping the owner's
-resource-tracker registration, under every start method.
+service creates no block of its own, and lanes that unpickle an exported
+database attach it without dropping the owner's resource-tracker
+registration, under every start method.
 """
 
 from __future__ import annotations
@@ -306,21 +306,19 @@ def _evaluated(results) -> list:
 
 
 @needs_shared_memory
-def test_a_mutated_service_holds_one_block_then_none(database):
+def test_a_mutated_service_creates_no_block(database):
     from repro.engine import ExecutorConfig, KNNQuery, QueryEngine, QueryService
     from repro.uncertain import DiscreteObject, Update
 
     rng = np.random.default_rng(8)
     before = _blocks_of(os.getpid())
-    service = QueryService(
-        QueryEngine(database), ExecutorConfig(workers=2), share_memory=True
-    )
+    service = QueryService(QueryEngine(database), ExecutorConfig(workers=2))
     try:
         for step in range(100):
             # 64 alternatives: arrays well above MIN_SHARED_NBYTES
             points = rng.uniform(0.0, 1.0, size=(64, 2))
             service.apply([Update(step % len(database), DiscreteObject(points))])
-        assert _blocks_of(os.getpid()) - before == {service._export.handle.shm_name}
+        assert _blocks_of(os.getpid()) == before
         requests = [KNNQuery(index, k=3, tau=0.4, max_iterations=3) for index in (0, 5, 9)]
         got = service.evaluate_many(requests)
         final = UncertainDatabase(list(service.engine.database.objects))
@@ -342,10 +340,9 @@ from repro.uncertain import DiscreteObject, Update, discretise_database
 rng = np.random.default_rng(3)
 base = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=1)
 database = discretise_database(base, 64, rng)
+export = database.share_memory()  # lanes that unpickle the engine attach it
 service = QueryService(
-    QueryEngine(database),
-    ExecutorConfig(workers=2, start_method=sys.argv[1]),
-    share_memory=True,
+    QueryEngine(database), ExecutorConfig(workers=2, start_method=sys.argv[1])
 )
 for _ in range(3):
     service.apply(
@@ -353,6 +350,7 @@ for _ in range(3):
     )
 service.evaluate_many([KNNQuery(index, k=3, tau=0.4, max_iterations=3) for index in range(4)])
 service.close()
+export.close()
 """
 
 

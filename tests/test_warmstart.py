@@ -15,9 +15,10 @@ the same directory and checks the recovery contract.  Truncated, scribbled
 and foreign files must be detected, reported and rebuilt — never served:
 the byte-level tests cut and flip every byte of a small file of real
 columns and require the loader to yield exactly the records before the
-damage.  The restart contract holds for every request kind, across a change
-of worker count and over the shared-memory transport; a lane respawned
-after a crash starts from its predecessor's appends; and inside one process
+damage.  The restart contract holds for every request kind and across a
+change of worker count; a lane respawned after a crash starts from its
+predecessor's appends, and one respawned after a mutation persists only
+columns of the snapshot the service was built over; and inside one process
 the tiered memo reads through to the file, appends only cold columns and
 keeps columns that name a mutated object local.  The file format itself is
 covered by ``tests/test_boundstore.py``.
@@ -71,7 +72,7 @@ from repro.testing.faults import (
     snapshot_resources,
     truncate_store_file,
 )
-from repro.uncertain import BoxUniformObject, Update, sharedmem
+from repro.uncertain import BoxUniformObject, Update
 
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
@@ -119,13 +120,10 @@ def _json_snapshot(results) -> list:
     return json.loads(json.dumps(_snapshot(results), default=float))
 
 
-def _service(
-    database, workers=2, axis_policy="round_robin", share_memory=False, **kwargs
-):
+def _service(database, workers=2, axis_policy="round_robin", **kwargs):
     return QueryService(
         QueryEngine(database, axis_policy=axis_policy),
         ExecutorConfig(workers=workers, start_method=START_METHOD),
-        share_memory=share_memory,
         **kwargs,
     )
 
@@ -148,7 +146,8 @@ def _serve_and_die(path: str, out_path: str) -> None:
     results = service.evaluate_many(batch)
     payload = {
         "snapshot": _json_snapshot(results),
-        "workers": list(service.worker_pids),
+        # every lane, not only those that ran a chunk: lanes start eagerly
+        "workers": [service._pool.probe(lane)["pid"] for lane in range(service.workers)],
     }
     with open(out_path + ".tmp", "w") as out:
         json.dump(payload, out)
@@ -383,19 +382,26 @@ def test_a_missing_directory_is_created(tmp_path):
     assert len(_lane_files(str(path))) == 2
 
 
-@pytest.mark.skipif(
-    not sharedmem.shared_memory_available(), reason="no shared memory here"
-)
-def test_restart_over_the_shared_memory_transport(tmp_path):
+def test_a_lane_respawned_after_a_mutation_keeps_the_generation_bound(tmp_path):
+    # a lane respawned after a mutation starts from the mutated snapshot,
+    # but its file covers the snapshot the service was built over: columns
+    # naming the updated objects stay local, so a second incarnation that
+    # updates the same positions differently is still served bit-identically
     path = str(tmp_path / "warm")
     database, batch = _workload()
-    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
-    for incarnation in range(2):
-        with _service(database, share_memory=True, bounds_store_path=path) as service:
-            assert service.store_warm_started == (incarnation == 1)
-            assert _snapshot(service.evaluate_many(batch)) == serial
-            report = service.last_batch_report
-            assert (report.shared_publishes > 0) == (incarnation == 0)
+    rng = np.random.default_rng(17)
+    positions = [int(p) for p in rng.choice(len(database), size=12, replace=False)]
+    for seed in (1, 2):
+        moves = np.random.default_rng(seed).uniform(0.1, 0.9, size=(12, 2))
+        step = [Update(p, _box(m)) for p, m in zip(positions, moves)]
+        expected = _snapshot(
+            QueryEngine(database.apply(step)).evaluate_many(batch)
+        )
+        with _service(database, workers=1, bounds_store_path=path) as service:
+            service.apply(step)
+            kill_worker(service.probe_workers()["pid"])
+            assert _snapshot(service.evaluate_many(batch)) == expected
+            assert service.last_batch_report.worker_respawns == 1
 
 
 def test_a_respawned_lane_reloads_its_predecessors_appends(tmp_path):
@@ -474,7 +480,7 @@ def _engine_with_file(database, directory, lane=0):
         database_digest(database),
         config_fingerprint(engine.context.axis_policy),
     )
-    engine.context.attach_warm_start(warm)
+    engine.context.attach_warm_start(warm, max(database.generations()) + 1)
     return engine, warm
 
 
