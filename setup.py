@@ -20,5 +20,7 @@ setup(
     version=_VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # dataclass(slots=True) on the geometry and decomposition classes
+    python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
 )

@@ -134,17 +134,27 @@ class DominationCountBounds:
         """Bounds of ``E[DomCount]`` via the tail-sum formula.
 
         ``E[X] = sum_{k >= 1} P(X >= k)`` with ``P(X >= k)`` bracketed by the
-        complementary CDF bounds.  Only available without truncation.
+        complementary CDF bounds.  Every :meth:`cdf_bounds` value is taken at
+        once from prefix and suffix sums, with the same clamping, so the cost
+        is ``O(len)``; the sums associate differently from per-count
+        ``sum()`` calls and the result may differ in the last ulps.  Only
+        available without truncation.
         """
         if self.k_cap is not None:
             raise ValueError("expected-count bounds require an untruncated result")
-        lower_total = 0.0
-        upper_total = 0.0
-        for k in range(1, len(self)):
-            cdf_lower, cdf_upper = self.cdf_bounds(k - 1)
-            lower_total += 1.0 - cdf_upper
-            upper_total += 1.0 - cdf_lower
-        return lower_total, upper_total
+        if len(self) < 2:
+            return 0.0, 0.0
+        # cdf_bounds(k) for k = 0 .. len - 2: prefix sums over counts <= k,
+        # suffix sums over counts > k
+        prefix_lower = np.cumsum(self.lower)[:-1]
+        prefix_upper = np.cumsum(self.upper)[:-1]
+        suffix_lower = np.cumsum(self.lower[::-1])[-2::-1]
+        suffix_upper = np.cumsum(self.upper[::-1])[-2::-1]
+        cdf_lower = np.clip(np.maximum(prefix_lower, 1.0 - suffix_upper), 0.0, 1.0)
+        cdf_upper = np.minimum(
+            np.maximum(np.minimum(prefix_upper, 1.0 - suffix_lower), cdf_lower), 1.0
+        )
+        return float(np.sum(1.0 - cdf_upper)), float(np.sum(1.0 - cdf_lower))
 
     def is_exact(self, tolerance: float = 1e-9) -> bool:
         """True when the bounds have converged to a single PMF."""

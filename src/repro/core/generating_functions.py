@@ -27,6 +27,11 @@ The ``k_cap`` parameter implements the Section VI optimisation for kNN/RkNN
 predicates: coefficients that can only influence ``P(sum = x)`` for
 ``x > k_cap`` are merged, reducing the cost per multiplication step from
 ``O(N^2)`` to ``O(k^2)`` while the bounds for all ``x <= k_cap`` stay exact.
+
+The batched path IDCA uses, :func:`ugf_pmf_bounds_batch`, reads Lemma 4's
+bounds off three 1-D folds instead of the 2-D table, so each multiplication
+step costs ``O(k)`` (``O(N)`` untruncated).  The class keeps the 2-D
+expansion and is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -261,18 +266,32 @@ def ugf_pmf_bounds_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """UGF PMF bounds for a whole batch of probability-bound vectors at once.
 
-    Expands ``num_batches`` uncertain generating functions — one per row of
-    ``lower`` / ``upper``, shape ``(num_batches, n)`` — in a single pass: the
-    trinomial-multiplication loop runs once over the ``n`` variables with
-    every polynomial operation vectorised across the batch axis.  IDCA uses
-    this to turn the ``(num_pairs, num_candidates)`` bound matrices of the
-    batched pair-bounds kernel into per-pair domination-count PMF bounds
-    without constructing one :class:`UncertainGeneratingFunction` per pair.
+    Computes Lemma 4's bounds for ``num_batches`` uncertain generating
+    functions — one per row of ``lower`` / ``upper``, shape ``(num_batches,
+    n)`` — without expanding the 2-D coefficient table ``c_{i,j}``.  Lemma 4
+    needs only its column ``c_{k,0}`` and two marginals:
 
-    The arithmetic is element-for-element the sequence of operations the
-    scalar class performs (the scalar path's skipped ``p == 0`` branches add
-    exact zeros here), so each row of the result is bit-identical to
-    ``UncertainGeneratingFunction(lower[i], upper[i], k_cap).pmf_bounds()``.
+    * ``pmf_lower[k] = c_{k,0}``, the coefficients of ``prod_i (P_LB(X_i) x
+      + 1 - P_UB(X_i))``;
+    * ``pmf_upper[k] = sum_{i <= k, i + j >= k} c_{i,j} = F_LB(k) -
+      F_UB(k - 1)``, where ``F_LB`` / ``F_UB`` are the CDFs of the
+      Poisson-binomial sums with success probabilities ``P_LB`` (the definite
+      count ``i``) and ``P_UB`` (the possible count ``i + j``), clamped to
+      ``[pmf_lower[k], 1]``.
+
+    The three polynomials are folded together in one ``(3 * num_batches, cap
+    + 1)`` array, so each of the ``n`` fold steps costs ``O(cap)`` per row
+    instead of the 2-D expansion's ``O(cap^2)``.  IDCA uses this to turn the
+    ``(num_pairs, num_candidates)`` bound matrices of the batched pair-bounds
+    kernel into per-pair domination-count PMF bounds.
+
+    The lower bounds are bit-identical to
+    ``UncertainGeneratingFunction(lower[i], upper[i], k_cap).pmf_bounds()``:
+    the fold performs the same additions and multiplications as the scalar
+    class's column ``j = 0``, overflow cell included.  The upper bounds are
+    the same quantities summed in a different order and agree with the
+    scalar class to a few ulps.  A variable with ``p_lb = p_ub = 0`` leaves
+    every fold unchanged bit for bit.
 
     Returns ``(pmf_lower, pmf_upper)`` of shape ``(num_batches, top + 1)``
     with ``top = n`` (or ``min(n, k_cap)`` under truncation).
@@ -293,34 +312,34 @@ def ugf_pmf_bounds_batch(
 
     num_batches, n = lower_arr.shape
     cap = n if k_cap is None else min(n, k_cap + 1)
-    size = cap + 1
-    coeff = np.zeros((num_batches, size, size), dtype=float)
-    coeff[:, 0, 0] = 1.0
+    # three 1-D folds of polynomials f * (a + b x) over the variables, one
+    # block of rows each: prod(P_LB x + 1 - P_UB), whose coefficients are the
+    # column c_{k,0} of the 2-D expansion, and the Poisson-binomial PMFs of
+    # P_LB (the definite count) and of P_UB (the possible count)
+    stay = np.concatenate((1.0 - upper_arr, 1.0 - lower_arr, 1.0 - upper_arr))
+    move = np.concatenate((lower_arr, lower_arr, upper_arr))
+    fold = np.zeros((3 * num_batches, cap + 1), dtype=float)
+    fold[:, 0] = 1.0
     for i in range(n):
-        p_lb = lower_arr[:, i, None, None]
-        p_ub = upper_arr[:, i, None, None]
-        new = coeff * (1.0 - p_ub)
-        shifted = np.zeros_like(coeff)
-        shifted[:, 1:size, :] += coeff[:, : size - 1, :]
-        shifted[:, size - 1, :] += coeff[:, size - 1, :]
-        new += shifted * p_lb
-        shifted = np.zeros_like(coeff)
-        shifted[:, :, 1:size] += coeff[:, :, : size - 1]
-        shifted[:, :, size - 1] += coeff[:, :, size - 1]
-        new += shifted * (p_ub - p_lb)
-        coeff = new
+        a = stay[:, i, None]
+        b = move[:, i, None]
+        new = fold * a
+        new[:, 1:cap] += fold[:, : cap - 1] * b
+        # counts beyond the cap collapse onto the last cell, with the scalar
+        # expansion's association so the lower bounds stay bit-identical
+        new[:, cap] += (fold[:, cap - 1] + fold[:, cap]) * b[:, 0]
+        fold = new
 
     top = n if k_cap is None else min(n, k_cap)
-    pmf_lower = np.zeros((num_batches, top + 1), dtype=float)
-    pmf_upper = np.empty((num_batches, top + 1), dtype=float)
-    for k in range(top + 1):
-        if not (k == cap and n > cap):
-            # the last row also holds mass of definite counts > cap
-            pmf_lower[:, k] = coeff[:, k, 0]
-        total = np.zeros(num_batches, dtype=float)
-        for i in range(0, min(k, size - 1) + 1):
-            total += coeff[:, i, max(0, k - i) :].sum(axis=-1)
-        pmf_upper[:, k] = np.minimum(total, 1.0)
+    pmf_lower = fold[:num_batches, : top + 1].copy()
+    # Lemma 4's upper bound: P(definite <= k) - P(possible <= k - 1); cells
+    # 0..top of both marginals are exact (under truncation top < cap, the
+    # merged cell)
+    cdf_definite = np.cumsum(fold[num_batches : 2 * num_batches, : top + 1], axis=1)
+    cdf_possible = np.cumsum(fold[2 * num_batches :, :top], axis=1)
+    pmf_upper = cdf_definite
+    pmf_upper[:, 1:] -= cdf_possible
+    np.clip(pmf_upper, pmf_lower, 1.0, out=pmf_upper)
     return pmf_lower, pmf_upper
 
 

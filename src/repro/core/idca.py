@@ -196,7 +196,7 @@ class IDCA:
         Optional externally-owned memo of domination-bound matrix columns,
         shared the same way.  Each entry is keyed by *(candidate tree token,
         candidate depth, target key, reference key, config)* and stores the
-        whole ``(num_pairs,)`` lower/upper column of that candidate across
+        whole ``(2, num_pairs)`` lower/upper column of that candidate across
         every (target partition, reference partition) pair, so a hit skips an
         entire kernel column instead of a single scalar.  Entries are
         deterministic functions of their key, so sharing never changes
@@ -307,16 +307,16 @@ class IDCA:
             return self.database[index]
         return spec
 
-    def _store_pair_bounds(self, key: tuple, value: tuple[np.ndarray, np.ndarray]) -> None:
+    def _store_pair_bounds(self, key: tuple, value: np.ndarray) -> None:
         """Insert one bounds-matrix column into the shared memo, bounded.
 
         ``key`` identifies the column positionally — (candidate tree token,
         candidate depth, target key, reference key, config).  Partition
         arrays are deterministic and cached per (tree, depth), so the
         positional key determines the whole column without hashing region
-        coordinates.  ``value`` is the ``(lower, upper)`` pair of
-        ``(num_pairs,)`` arrays for every (target, reference) partition pair,
-        in row-major pair order.
+        coordinates.  ``value`` is one ``(2, num_pairs)`` array — rows lower
+        and upper — over every (target, reference) partition pair, in
+        row-major pair order.
         """
         cache = self._pair_bounds
         _evict_oldest_tenth(cache, _PAIR_BOUNDS_CACHE_MAX)
@@ -374,7 +374,7 @@ class IDCA:
         ).run()
 
 
-# entries are whole bounds-matrix columns (two (num_pairs,) arrays), i.e. up
+# entries are whole bounds-matrix columns (one (2, num_pairs) array), i.e. up
 # to ~1 KiB each at the default depth caps — far fewer, larger entries than
 # the scalar-per-pair memo this cache replaced
 _PAIR_BOUNDS_CACHE_MAX = 50_000
@@ -600,8 +600,7 @@ class IDCARun:
         if missing:
             # one batched kernel call covers every uncached candidate column;
             # the ragged CSR batch concatenates the cached base arrays with
-            # no pad rows and is itself cached per depth-set, so an unchanged
-            # frontier reuses the previous iteration's concatenation outright
+            # no pad rows
             batch = csr_partitions_batch(
                 [self._influence_trees[c_idx] for c_idx in missing],
                 [int(candidate_depths[c_idx]) for c_idx in missing],
@@ -622,9 +621,10 @@ class IDCARun:
             if cache is not None:
                 store_start = time.perf_counter()
                 for j, c_idx in enumerate(missing):
+                    # an owning (2, num_pairs) array: a view would keep the
+                    # whole kernel output alive while any column survives
                     idca._store_pair_bounds(
-                        keys[c_idx],
-                        (fresh_lower[:, j].copy(), fresh_upper[:, j].copy()),
+                        keys[c_idx], np.stack((fresh_lower[:, j], fresh_upper[:, j]))
                     )
                 cache_seconds += time.perf_counter() - store_start
 

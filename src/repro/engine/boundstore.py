@@ -164,11 +164,12 @@ def _lane_files(directory: str) -> list[str]:
 
 def read_warm_file(
     path: str, digest: bytes, config: bytes
-) -> tuple[list[tuple[bytes, np.ndarray, np.ndarray]], int, Optional[str]]:
+) -> tuple[list[tuple[bytes, np.ndarray]], int, Optional[str]]:
     """Load the validated records of one warm-start file.
 
-    Returns ``(records, end, rejected)``: the ``(key, lower, upper)``
-    records in file order up to the first one that fails its frame or CRC
+    Returns ``(records, end, rejected)``: the ``(key, column)`` records —
+    ``column`` a private ``(2, pairs)`` array, rows lower and upper — in
+    file order up to the first one that fails its frame or CRC
     check, the byte offset just past the last of them, and ``None`` — or,
     when the header fails the handshake, no records, ``end == 0`` and the
     reason (``"truncated-header"``, ``"bad-magic"``, ``"version-mismatch"``,
@@ -202,20 +203,17 @@ def read_warm_file(
         if zlib.crc32(data[body:end], zlib.crc32(data[offset : offset + 8])) != crc:
             break
         key = data[body : body + key_len]
-        columns = np.frombuffer(data, dtype="<f8", count=2 * pairs, offset=body + key_len)
-        records.append((key, columns[:pairs].copy(), columns[pairs:].copy()))
+        column = np.frombuffer(data, dtype="<f8", count=2 * pairs, offset=body + key_len)
+        records.append((key, column.reshape(2, pairs).astype(float)))
         offset = end
     return records, offset, None
 
 
-def _record(key: bytes, lower: np.ndarray, upper: np.ndarray) -> bytes:
-    pairs = int(lower.shape[0])
+def _record(key: bytes, column: np.ndarray) -> bytes:
+    pairs = int(column.shape[1])
     lengths = struct.pack("<II", len(key), pairs)
-    body = (
-        key
-        + np.ascontiguousarray(lower, dtype="<f8").tobytes()
-        + np.ascontiguousarray(upper, dtype="<f8").tobytes()
-    )
+    # row-major bytes of the (2, pairs) column: lower, then upper
+    body = key + np.ascontiguousarray(column, dtype="<f8").tobytes()
     return lengths + struct.pack("<I", zlib.crc32(body, zlib.crc32(lengths))) + body
 
 
@@ -238,13 +236,13 @@ class WarmStartFile:
 
     def __init__(self, directory: str, lane: int, digest: bytes, config: bytes):
         #: Columns by encoded stable key: everything loaded plus appended.
-        self.columns: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.columns: dict[bytes, np.ndarray] = {}
         own = lane_file(directory, lane)
         own_end = 0  # also what a rejected or missing file reads as
         for path in _lane_files(directory):
             records, end, _rejected = read_warm_file(path, digest, config)
-            for key, lower, upper in records:
-                self.columns.setdefault(key, (lower, upper))
+            for key, column in records:
+                self.columns.setdefault(key, column)
             if path == own:
                 own_end = end
         self._file = open(own, "ab+", buffering=0)
@@ -256,11 +254,14 @@ class WarmStartFile:
             self._file.truncate(own_end)
         self._size = own_end
 
-    def append(self, key: bytes, lower: np.ndarray, upper: np.ndarray) -> bool:
-        """Persist one freshly computed column; returns whether it was written."""
+    def append(self, key: bytes, column: np.ndarray) -> bool:
+        """Persist one freshly computed ``(2, pairs)`` column.
+
+        Returns whether it was written.
+        """
         if self._file is None or key in self.columns:
             return False
-        record = _record(key, lower, upper)
+        record = _record(key, column)
         if self._size + len(record) > MAX_FILE_BYTES:
             return False
         try:
@@ -269,7 +270,7 @@ class WarmStartFile:
             self.close()
             return False
         self._size += len(record)
-        self.columns[key] = (lower, upper)
+        self.columns[key] = column
         return True
 
     def close(self) -> None:

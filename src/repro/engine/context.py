@@ -116,7 +116,7 @@ class TieredPairBoundsCache(CacheStats):
         """Insert locally and append the column to the warm-start file."""
         dict.__setitem__(self, key, value)
         encoded = self._context.stable_pair_key(key)
-        if encoded is not None and self._warm.append(encoded, value[0], value[1]):
+        if encoded is not None and self._warm.append(encoded, value):
             self.shared_publishes += 1
 
     def reset_counters(self) -> None:

@@ -46,7 +46,7 @@ from ..queries.inverse_ranking import RankDistribution
 from ..queries.range import range_bounds_csr
 from ..queries.ranking import RankedObject, RankingResult
 from ..uncertain import UncertainDatabase
-from ..uncertain.decomposition import AxisPolicy, csr_partitions
+from ..uncertain.decomposition import AxisPolicy, csr_partitions_batch
 from .candidates import CandidateSource, ScanCandidateSource, make_candidate_source
 from .context import RefinementContext
 from .executor import BatchReport, run_chunk_on_engine
@@ -325,7 +325,7 @@ class QueryEngine:
             # every refine candidate x every partition pair in one array program
             trees = [self.context.tree_for(self.database[index]) for index in refine]
             lowers, uppers = range_bounds_csr(
-                csr_partitions(trees, [max_depth] * len(trees)),
+                csr_partitions_batch(trees, [max_depth] * len(trees)),
                 *query_tree.partitions_arrays(max_depth),
                 epsilon,
                 self.p,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed interval ``[lo, hi]`` on the real line.
 

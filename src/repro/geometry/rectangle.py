@@ -21,7 +21,7 @@ import numpy as np
 from .interval import Interval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rectangle:
     """A closed axis-aligned rectangle in ``R^d``.
 

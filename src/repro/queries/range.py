@@ -23,7 +23,7 @@ import numpy as np
 
 from ..geometry import max_dist_arrays, min_dist_arrays
 from ..uncertain import DecompositionTree, UncertainDatabase
-from ..uncertain.decomposition import AxisPolicy, CSRPartitionBatch, csr_partitions
+from ..uncertain.decomposition import AxisPolicy, CSRPartitionBatch, csr_partitions_batch
 from .common import ObjectSpec, ThresholdQueryResult, ensure_engine_matches, unwrap_engine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -80,7 +80,7 @@ def range_bounds_csr(
     """Bounds of ``P(dist(A_i, Q) <= epsilon)`` for every candidate of ``batch``.
 
     ``batch`` holds the candidates' partitions in the ragged CSR layout of
-    :func:`~repro.uncertain.decomposition.csr_partitions`; ``query_regions``
+    :func:`~repro.uncertain.decomposition.csr_partitions_batch`; ``query_regions``
     (``(m, d, 2)``) and ``query_masses`` are the query's partition grid.  A
     partition pair whose MaxDist is at most ``epsilon`` adds its joint mass
     to the lower bound; a pair whose MinDist exceeds ``epsilon`` is left out
@@ -161,7 +161,7 @@ def probability_within_range(
     object_tree = object_tree or DecompositionTree(obj, axis_policy=axis_policy)
     query_tree = query_tree or DecompositionTree(query, axis_policy=axis_policy)
     lower, upper = range_bounds_csr(
-        csr_partitions([object_tree], [max_depth]),
+        csr_partitions_batch([object_tree], [max_depth]),
         *query_tree.partitions_arrays(max_depth),
         epsilon,
         p,

@@ -10,7 +10,6 @@ from .decomposition import (
     DecompositionTree,
     Partition,
     clear_csr_cache,
-    csr_partitions,
     csr_partitions_batch,
     decompose_object,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "DecompositionTree",
     "Partition",
     "clear_csr_cache",
-    "csr_partitions",
     "csr_partitions_batch",
     "decompose_object",
     "discretise_database",

@@ -28,7 +28,6 @@ __all__ = [
     "DecompositionNode",
     "DecompositionTree",
     "CSRPartitionBatch",
-    "csr_partitions",
     "csr_partitions_batch",
     "clear_csr_cache",
     "decompose_object",
@@ -52,7 +51,7 @@ class Partition:
     probability: float
 
 
-@dataclass
+@dataclass(slots=True)
 class DecompositionNode:
     """A node of the decomposition kd-tree."""
 
@@ -244,8 +243,7 @@ class CSRPartitionBatch:
     nothing else, so candidates at mixed adaptive depths batch together at
     exactly their own partition counts.
 
-    The arrays are marked read-only: batches are cached per depth-set and
-    shared between IDCA iterations, refinement contexts and tests.
+    The arrays are marked read-only.
     """
 
     regions: np.ndarray
@@ -268,26 +266,12 @@ class CSRPartitionBatch:
         return self.offsets[1:] - self.offsets[:-1]
 
 
-# CSR batches keyed by the exact (tree token, effective depth) sequence: when
-# an IDCA iteration leaves the frontier set unchanged, the next iteration's
-# batch is the same key and the concatenation is reused without copying.
-# Tree tokens are process-unique and never reused, so stale entries can only
-# waste space, never alias a different tree; the FIFO eviction below bounds
-# the waste.
-_CSR_BATCH_CACHE: dict[tuple, CSRPartitionBatch] = {}
-_CSR_BATCH_CACHE_MAX = 4096
-
-
-def _evict_csr_tenth() -> None:
-    """Drop the oldest tenth of the CSR batch cache (insertion order)."""
-    drop = max(1, len(_CSR_BATCH_CACHE) // 10)
-    for key in list(itertools.islice(_CSR_BATCH_CACHE, drop)):
-        del _CSR_BATCH_CACHE[key]
-
-
 def clear_csr_cache() -> None:
-    """Empty the module-level CSR batch cache (tests and memory pressure)."""
-    _CSR_BATCH_CACHE.clear()
+    """Does nothing: CSR batches are not cached (kept for existing callers).
+
+    :func:`csr_partitions_batch` concatenates the trees' per-depth cached
+    partition arrays afresh on every call, which takes tens of microseconds.
+    """
 
 
 def csr_partitions_batch(
@@ -297,42 +281,11 @@ def csr_partitions_batch(
 
     ``depths[i]`` is the requested decomposition depth for ``trees[i]``
     (clamped by each tree's ``max_depth``, exactly like
-    :meth:`DecompositionTree.partitions_arrays`).  The batch is built by
-    :func:`csr_partitions` and cached per depth-set, so an IDCA iteration
-    whose frontier set is unchanged reuses the previous iteration's batch
-    outright.
+    :meth:`DecompositionTree.partitions_arrays`).  The batch concatenates the
+    per-depth cached base arrays of every tree.
 
     Returns a :class:`CSRPartitionBatch` whose arrays are read-only; an empty
     ``trees`` list yields a zero-candidate batch with ``offsets == [0]``.
-    """
-    if len(trees) != len(depths):
-        raise ValueError("trees and depths must have the same length")
-    key = tuple(
-        (
-            tree.token,
-            int(depth) if tree.max_depth is None else min(int(depth), tree.max_depth),
-        )
-        for tree, depth in zip(trees, depths)
-    )
-    cached = _CSR_BATCH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    batch = csr_partitions(trees, depths)
-    if len(_CSR_BATCH_CACHE) >= _CSR_BATCH_CACHE_MAX:
-        _evict_csr_tenth()
-    _CSR_BATCH_CACHE[key] = batch
-    return batch
-
-
-def csr_partitions(
-    trees: list["DecompositionTree"], depths: list[int]
-) -> CSRPartitionBatch:
-    """Uncached ragged CSR concatenation of several trees' partition sets.
-
-    Same layout and depth clamping as :func:`csr_partitions_batch`, built
-    from the per-depth cached base arrays.  Callers whose
-    batches never recur — a range query batches its own refine candidates —
-    use this directly so one-off batches do not fill the shared cache.
     """
     if len(trees) != len(depths):
         raise ValueError("trees and depths must have the same length")

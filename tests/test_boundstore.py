@@ -55,6 +55,11 @@ def _column(pairs: int, start: float) -> np.ndarray:
     return np.linspace(start, start + 1.0, pairs)
 
 
+def _pair(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A memo column as the file stores it: rows lower and upper."""
+    return np.stack((lower, upper))
+
+
 def _open(directory, lane: int = 0) -> WarmStartFile:
     return WarmStartFile(str(directory), lane, DIGEST, CONFIG)
 
@@ -63,7 +68,7 @@ def _write(directory, keys, lane: int = 0) -> str:
     """Write one lane's file holding a 4-pair column per key; returns its path."""
     warm = _open(directory, lane)
     for i, key in enumerate(keys):
-        assert warm.append(key, _column(4, i), _column(4, i + 0.5))
+        assert warm.append(key, _pair(_column(4, i), _column(4, i + 0.5)))
     warm.close()
     return lane_file(str(directory), lane)
 
@@ -71,7 +76,7 @@ def _write(directory, keys, lane: int = 0) -> str:
 def _keys(path: str) -> list[bytes]:
     records, end, rejected = read_warm_file(path, DIGEST, CONFIG)
     assert rejected is None and end == os.path.getsize(path)
-    return [key for key, _lower, _upper in records]
+    return [key for key, _value in records]
 
 
 # --------------------------------------------------------------------- #
@@ -83,16 +88,17 @@ def test_append_round_trips_bit_exact(tmp_path, pairs):
     lower = np.resize(values, pairs)
     upper = np.resize(values[::-1], pairs)
     warm = _open(tmp_path)
-    assert warm.append(b"key", lower, upper)
+    assert warm.append(b"key", _pair(lower, upper))
     warm.close()
     records, _end, _rejected = read_warm_file(lane_file(str(tmp_path), 0), DIGEST, CONFIG)
-    [(key, got_lower, got_upper)] = records
-    assert key == b"key"
+    [(key, got)] = records
+    got_lower, got_upper = got
+    assert key == b"key" and got.shape == (2, pairs)
     # byte equality: -0.0, NaN and subnormals survive unchanged
     assert got_lower.tobytes() == lower.astype("<f8").tobytes()
     assert got_upper.tobytes() == upper.astype("<f8").tobytes()
     # the loader hands out private, writable copies, not views of its buffer
-    assert got_lower.flags.owndata and got_lower.flags.writeable
+    assert got.flags.owndata and got.flags.writeable
     reopened = _open(tmp_path, lane=1)
     reopened.close()
     assert reopened.columns[b"key"][0].tobytes() == lower.astype("<f8").tobytes()
@@ -102,7 +108,7 @@ def test_file_layout_matches_the_documented_format(tmp_path):
     lower = np.array([0.25, 0.5])
     upper = np.array([0.75, 1.0])
     warm = _open(tmp_path)
-    assert warm.append(b"abc", lower, upper)
+    assert warm.append(b"abc", _pair(lower, upper))
     warm.close()
     with open(lane_file(str(tmp_path), 0), "rb") as handle:
         data = handle.read()
@@ -118,13 +124,13 @@ def test_file_layout_matches_the_documented_format(tmp_path):
 def test_a_key_is_appended_once(tmp_path):
     column = _column(4, 0.0)
     warm = _open(tmp_path)
-    assert warm.append(b"k", column, column)
+    assert warm.append(b"k", _pair(column, column))
     size = os.path.getsize(lane_file(str(tmp_path), 0))
-    assert not warm.append(b"k", column + 1.0, column + 1.0)
+    assert not warm.append(b"k", _pair(column + 1.0, column + 1.0))
     warm.close()
     # a reopened lane knows the key from its file and does not append it again
     warm = _open(tmp_path)
-    assert not warm.append(b"k", column, column)
+    assert not warm.append(b"k", _pair(column, column))
     warm.close()
     assert os.path.getsize(lane_file(str(tmp_path), 0)) == size
     assert _keys(lane_file(str(tmp_path), 0)) == [b"k"]
@@ -135,8 +141,8 @@ def test_appends_past_the_size_cap_are_skipped(tmp_path, monkeypatch):
     record = 12 + len(b"key-0") + 16 * 8
     monkeypatch.setattr(boundstore, "MAX_FILE_BYTES", HEADER_BYTES + record)
     warm = _open(tmp_path)
-    assert warm.append(b"key-0", column, column)
-    assert not warm.append(b"key-1", column, column)
+    assert warm.append(b"key-0", _pair(column, column))
+    assert not warm.append(b"key-1", _pair(column, column))
     warm.close()
     assert b"key-1" not in warm.columns
     path = lane_file(str(tmp_path), 0)
@@ -157,12 +163,12 @@ class _FullDisk:
 def test_a_write_error_stops_appending_for_good(tmp_path):
     column = _column(4, 0.0)
     warm = _open(tmp_path)
-    assert warm.append(b"a", column, column)
+    assert warm.append(b"a", _pair(column, column))
     real = warm._file
     warm._file = _FullDisk()
     real.close()
-    assert not warm.append(b"b", column, column)
-    assert not warm.append(b"c", column, column)
+    assert not warm.append(b"b", _pair(column, column))
+    assert not warm.append(b"c", _pair(column, column))
     warm.close()
     assert list(warm.columns) == [b"a"]
     assert _keys(lane_file(str(tmp_path), 0)) == [b"a"]
@@ -171,10 +177,10 @@ def test_a_write_error_stops_appending_for_good(tmp_path):
 def test_close_is_idempotent_and_ends_appends(tmp_path):
     column = _column(4, 0.0)
     warm = _open(tmp_path)
-    assert warm.append(b"a", column, column)
+    assert warm.append(b"a", _pair(column, column))
     warm.close()
     warm.close()
-    assert not warm.append(b"b", column, column)
+    assert not warm.append(b"b", _pair(column, column))
     assert _keys(lane_file(str(tmp_path), 0)) == [b"a"]
 
 
@@ -198,7 +204,7 @@ def test_a_short_header_is_rejected_and_rebuilt(tmp_path, keep):
     assert read_warm_file(path, DIGEST, CONFIG) == ([], 0, "truncated-header")
     warm = _open(tmp_path)
     assert warm.columns == {}
-    assert warm.append(b"b", _column(4, 0.0), _column(4, 1.0))
+    assert warm.append(b"b", _pair(_column(4, 0.0), _column(4, 1.0)))
     warm.close()
     assert _keys(path) == [b"b"]
 
@@ -256,7 +262,7 @@ def test_a_torn_tail_is_cut_off_before_the_next_append(tmp_path):
     truncate_store_file(path, os.path.getsize(path) - 5)  # tear record b
     warm = _open(tmp_path)
     assert list(warm.columns) == [b"a"]
-    assert warm.append(b"c", _column(4, 0.0), _column(4, 1.0))
+    assert warm.append(b"c", _pair(_column(4, 0.0), _column(4, 1.0)))
     warm.close()
     # the new record follows the last whole one, so it stays reachable
     assert _keys(path) == [b"a", b"c"]
@@ -269,7 +275,7 @@ def test_a_lane_loads_other_lanes_files_but_never_writes_them(tmp_path):
         before = handle.read()
     warm = _open(tmp_path, lane=1)
     assert list(warm.columns) == [b"a"]
-    assert warm.append(b"c", _column(4, 0.0), _column(4, 1.0))
+    assert warm.append(b"c", _pair(_column(4, 0.0), _column(4, 1.0)))
     warm.close()
     # lane 0's torn tail is lane 0's to cut: lane 1 left the file untouched
     with open(other, "rb") as handle:
@@ -281,7 +287,7 @@ def test_the_first_copy_of_a_key_wins_across_lane_files(tmp_path):
     # two lanes that computed the same column concurrently both persisted it
     lanes = [_open(tmp_path, lane) for lane in (0, 1)]
     for value, warm in enumerate(lanes):
-        assert warm.append(b"k", _column(4, value), _column(4, value))
+        assert warm.append(b"k", _pair(_column(4, value), _column(4, value)))
         warm.close()
     reader = _open(tmp_path, lane=2)
     reader.close()
@@ -306,7 +312,7 @@ def test_a_reader_racing_an_appending_lane_sees_only_whole_records(tmp_path):
             if rejected is not None:
                 errors.append(f"header rejected mid-append: {rejected}")
                 return
-            for i, (key, lower, upper) in enumerate(records):
+            for i, (key, (lower, upper)) in enumerate(records):
                 if key != f"key-{i}".encode() or not (
                     np.array_equal(lower, expected(i))
                     and np.array_equal(upper, expected(i) + 1.0)
@@ -318,7 +324,7 @@ def test_a_reader_racing_an_appending_lane_sees_only_whole_records(tmp_path):
     for thread in readers:
         thread.start()
     for i in range(num_keys):
-        assert writer.append(f"key-{i}".encode(), expected(i), expected(i) + 1.0)
+        assert writer.append(f"key-{i}".encode(), _pair(expected(i), expected(i) + 1.0))
     done.set()
     for thread in readers:
         thread.join()

@@ -86,6 +86,35 @@ class TestDominationCountBounds:
         with pytest.raises(ValueError):
             bounds.expected_count_bounds()
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 200])
+    def test_expected_count_bounds_match_the_per_count_loop(self, length):
+        """The prefix/suffix-sum form against the tail-sum loop it replaced."""
+
+        def loop_reference(bounds):
+            lower_total = upper_total = 0.0
+            for k in range(1, len(bounds)):
+                cdf_lower, cdf_upper = bounds.cdf_bounds(k - 1)
+                lower_total += 1.0 - cdf_upper
+                upper_total += 1.0 - cdf_lower
+            return lower_total, upper_total
+
+        rng = np.random.default_rng(length)
+        for scale in (0.5, 1.0, 3.0):
+            lower = rng.dirichlet(np.ones(length)) * rng.uniform(0.2, 1.0)
+            upper = np.minimum(lower + scale * rng.uniform(0.0, 1.0, length) / length, 1.0)
+            for bounds in (
+                DominationCountBounds(lower, upper),
+                DominationCountBounds(np.zeros(length), np.ones(length)),
+                DominationCountBounds.exact(rng.dirichlet(np.ones(length))),
+            ):
+                got = bounds.expected_count_bounds()
+                want = loop_reference(bounds)
+                for value, reference in zip(got, want):
+                    tolerance = 4 * length * np.finfo(float).eps * max(1.0, abs(reference))
+                    assert abs(value - reference) <= tolerance
+                assert got[0] <= got[1]
+        assert DominationCountBounds.exact([1.0]).expected_count_bounds() == (0.0, 0.0)
+
     def test_truncated_query_above_cap_raises(self):
         bounds = DominationCountBounds(np.zeros(5), np.ones(5), k_cap=2)
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from repro.uncertain import (
     DiscreteObject,
     PointObject,
     UncertainDatabase,
-    csr_partitions,
+    csr_partitions_batch,
     pairwise_distances,
 )
 
@@ -288,7 +288,7 @@ def _mixed_database():
 
 def _batch_bounds(trees, query_tree, epsilon, p, depth):
     return range_bounds_csr(
-        csr_partitions(trees, [depth] * len(trees)),
+        csr_partitions_batch(trees, [depth] * len(trees)),
         *query_tree.partitions_arrays(depth),
         epsilon,
         p,
@@ -344,7 +344,7 @@ class TestRangeReferee:
         tree = DecompositionTree(_box([0.4, 0.4], [0.6, 0.6]))
         regions, masses = query_tree.partitions_arrays(4)
         lower, upper = range_bounds_csr(
-            csr_partitions([tree], [4]), regions, np.zeros_like(masses), 0.1
+            csr_partitions_batch([tree], [4]), regions, np.zeros_like(masses), 0.1
         )
         assert (lower[0], upper[0]) == (0.0, 0.0)
 

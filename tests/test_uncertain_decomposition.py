@@ -1,9 +1,12 @@
 """Unit tests for the kd-tree decomposition of uncertainty regions."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.geometry import Rectangle
+from repro.datasets import uniform_rectangle_database
+from repro.geometry import Interval, Rectangle
 from repro.uncertain import (
     BoxUniformObject,
     DecompositionTree,
@@ -155,3 +158,32 @@ class TestExistentialUncertainty:
         assert tree.root.probability == pytest.approx(0.7)
         parts = tree.partitions(2)
         assert sum(p.probability for p in parts) == pytest.approx(0.7)
+
+
+class TestSlottedPickling:
+    """Spawned lanes and warm start pickle slotted geometry and trees."""
+
+    def test_rectangle_tree_and_database_round_trip(self):
+        rect = Rectangle.from_bounds([0.0, 0.25], [1.0, 0.5])
+        assert not hasattr(rect, "__dict__") and not hasattr(rect.intervals[0], "__dict__")
+        copy = pickle.loads(pickle.dumps(rect))
+        assert copy == rect and hash(copy) == hash(rect)
+        assert copy.intervals == (Interval(0.0, 1.0), Interval(0.25, 0.5))
+
+        database = uniform_rectangle_database(num_objects=30, max_extent=0.08, seed=5)
+        tree = DecompositionTree(database[3])
+        regions, masses = tree.partitions_arrays(3)
+        assert not hasattr(tree.root, "__dict__")
+        tree_copy = pickle.loads(pickle.dumps(tree))
+        assert tree_copy.token == tree.token
+        assert tree_copy.root.region == tree.root.region
+        assert tree_copy.partitions(3) == tree.partitions(3)
+        copy_regions, copy_masses = tree_copy.partitions_arrays(3)
+        assert np.array_equal(copy_regions, regions) and np.array_equal(copy_masses, masses)
+        # the copy keeps growing lazily past the depth it was pickled at
+        assert tree_copy.partitions(4) == tree.partitions(4)
+
+        database_copy = pickle.loads(pickle.dumps(database))
+        assert len(database_copy) == len(database)
+        assert np.array_equal(database_copy.mbrs(), database.mbrs())
+        assert [obj.mbr for obj in database_copy] == [obj.mbr for obj in database]

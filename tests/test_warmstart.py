@@ -537,15 +537,15 @@ def small_file(tmp_path_factory):
     records, _end, _rejected = read_warm_file(lane_file(str(source), 0), digest, config)
     directory = tmp_path_factory.mktemp("small")
     small = WarmStartFile(str(directory), 0, digest, config)
-    for key, lower, upper in records[:6]:
-        assert small.append(key, lower, upper)
+    for key, column in records[:6]:
+        assert small.append(key, column)
     small.close()
     path = lane_file(str(directory), 0)
     written, end, rejected = read_warm_file(path, digest, config)
     assert len(written) == 6 and end == os.path.getsize(path) and rejected is None
     ends = [HEADER_BYTES]
-    for key, lower, _upper in written:
-        ends.append(ends[-1] + 12 + len(key) + 16 * len(lower))
+    for key, column in written:
+        ends.append(ends[-1] + 12 + len(key) + 8 * column.size)
     return database, batch, path, digest, config, written, ends
 
 
@@ -566,10 +566,9 @@ def _assert_loads_prefix(directory, small_file, expected) -> None:
     _database, _batch, _path, digest, config, written, ends = small_file
     warm = WarmStartFile(directory, 0, digest, config)
     warm.close()
-    assert list(warm.columns) == [key for key, _lo, _up in written[:expected]]
-    for key, lower, upper in written[:expected]:
-        assert np.array_equal(warm.columns[key][0], lower)
-        assert np.array_equal(warm.columns[key][1], upper)
+    assert list(warm.columns) == [key for key, _column in written[:expected]]
+    for key, column in written[:expected]:
+        assert np.array_equal(warm.columns[key], column)
     # the lane cut its own file back to the last whole record (or rebuilt it)
     assert os.path.getsize(lane_file(directory, 0)) == ends[expected]
 
@@ -704,7 +703,7 @@ def test_columns_naming_a_mutated_object_stay_local(tmp_path):
         config_fingerprint(engine.context.axis_policy),
     )
     assert records
-    for key, _lower, _upper in records:
+    for key, _column in records:
         _schema, _policy, *parts, _config = ast.literal_eval(key.decode())
         for identity, _depth in parts:
             if identity[0] == "db":
