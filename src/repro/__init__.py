@@ -116,7 +116,7 @@ from .engine import (
     ServiceBatch,
 )
 
-__version__ = "7.1.0"
+__version__ = "8.0.0"
 
 __all__ = [
     # core

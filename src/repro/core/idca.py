@@ -24,7 +24,11 @@ The result carries the final conservative/progressive PMF bounds of
 One iteration of many runs — the round a scheduler drives — goes through
 :func:`step_runs`, and :meth:`IDCARun.step` is that function on one run.
 Each run makes its own kernel call; the UGF expansions of all runs whose rows
-can share one are done together (see :func:`_expand_windows`).
+can share one are done together (see :func:`_expand_windows`).  A round is
+taken in chunks of at most :data:`_ROUND_CHUNK_CELLS` cells, each run priced
+at the ``(3 * rows, cap + 1)`` fold its expansion allocates.  The pair-bounds
+memo a run reads and fills is a plain dict owned by the caller (the engine's
+refinement context); it lives in memory only.
 
 The module is longer than the repository's ~600-line guideline on purpose:
 the driver, the incremental run and the batched step share the run's private
@@ -74,11 +78,6 @@ class IterationStats:
     therefore the kernel-plus-aggregation time, so profiling can attribute a
     regression to the memo layer or to the arithmetic.
 
-    ``shared_hits``/``shared_misses``/``shared_publishes`` describe a worker
-    lane's warm-start file (``repro/engine/boundstore.py``) during this
-    iteration: columns served from / missed in / appended to the file.  They
-    stay zero when no file is attached — e.g. on the serial path.
-
     ``kernel_seconds`` is the wall-clock spent inside the CSR kernel itself,
     zero when every candidate column was served from the memo.
 
@@ -95,9 +94,6 @@ class IterationStats:
     num_pairs: int
     candidate_partitions: int
     cache_seconds: float = 0.0
-    shared_hits: int = 0
-    shared_misses: int = 0
-    shared_publishes: int = 0
     kernel_seconds: float = 0.0
 
 
@@ -385,10 +381,8 @@ def _evict_oldest_tenth(mapping: dict, limit: int) -> None:
     """FIFO-evict a tenth of a bounded memo once it reaches ``limit``.
 
     The single eviction policy of every engine-side cache (tree caches and
-    both tiers of the pair-bounds memo): dict iteration order is insertion
-    order, so dropping the first tenth removes the oldest entries.  Uses
-    ``del`` so dict subclasses with ``__delitem__`` hooks (the context's
-    registering tree cache) see the eviction.
+    the pair-bounds memo): dict iteration order is insertion order, so
+    dropping the first tenth removes the oldest entries.
     """
     if len(mapping) >= limit:
         for stale in list(itertools.islice(iter(mapping), limit // 10)):
@@ -569,11 +563,6 @@ class IDCARun:
         # partitioning.
         cache = idca._pair_bounds
         cache_seconds = 0.0
-        shared_before = (
-            getattr(cache, "shared_hits", 0),
-            getattr(cache, "shared_misses", 0),
-            getattr(cache, "shared_publishes", 0),
-        )
         missing: list[int] = []
         keys: Optional[list[tuple]] = None
         if cache is not None:
@@ -656,11 +645,6 @@ class IDCARun:
             ugf_cap=ugf_cap,
             candidate_partitions=max_candidate_partitions,
             cache_seconds=cache_seconds,
-            shared=(
-                getattr(cache, "shared_hits", 0) - shared_before[0],
-                getattr(cache, "shared_misses", 0) - shared_before[1],
-                getattr(cache, "shared_publishes", 0) - shared_before[2],
-            ),
             kernel_seconds=kernel_seconds,
             seconds=time.perf_counter() - iter_start,
         )
@@ -682,7 +666,6 @@ class IDCARun:
         if planned.widths is not None:
             self._previous_widths = planned.widths
         self.result.bounds = bounds
-        shared_hits, shared_misses, shared_publishes = planned.shared
         self.result.iterations.append(
             IterationStats(
                 iteration=iteration,
@@ -691,9 +674,6 @@ class IDCARun:
                 num_pairs=int(planned.weights.shape[0]),
                 candidate_partitions=planned.candidate_partitions,
                 cache_seconds=planned.cache_seconds,
-                shared_hits=shared_hits,
-                shared_misses=shared_misses,
-                shared_publishes=shared_publishes,
                 kernel_seconds=planned.kernel_seconds,
             )
         )
@@ -727,20 +707,23 @@ class _Iteration:
     ugf_cap: Optional[int]
     candidate_partitions: int
     cache_seconds: float
-    shared: tuple[int, int, int]
     kernel_seconds: float
     seconds: float
     window_lower: Optional[np.ndarray] = None
     window_upper: Optional[np.ndarray] = None
 
     def ugf_cells(self) -> int:
-        """Coefficient cells of this iteration's UGF expansion."""
+        """Cells of this iteration's UGF expansion.
+
+        :func:`~repro.core.generating_functions.ugf_pmf_bounds_batch` folds
+        three polynomials per row in one ``(3 * rows, cap + 1)`` array.
+        """
         num_influence = self.lower.shape[1]
         cap = num_influence if self.ugf_cap is None else min(num_influence, self.ugf_cap + 1)
-        return self.lower.shape[0] * (cap + 1) ** 2
+        return 3 * self.lower.shape[0] * (cap + 1)
 
 
-#: Most UGF coefficient cells one chunk of a round expands together.  A round
+#: Most UGF fold cells one chunk of a round expands together.  A round
 #: is planned and completed chunk by chunk, so this also bounds the bound
 #: rows and windows alive at once; a run larger than the budget goes alone.
 _ROUND_CHUNK_CELLS = 1 << 16
@@ -757,7 +740,7 @@ def step_runs(
     (:func:`_expand_windows`), and each run combines its pairs' windows and
     applies its stop rule.  Every run's outcome is bit-identical to stepping
     it alone.  Runs are taken in chunks of at most :data:`_ROUND_CHUNK_CELLS`
-    UGF coefficient cells.
+    UGF fold cells.
 
     ``check``, when given, is called before every run's iteration; an
     exception it raises abandons the round, and runs whose iteration was

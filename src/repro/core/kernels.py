@@ -26,7 +26,7 @@ inputs — unlike ``np.sum``'s pairwise/SIMD reduction, whose association
 varies with array length and CPU vector width — so a column's bits depend
 only on its own candidate's segment and the two grids, never on the batch
 it was computed in or on the machine.  That is what lets the pair-bounds
-memo and the warm-start file cache columns across batch compositions.
+memo cache columns across batch compositions.
 
 Per-call wall-clock is accumulated in process-local counters
 (:func:`total_kernel_seconds`, :func:`kernel_stats`) so the executor's

@@ -23,7 +23,7 @@ from .candidates import (
     ScanCandidateSource,
     make_candidate_source,
 )
-from .context import CacheStats, RefinementContext, TieredPairBoundsCache
+from .context import CacheStats, RefinementContext
 from .engine import QueryEngine
 from .errors import (
     DeadlineExceeded,
@@ -78,7 +78,6 @@ __all__ = [
     "ServiceClosedError",
     "ServiceError",
     "ServiceOverloadedError",
-    "TieredPairBoundsCache",
     "WorkerCrashError",
     "WorkerPool",
     "affine_partition",

@@ -47,14 +47,16 @@ from a half-applied mutation.  Other threads may fill the parent engine's
 caches (adapter calls on a service), which a forked lane may inherit;
 caches never change results.
 
+Each lane keeps one in-memory pair-bounds memo in its engine's
+:class:`RefinementContext`; nothing of it is persisted or shared between
+lanes, and a respawned lane starts with whatever the parent engine holds.
+
 Fault tolerance: the pool *supervises* its lanes.  A lane whose worker dies
 (SIGKILL, OOM, segfault) surfaces as ``BrokenProcessPool`` on the in-flight
 future; the pool respawns the lane from the current engine, with the same
-warm-start spec and lane index, and re-drives the chunk with
-bounded exponential backoff.  The retry is bit-identical because results
-are deterministic; with a warm-start directory the respawned worker also
-loads every column its predecessor appended, so the replay is cheaper than
-the first attempt.  A ``deadline_epoch`` propagates into the workers (the
+lane index, and re-drives the chunk with bounded exponential backoff.  The
+retry is bit-identical because results are deterministic.  A
+``deadline_epoch`` propagates into the workers (the
 refinement scheduler checks it every iteration) and arms a parent-side
 wall-clock watchdog that SIGKILLs and respawns a lane wedged past the
 deadline plus :attr:`WorkerPool.watchdog_grace`.  Both escalation paths
@@ -106,7 +108,7 @@ DEFAULT_MAX_CHUNK_RETRIES = 3
 #: Base of the exponential backoff between a respawn and the retry submit
 #: (``backoff * 2**attempt`` seconds) — long enough to not hammer a host
 #: that is OOM-killing workers, short enough to be invisible per batch.
-DEFAULT_RETRY_BACKOFF_SECONDS = 0.05
+RETRY_BACKOFF_SECONDS = 0.05
 
 #: Grace beyond a batch's deadline before the wall-clock watchdog declares
 #: a lane wedged and SIGKILLs it.  Covers the benign case of a chunk that
@@ -184,11 +186,7 @@ class ChunkStats:
     Cache counters are deltas over the chunk (a worker's context persists
     across the chunks it executes); ``trees`` is the occupancy of the
     worker's tree cache *after* the chunk, i.e. how much decomposition state
-    the worker has accumulated so far.  The ``shared_*`` deltas describe the
-    lane's warm-start file (zero when the service has none):
-    ``shared_hits`` local misses served from the file's columns instead of
-    the kernel, ``shared_misses`` local misses the file could not serve, and
-    ``shared_publishes`` freshly computed columns appended to the file.
+    the worker has accumulated so far.
 
     ``kernel_seconds`` is the wall-clock its worker spent inside the CSR
     kernel during the chunk (a delta of the process-local counters in
@@ -197,8 +195,10 @@ class ChunkStats:
 
     ``shared_rejected``, ``shared_duplicates`` and ``claim_waits`` are
     always 0.  They counted events of the cross-lane shared-memory store
-    that 2.0.0 removed, and stay only because the ``bench`` harness sums
-    them per chunk.
+    that 2.0.0 removed.  ``shared_hits``, ``shared_misses`` and
+    ``shared_publishes`` are always 0 too: they counted the warm-start file
+    that 8.0.0 removed.  All six stay only because the ``bench`` harness
+    sums them per chunk.
     """
 
     chunk: int
@@ -301,36 +301,16 @@ class BatchReport:
 
     @property
     def shared_hits(self) -> int:
-        """Columns served from the warm-start file, all workers."""
-        return sum(stats.shared_hits for stats in self.chunks)
+        """Always 0: kept for the ``bench`` harness, which reads it.
 
-    @property
-    def shared_misses(self) -> int:
-        """Local misses the warm-start file could not serve, all workers."""
-        return sum(stats.shared_misses for stats in self.chunks)
-
-    @property
-    def shared_publishes(self) -> int:
-        """Columns appended to the warm-start files, all workers."""
-        return sum(stats.shared_publishes for stats in self.chunks)
+        It counted columns served from the warm-start file 8.0.0 removed.
+        """
+        return 0
 
     @property
     def kernel_seconds(self) -> float:
         """Wall-clock spent inside the CSR pair-bounds kernel, all workers."""
         return sum(stats.kernel_seconds for stats in self.chunks)
-
-    @property
-    def shared_hit_rate(self) -> float:
-        """Fraction of local-memo misses the warm-start file served.
-
-        ``shared_hits / (shared_hits + shared_misses)``; ``0.0`` when the
-        file was never consulted (no warm-start directory, serial path, or
-        every lookup hit the local memo).
-        """
-        consulted = self.shared_hits + self.shared_misses
-        if consulted == 0:
-            return 0.0
-        return self.shared_hits / consulted
 
     @property
     def kinds(self) -> dict[str, int]:
@@ -360,10 +340,6 @@ class BatchReport:
             "result_seconds": self.result_seconds,
             "pair_bounds_hits": self.pair_bounds_hits,
             "pair_bounds_misses": self.pair_bounds_misses,
-            "shared_hits": self.shared_hits,
-            "shared_misses": self.shared_misses,
-            "shared_publishes": self.shared_publishes,
-            "shared_hit_rate": self.shared_hit_rate,
             "worker_respawns": self.worker_respawns,
             "chunk_retries": self.chunk_retries,
             "completed_requests": self.completed_requests,
@@ -379,9 +355,7 @@ class BatchReport:
             f"BatchReport({self.mode}, workers={self.workers}, "
             f"{self.num_requests} req in {self.num_chunks} chunks, "
             f"{self.elapsed_seconds * 1e3:.1f} ms, "
-            f"local {self.pair_bounds_hits}H/{self.pair_bounds_misses}M, "
-            f"shared {self.shared_hits}H/{self.shared_misses}M/"
-            f"{self.shared_publishes}P)"
+            f"memo {self.pair_bounds_hits}H/{self.pair_bounds_misses}M)"
         )
 
 
@@ -479,25 +453,11 @@ def result_iteration_stats(results: Sequence) -> tuple[int, float]:
     return iterations, seconds
 
 
-def _initialise_worker(
-    engine: Union["QueryEngine", str],
-    warm_start: Optional[tuple[str, bytes, bytes, int]] = None,
-    lane: Optional[int] = None,
-) -> None:
+def _initialise_worker(engine: Union["QueryEngine", str], lane: int) -> None:
     """Pool initializer: install the parent's current engine in this worker.
 
     ``engine`` is the parent's engine object in a forked lane, otherwise
     the path of the file the parent pickled it into for this lane start.
-
-    ``warm_start`` is ``(directory, database digest, config fingerprint,
-    generation bound)`` when the service has a warm-start directory: the
-    worker then opens its lane's
-    :class:`~repro.engine.boundstore.WarmStartFile`, which loads the columns
-    every lane appended so far, and attaches it to its context.  Digest and
-    bound describe the snapshot the service was built over — the one the
-    file's handshake covers — whatever epoch the lane starts at.  A file
-    that cannot be opened leaves the worker on purely local memoisation,
-    never a failed start.  A respawned lane opens the same file again.
     """
     global _WORKER_ENGINE, _WORKER_LANE
     bytearray(_MALLOC_WARMUP_BYTES)  # freed at once: see the constant
@@ -506,16 +466,6 @@ def _initialise_worker(
             engine = pickle.load(handle)
     _WORKER_ENGINE = engine
     _WORKER_LANE = lane
-    if warm_start is not None:
-        from .boundstore import WarmStartFile
-
-        directory, digest, config, generations = warm_start
-        try:
-            warm = WarmStartFile(directory, lane, digest, config)
-        except OSError:
-            warm = None
-        if warm is not None:
-            engine.context.attach_warm_start(warm, generations)
 
 
 def _apply_delta_to_engine(engine: "QueryEngine", delta) -> int:
@@ -593,9 +543,6 @@ def run_chunk_on_engine(
         trees=after["trees"],
         pair_bounds_hits=after["pair_bounds_hits"] - before["pair_bounds_hits"],
         pair_bounds_misses=after["pair_bounds_misses"] - before["pair_bounds_misses"],
-        shared_hits=after["shared_hits"] - before["shared_hits"],
-        shared_misses=after["shared_misses"] - before["shared_misses"],
-        shared_publishes=after["shared_publishes"] - before["shared_publishes"],
         kernel_seconds=total_kernel_seconds() - kernel_before,
     )
     return results, stats
@@ -676,17 +623,15 @@ class WorkerPool:
     already hold their state (:func:`affine_partition`).  Lane choice never
     influences results, only where warm-up happens.
 
-    With ``warm_start`` set (``(directory, database digest, config
-    fingerprint, generation bound)``), every worker opens its lane's
-    warm-start file through the initializer (see :func:`_initialise_worker`).
-
-    Supervision (``supervised=True``, the default): a lane whose worker
-    process dies surfaces ``BrokenProcessPool`` on its futures; the pool
-    replaces the lane with a fresh worker started from the current engine
-    and re-drives the failed chunk there, with exponential backoff and at
-    most ``max_chunk_retries`` attempts per chunk before the crash escalates
-    as :class:`~repro.engine.errors.WorkerCrashError`.  Chunks merely
-    *queued* behind the crash are resubmitted the same way.
+    Supervision: a lane whose worker process dies surfaces
+    ``BrokenProcessPool`` on its futures; the pool replaces the lane with a
+    fresh worker started from the current engine and re-drives the failed
+    chunk there, with exponential backoff (:data:`RETRY_BACKOFF_SECONDS`)
+    and at most ``max_chunk_retries`` attempts per chunk before the crash
+    escalates as :class:`~repro.engine.errors.WorkerCrashError`
+    (``max_chunk_retries=0`` fails the batch on the first crash, after the
+    respawn).  Chunks merely *queued* behind the crash are resubmitted the
+    same way.
     """
 
     def __init__(
@@ -694,24 +639,17 @@ class WorkerPool:
         engine: "QueryEngine",
         workers: int,
         start_method: Optional[str] = None,
-        warm_start: Optional[tuple[str, bytes, bytes, int]] = None,
-        supervised: bool = True,
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF_SECONDS,
         watchdog_grace: float = DEFAULT_WATCHDOG_GRACE_SECONDS,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be non-negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
         if watchdog_grace <= 0:
             raise ValueError("watchdog_grace must be positive")
         self.workers = workers
-        self.supervised = supervised
         self.max_chunk_retries = max_chunk_retries
-        self.retry_backoff = retry_backoff
         self.watchdog_grace = watchdog_grace
         self.respawns = 0
         #: Bytes of the engine pickle behind the latest lane start (0: fork).
@@ -719,7 +657,6 @@ class WorkerPool:
         self._engine = engine
         self._mp_context = _pool_context(start_method)
         self._fork = self._mp_context.get_start_method() == "fork"
-        self._warm_start = warm_start
         self._lanes = [self._new_lane(lane) for lane in range(workers)]
         # bumped on every respawn of a lane, so concurrent failures of many
         # futures from the same dead executor trigger exactly one respawn
@@ -746,7 +683,7 @@ class WorkerPool:
             max_workers=1,
             mp_context=self._mp_context,
             initializer=_initialise_worker,
-            initargs=(engine, self._warm_start, lane),
+            initargs=(engine, lane),
         )
         started = executor.submit(_worker_probe)  # the process starts now
         if not self._fork:
@@ -894,7 +831,7 @@ class WorkerPool:
                         # the lane's worker died under this chunk (or under
                         # the chunk queued ahead of it) — respawn and retry
                         self._respawn_lane(lane, generation)
-                        if not self.supervised or attempts[index] >= self.max_chunk_retries:
+                        if attempts[index] >= self.max_chunk_retries:
                             raise WorkerCrashError(
                                 f"worker lane {lane} died running chunk {index} "
                                 f"(attempt {attempts[index] + 1})"
@@ -904,7 +841,7 @@ class WorkerPool:
                                 f"worker lane {lane} died running chunk {index} "
                                 "and the batch deadline leaves no time to retry"
                             ) from error
-                        time.sleep(self.retry_backoff * (2 ** attempts[index]))
+                        time.sleep(RETRY_BACKOFF_SECONDS * (2 ** attempts[index]))
                         attempts[index] += 1
                         retries += 1
                         _submit(index)
@@ -962,7 +899,7 @@ class WorkerPool:
                 try:
                     future.result()
                 except BrokenExecutor as error:
-                    if not self.supervised or attempts >= self.max_chunk_retries:
+                    if attempts >= self.max_chunk_retries:
                         raise WorkerCrashError(
                             f"worker lane {lane} died applying the mutation "
                             f"delta to epoch {delta.new_epoch}"

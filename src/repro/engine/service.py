@@ -35,10 +35,10 @@ through one):
   instead of re-importing the dataset, and each lane's memo stays warm for
   untouched objects (see ``RefinementContext.advance``); a lane that starts
   later starts from the current snapshot and needs no delta;
-* **warm start** (``bounds_store_path``): every lane appends the columns it
-  computes to its own file in that directory and loads all lanes' files
-  when it spawns, so a restarted service — or a respawned lane — starts
-  with its predecessors' columns (see ``engine/boundstore.py``).
+* **each lane keeps one in-memory pair-bounds memo**: nothing is persisted
+  or shared between lanes, so a restarted service, or a respawned lane,
+  recomputes the columns it needs — bit-identically, since a column is a
+  pure function of its key.
 
 Determinism is inherited unchanged from the executor layer: results are
 bit-identical to the serial path for every worker count and batch
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import atexit
 import math
-import os
 import pickle
 import queue
 import threading
@@ -82,7 +81,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..uncertain import UncertainDatabase
 from ..uncertain.sharedmem import MutationDelta
-from .boundstore import config_fingerprint, database_digest, inspect_warm_start
 from .errors import (
     DeadlineExceeded,
     ServiceClosedError,
@@ -257,17 +255,6 @@ class QueryService:
         Seconds past a batch's deadline before the wall-clock watchdog
         SIGKILLs and respawns lanes still holding its chunks (default 2.0).
         Only armed for batches submitted with a deadline.
-    bounds_store_path:
-        Optional warm-start directory (created when missing).  Every worker
-        lane appends the pair-bounds columns it computes to its own file
-        there, and loads the columns of every lane's file when it spawns —
-        so a service restarted over the same directory, or a lane respawned
-        after a crash, starts with its predecessors' columns.  Each file
-        carries a handshake (database digest + axis-policy fingerprint): a
-        truncated or mismatched file is rebuilt empty and never served
-        (:meth:`bound_store_stats` reports why), and a torn tail is cut off
-        at the last whole record.  Files outlive :meth:`close`; one
-        directory serves one service at a time.
 
     Example
     -------
@@ -291,7 +278,6 @@ class QueryService:
         max_pending_requests: Optional[int] = None,
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
         watchdog_grace: float = DEFAULT_WATCHDOG_GRACE_SECONDS,
-        bounds_store_path: Optional[str] = None,
     ):
         from .engine import QueryEngine
 
@@ -305,25 +291,11 @@ class QueryService:
             engine = QueryEngine(engine)
         self.engine = engine
         self.config = executor if executor is not None else ExecutorConfig()
-        warm_start = None
-        self._warm_start_stats: Optional[dict] = None
-        if bounds_store_path is not None:
-            # the handshake every lane file is checked against (a file
-            # written over different data or config is rebuilt, never
-            # served), and the generation bound of the snapshot it covers
-            directory = os.fspath(bounds_store_path)
-            os.makedirs(directory, exist_ok=True)
-            digest = database_digest(engine.database)
-            config = config_fingerprint(engine.context.axis_policy)
-            self._warm_start_stats = inspect_warm_start(directory, digest, config)
-            generations = max(engine.database.generations()) + 1
-            warm_start = (directory, digest, config, generations)
         # lanes start here, before the dispatcher thread exists
         self._pool = WorkerPool(
             engine,
             self.config.effective_workers,
             self.config.start_method,
-            warm_start=warm_start,
             max_chunk_retries=max_chunk_retries,
             watchdog_grace=watchdog_grace,
         )
@@ -374,23 +346,6 @@ class QueryService:
         its :class:`MutationTicket` resolves to.
         """
         return self.engine.database.epoch
-
-    def bound_store_stats(self) -> Optional[dict]:
-        """The warm-start directory as found at construction (``None`` without one).
-
-        ``path``, ``warm_started`` (some lane file passed the handshake and
-        had columns to serve), ``rejected_store`` (the first rejection
-        reason, e.g. ``"truncated-header"`` or ``"digest-mismatch"``;
-        ``None`` when no file was rejected) and ``records`` (validated
-        columns across all files).  Per-batch file hits and appends are the
-        ``shared_*`` counters of :class:`~repro.engine.executor.BatchReport`.
-        """
-        return self._warm_start_stats
-
-    @property
-    def store_warm_started(self) -> bool:
-        """Whether some lane file of a previous incarnation passed the handshake."""
-        return bool(self._warm_start_stats and self._warm_start_stats["warm_started"])
 
     @property
     def worker_pids(self) -> tuple[int, ...]:
@@ -605,8 +560,8 @@ class QueryService:
         """Apply a mutation batch, blocking until every layer advanced.
 
         Convenience wrapper over :meth:`submit_mutations` — returns the new
-        snapshot epoch once the parent engine, every worker lane, the shared
-        cache keys and the candidate index all serve the new snapshot.
+        snapshot epoch once the parent engine, every worker lane and the
+        candidate index all serve the new snapshot.
         ``timeout`` bounds only this call's wait; the mutation itself is
         applied by the dispatcher regardless.
         """

@@ -3,8 +3,8 @@
 The gateway exports two kinds of numbers on ``GET /metrics``:
 
 * **engine counters** folded out of every :class:`~repro.engine.BatchReport`
-  the service resolves (scheduler steps, refinement iterations, columns
-  served from the warm-start file, worker respawns, chunk retries) —
+  the service resolves (scheduler steps, refinement iterations, worker
+  respawns, chunk retries) —
   the same counters the soak test asserts are *monotone*;
 * **gateway counters and gauges** — per-status-code response counts,
   coalesce hits, request/connection totals, in-flight queue depth — plus
@@ -126,7 +126,6 @@ class GatewayMetrics:
         self._engine = {
             "scheduler_steps": 0,
             "result_iterations": 0,
-            "shared_hits": 0,
             "worker_respawns": 0,
             "chunk_retries": 0,
         }
@@ -168,7 +167,6 @@ class GatewayMetrics:
             self._batches_total += 1
             self._engine["scheduler_steps"] += report.scheduler_steps
             self._engine["result_iterations"] += report.result_iterations
-            self._engine["shared_hits"] += report.shared_hits
             self._engine["worker_respawns"] += report.worker_respawns
             self._engine["chunk_retries"] += report.chunk_retries
 

@@ -288,7 +288,6 @@ class AsyncGateway:
                     "pending_requests": self.service.pending_requests,
                     "worker_respawns": self.service.worker_respawns,
                 },
-                "store": self.service.bound_store_stats(),
             }
         )
         self.metrics.response_sent(200)

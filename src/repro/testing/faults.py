@@ -1,19 +1,15 @@
 """Fault-injection harness for the service tier's chaos tests.
 
 The fault model the service defends against (see "Failure model" in
-``docs/architecture.md``) has three domains, and this module can produce
-all of them on demand, deterministically:
+``docs/architecture.md``) has two domains, and this module can produce
+both on demand, deterministically:
 
 * **worker crash** — :class:`FaultPlan` can SIGKILL a worker from *inside*
   the worker, after it started a chosen number of chunks
   (:func:`chunk_fault_hook`), or the parent can :func:`kill_worker` a pid
   between batches;
 * **worker hang** — the plan can delay a chunk by a configurable sleep,
-  long enough to wedge a lane past any deadline;
-* **warm-start file corruption** — :func:`truncate_store_file` tears a
-  lane's warm-start file at any offset and :func:`flip_store_byte`
-  scribbles over one byte of it, so the next lane that loads the file must
-  serve only the records before the damage (or none) and rebuild it.
+  long enough to wedge a lane past any deadline.
 
 The in-worker faults travel through one environment variable
 (:data:`FAULT_PLAN_ENV`, a JSON-encoded plan) inherited by worker processes
@@ -48,11 +44,9 @@ __all__ = [
     "FaultPlan",
     "assert_no_leaked_resources",
     "chunk_fault_hook",
-    "flip_store_byte",
     "inject_faults",
     "kill_worker",
     "snapshot_resources",
-    "truncate_store_file",
 ]
 
 #: Environment variable carrying the JSON-encoded :class:`FaultPlan`.
@@ -265,33 +259,6 @@ def kill_worker(pid: int, wait_seconds: float = 5.0) -> None:
             return
         time.sleep(0.01)
     raise TimeoutError(f"pid {pid} survived SIGKILL for {wait_seconds}s")
-
-
-def truncate_store_file(path: str, keep_bytes: int = 64) -> int:
-    """Truncate a warm-start file in place; returns the resulting size.
-
-    Simulates a torn write, a partial copy or a full disk: the next lane
-    that loads ``path`` must serve only the records wholly before
-    ``keep_bytes`` — none when the cut lands in the header — and never a
-    torn one.
-    """
-    with open(path, "r+b") as backing:
-        backing.truncate(keep_bytes)
-    return os.path.getsize(path)
-
-
-def flip_store_byte(path: str, offset: int) -> None:
-    """Invert every bit of the byte at ``offset`` of a warm-start file.
-
-    Simulates a stray writer or media corruption: the next lane that loads
-    ``path`` must reject the whole file when the byte lies in the header
-    and otherwise serve only the records before the damaged one.
-    """
-    with open(path, "r+b") as backing:
-        backing.seek(offset)
-        (value,) = backing.read(1)
-        backing.seek(offset)
-        backing.write(bytes([value ^ 0xFF]))
 
 
 # --------------------------------------------------------------------- #

@@ -175,9 +175,9 @@ class UncertainDatabase:
       which layers above use for snapshot visibility ("a query admitted at
       epoch E sees exactly snapshot E");
     * a per-object **generation counter**, globally unique within a snapshot
-      lineage, which the warm-start file folds into its
-      process-independent keys so that only columns touching a mutated object
-      change identity (see :func:`repro.engine.boundstore.stable_object_key`).
+      lineage, which process-independent object keys fold in so that only
+      keys naming a mutated object change identity (see
+      :func:`repro.engine.boundstore.stable_object_key`).
     """
 
     def __init__(self, objects: Sequence[UncertainObject]):
@@ -276,10 +276,10 @@ class UncertainDatabase:
         Membership is by identity (the same semantics the engine's caches
         use); the identity map is built once per snapshot and stays valid
         because snapshots are immutable — :meth:`apply` hands the *new*
-        snapshot a maintained copy instead of re-scanning.  The warm-start
-        file uses positions as the process-independent part of its keys —
-        positions are identical in every process that received this
-        database, whether it was pickled or mapped through shared memory.
+        snapshot a maintained copy instead of re-scanning.  Stable object
+        keys use positions as their process-independent part — positions
+        are identical in every process that received this database, whether
+        it was pickled or mapped through shared memory.
         """
         if self._position_by_id is None:
             self._position_by_id = {

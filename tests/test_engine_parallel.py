@@ -10,8 +10,8 @@ pass chains all the way back to the pre-engine implementations.
 Also covered: the stable cross-process keys of ``engine/boundstore.py``,
 worker-affine dispatch (stable lanes across batches), ``evaluate_many``
 accepting only ``None`` or a ``QueryService`` as its executor, and a
-service without a warm-start directory doing no stable-key work and
-creating no shared-memory block.
+service creating no shared-memory block and reporting the bench-read
+``shared_*`` counters as 0.
 
 ``REPRO_TEST_START_METHOD`` picks the pool start method.
 """
@@ -43,12 +43,7 @@ from repro.engine import (
     affine_partition,
     affinity_lane,
 )
-from repro.engine.boundstore import (
-    config_fingerprint,
-    database_digest,
-    encode_stable_key,
-    stable_object_key,
-)
+from repro.engine.boundstore import encode_stable_key, stable_object_key
 
 # The CI jobs matrix this file over start methods through this variable;
 # locally it is unset and the platform default applies.
@@ -271,6 +266,13 @@ def test_serial_report_accounting(database, requests):
     for removed in ("pool", "chunking", "chunk_size"):  # removed in 3.0.0
         assert removed not in summary
         assert not hasattr(report, removed)
+    # the warm-start counters, removed in 8.0.0; shared_hits stays, always 0
+    for removed in ("shared_misses", "shared_publishes", "shared_hit_rate"):
+        assert removed not in summary
+        assert not hasattr(report, removed)
+    assert "shared_hits" not in summary
+    assert report.shared_hits == 0
+    assert "shared" not in str(report)
 
 
 def test_process_report_merges_worker_chunks(database, requests):
@@ -414,20 +416,22 @@ def test_encoded_keys_are_deterministic_and_distinct():
     assert a == b and a != c
 
 
-def test_database_digest_tracks_content(database):
-    same = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=3)
-    other = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=1)
-    assert database_digest(database) == database_digest(same)
-    assert database_digest(database) != database_digest(other)
-    assert len(database_digest(database)) == 16
+def _identities(database, objects) -> list:
+    return [stable_object_key(database, obj) for obj in objects]
 
 
-def test_config_fingerprint_tracks_axis_policy():
-    assert config_fingerprint("round_robin") == config_fingerprint("round_robin")
-    assert config_fingerprint("round_robin") != config_fingerprint("optimal")
-    assert config_fingerprint("round_robin") != config_fingerprint(
-        "round_robin", key_schema="pb2"
-    )
+def test_stable_keys_agree_in_a_fresh_interpreter():
+    database = uniform_rectangle_database(num_objects=20, max_extent=0.05, seed=4)
+    objects = [database[0], database[7]] + [
+        random_reference_object(extent=0.05, seed=8 + i, label=f"ad-hoc-{i}")
+        for i in range(2)
+    ]
+    # spawn, not fork: a fresh interpreter with its own hash seed, holding
+    # unpickled copies of the database and the ad-hoc objects
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        remote = pool.apply(_identities, (database, objects))
+    assert remote == _identities(database, objects)
+    assert [key[0] for key in remote] == ["db", "db", "pickle", "pickle"]
 
 
 # --------------------------------------------------------------------- #
@@ -535,34 +539,32 @@ def test_repeated_batches_identical_on_one_service(
     with QueryService(
         QueryEngine(database), ExecutorConfig(workers=workers, start_method=START_METHOD)
     ) as service:
-        assert service.bound_store_stats() is None
         for _ in range(3):
             assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-            assert service.last_batch_report.shared_hits == 0
 
 
 # --------------------------------------------------------------------- #
-# no warm-start directory: no stable-key work, no extra shared memory
+# lane-local memos: no shared memory, the bench-read counters stay 0
 # --------------------------------------------------------------------- #
-def _refuse_stable_keys(key):
-    raise AssertionError(f"stable key encoded without a warm-start file: {key!r}")
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the patched encoder reaches the lanes only through fork",
+#: ``ChunkStats`` fields kept, always 0, because the bench harness sums them.
+_ALWAYS_ZERO = (
+    "shared_hits",
+    "shared_misses",
+    "shared_publishes",
+    "shared_rejected",
+    "shared_duplicates",
+    "claim_waits",
 )
-def test_service_without_warm_start_encodes_no_keys_and_adds_no_block(
+
+
+def test_service_adds_no_block_and_reports_no_shared_counts(
     database, requests, monkeypatch, span_lanes
 ):
     from multiprocessing import shared_memory
 
-    import repro.engine.context as context_module
     import repro.uncertain.sharedmem as sharedmem_module
 
-    # forked lanes inherit the patch, so a single encode in any lane fails
-    # the batch; the counting constructor sees every block this process makes
-    monkeypatch.setattr(context_module, "encode_stable_key", _refuse_stable_keys)
+    # the counting constructor sees every block this process makes
     created = []
 
     class CountingSharedMemory(shared_memory.SharedMemory):
@@ -576,17 +578,19 @@ def test_service_without_warm_start_encodes_no_keys_and_adds_no_block(
     )
     # a fresh copy of the fixture database, so its export happens under the patch
     database = uniform_rectangle_database(num_objects=30, max_extent=0.05, seed=3)
-    # work, and so a chance to encode, on both lanes
+    # work on both lanes
     batch = span_lanes(requests, 2, len(database))
     serial = _snapshot(QueryEngine(database).evaluate_many(batch))
-    config = ExecutorConfig(workers=2, start_method="fork")
+    config = ExecutorConfig(workers=2, start_method=START_METHOD)
     with QueryService(QueryEngine(database), config) as service:
-        assert isinstance(service.engine.context.pair_bounds_cache, CacheStats)
+        assert type(service.engine.context.pair_bounds_cache) is CacheStats
         for _ in range(2):
             assert _snapshot(service.evaluate_many(batch)) == serial
             report = service.last_batch_report
-            assert report.shared_hits == report.shared_misses == 0
-            assert report.shared_publishes == 0
+            assert report.shared_hits == 0
+            for stats in report.chunks:
+                assert [getattr(stats, name) for name in _ALWAYS_ZERO] == [0] * 6
+        assert report.pair_bounds_hits > 0
         assert len(report.worker_pids) == 2
     assert created == []  # lanes start from the engine, not from a block
 

@@ -2,9 +2,9 @@
 
 Every test drives a real fault through ``repro.testing.faults`` — a
 ``SIGKILL`` delivered inside a worker, a lane wedged past its deadline, a
-lane whose start raises, a torn or scribbled-on warm-start file under a
-live service — and asserts the recovery contract of ``docs/architecture.md``'s failure
-model: results stay **bit-identical to the serial path**, the service
+lane whose start raises — and asserts the recovery contract of
+``docs/architecture.md``'s failure model: results stay **bit-identical to
+the serial path**, for every request kind, the service
 stays usable, and nothing leaks (the autouse fixture fails any test that
 orphans a child process or leaves a ``/dev/shm`` block linked).
 
@@ -27,7 +27,9 @@ import pytest
 from repro.datasets import random_reference_object, uniform_rectangle_database
 from repro.engine import (
     DeadlineExceeded,
+    DominationCountQuery,
     ExecutorConfig,
+    InverseRankingQuery,
     KNNQuery,
     QueryEngine,
     QueryService,
@@ -40,21 +42,13 @@ from repro.engine import (
     WorkerCrashError,
     WorkerPool,
 )
-from repro.engine.boundstore import (
-    config_fingerprint,
-    database_digest,
-    lane_file,
-    read_warm_file,
-)
 from repro.testing.faults import (
     ANY_LANE,
     FaultPlan,
     assert_no_leaked_resources,
-    flip_store_byte,
     inject_faults,
     kill_worker,
     snapshot_resources,
-    truncate_store_file,
 )
 
 # The CI job matrixes the suite over start methods through this variable;
@@ -115,7 +109,9 @@ def _snapshot(results) -> list:
                 ]
             )
         else:
-            snap.append((list(map(float, result.lower)), list(map(float, result.upper))))
+            # domination count (an IDCAResult) or inverse ranking
+            bounds = getattr(result, "bounds", result)
+            snap.append((list(map(float, bounds.lower)), list(map(float, bounds.upper))))
     return snap
 
 
@@ -178,16 +174,53 @@ def test_kill_later_chunk_still_recovers(database, requests, serial_snapshot):
             assert faults["chunk_retries"] >= 1
 
 
-def test_unsupervised_pool_surfaces_worker_crash(database, requests):
+#: One request of every kind the engine serves, over a query object.
+_KINDS = {
+    "knn": lambda q: KNNQuery(q, k=3, tau=0.5, max_iterations=4),
+    "rknn": lambda q: RKNNQuery(
+        q, k=2, tau=0.5, max_iterations=3, candidate_indices=range(12)
+    ),
+    "range": lambda q: RangeQuery(q, epsilon=0.3, tau=0.5, max_depth=3),
+    "ranking": lambda q: RankingQuery(q, max_iterations=2, candidate_indices=range(10)),
+    "inverse_ranking": lambda q: InverseRankingQuery(5, q, max_iterations=3),
+    "domination_count": lambda q: DominationCountQuery(5, q, max_iterations=3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_a_respawned_lane_serves_every_request_kind_bit_identically(
+    database, reference, kind
+):
+    # the lane dies as it starts the batch; its successor starts from the
+    # parent's engine with an empty memo and recomputes every column
+    batch = [_KINDS[kind](query) for query in (reference, 7, 11)]
+    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
+    plan = FaultPlan(kill_lane=ANY_LANE, kill_after_chunks=0, kill_once=True)
+    with inject_faults(plan):
+        with _service(database, workers=1) as service:
+            assert _snapshot(service.evaluate_many(batch)) == serial
+            assert service.last_batch_report.worker_respawns == 1
+            assert service.last_batch_report.kinds == {kind: len(batch)}
+            # the respawned lane's own memo serves the repeat
+            assert _snapshot(service.evaluate_many(batch)) == serial
+            assert service.last_batch_report.worker_respawns == 0
+
+
+def test_pool_without_retries_surfaces_worker_crash(database, requests):
     engine = QueryEngine(database)
     plan = FaultPlan(kill_lane=ANY_LANE, kill_after_chunks=0, kill_once=True)
     with inject_faults(plan):
         with WorkerPool(
-            engine, workers=1, start_method=START_METHOD, supervised=False
+            engine, workers=1, start_method=START_METHOD, max_chunk_retries=0
         ) as pool:
             chunks = [list(range(len(requests)))]
-            with pytest.raises(WorkerCrashError):
+            with pytest.raises(WorkerCrashError, match="attempt 1"):
                 pool.run_chunks(requests, chunks, [0])
+            # the crashed lane was still replaced: the pool serves on
+            assert pool.respawns == 1
+            results, _stats, faults = pool.run_chunks(requests, chunks, [0])
+            assert len(results) == len(requests)
+            assert faults["chunk_retries"] == 0
 
 
 def test_retry_budget_exhaustion_raises_worker_crash(database, requests):
@@ -201,7 +234,6 @@ def test_retry_budget_exhaustion_raises_worker_crash(database, requests):
             workers=1,
             start_method=START_METHOD,
             max_chunk_retries=2,
-            retry_backoff=0.01,
         ) as pool:
             chunks = [list(range(len(requests)))]
             with pytest.raises(WorkerCrashError, match="died running chunk"):
@@ -325,49 +357,6 @@ def test_batch_without_deadline_is_unaffected(database, requests, serial_snapsho
         # a clean run neither respawns a lane nor retries a chunk
         report = service.last_batch_report
         assert report.worker_respawns == report.chunk_retries == 0
-
-
-# --------------------------------------------------------------------- #
-# warm-start file corruption under a live service
-# --------------------------------------------------------------------- #
-def test_corrupt_warm_start_files_reload_bit_identical(
-    database, requests, tmp_path, span_lanes
-):
-    # lanes persisted batch 1's columns; scribble over one lane file, tear
-    # the other mid-record, then kill both workers: the respawned lanes load
-    # only the validated records before the damage, cut their own file back
-    # to them, and the re-driven batch stays bit-identical
-    directory = str(tmp_path)
-    # a batch with work, and so a file with columns, on both lanes
-    batch = span_lanes(requests, 2, len(database))
-    serial = _snapshot(QueryEngine(database).evaluate_many(batch))
-    config = ExecutorConfig(workers=2, start_method=START_METHOD)
-    with QueryService(
-        QueryEngine(database), config, bounds_store_path=directory
-    ) as service:
-        assert _snapshot(service.evaluate_many(batch)) == serial
-        sizes = [os.path.getsize(lane_file(directory, lane)) for lane in (0, 1)]
-        flip_store_byte(lane_file(directory, 0), sizes[0] // 2)
-        truncate_store_file(lane_file(directory, 1), sizes[1] - 3)
-        for pid in service.worker_pids:
-            kill_worker(pid)
-        assert _snapshot(service.evaluate_many(batch)) == serial
-        assert service.last_batch_report.worker_respawns >= 1
-        # each respawned lane cut the damage off its own file before
-        # appending, so every byte of both files is a valid record again
-        digest = database_digest(database)
-        fingerprint = config_fingerprint(service.engine.context.axis_policy)
-        for lane in (0, 1):
-            path = lane_file(directory, lane)
-            _records, end, rejected = read_warm_file(path, digest, fingerprint)
-            assert rejected is None and end == os.path.getsize(path)
-    # the repaired files serve the next incarnation from its first batch
-    with QueryService(
-        QueryEngine(database), config, bounds_store_path=directory
-    ) as service:
-        assert service.bound_store_stats()["rejected_store"] is None
-        assert _snapshot(service.evaluate_many(batch)) == serial
-        assert service.last_batch_report.shared_hits > 0
 
 
 # --------------------------------------------------------------------- #

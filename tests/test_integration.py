@@ -37,7 +37,7 @@ from repro.uncertain import DiscreteObject
 
 class TestPublicAPI:
     def test_version(self):
-        assert repro.__version__ == "7.1.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_setup_metadata_matches_package(self):
         root = Path(__file__).resolve().parent.parent

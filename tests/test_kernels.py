@@ -4,7 +4,7 @@ Complements ``tests/test_pdom_batch.py`` (numerical parity of the kernel
 with the scalar loop) with the plumbing around it: ``csr_partitions_batch``
 construction and depth clamping, the kernel timing counters
 surfaced in ``IterationStats`` / ``BatchReport``, bit-identical engine
-results across worker counts × warm-start store on/off, the removal of the
+results across worker counts and repeated batches, the removal of the
 former backend selection (``kernel_backend=``, ``REPRO_KERNEL_BACKEND``),
 and the typed rejection of a NaN norm parameter.
 """
@@ -237,7 +237,7 @@ class TestKernelTiming:
 
 
 # --------------------------------------------------------------------- #
-# engine-level parity: workers × warm-start store
+# engine-level parity: workers × repeated batches
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def serial_snapshot(database, requests):
@@ -257,25 +257,15 @@ class TestEngineParity:
         with QueryService(engine, ExecutorConfig(workers=workers)) as service:
             assert _snapshot(engine.evaluate_many(requests, service)) == serial_snapshot
 
-    @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_service_is_bit_identical(
-        self, database, requests, serial_snapshot, workers, warm_start, tmp_path
+        self, database, requests, serial_snapshot, workers
     ):
-        directory = str(tmp_path) if warm_start else None
         engine = QueryEngine(database)
         config = ExecutorConfig(workers=workers)
-        with QueryService(engine, config, bounds_store_path=directory) as service:
+        with QueryService(engine, config) as service:
             for _ in range(2):
                 assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-                if not warm_start:
-                    assert service.last_batch_report.shared_hits == 0
-        if warm_start:
-            # a restart over the lanes' files serves the same bytes warm
-            engine = QueryEngine(database)
-            with QueryService(engine, config, bounds_store_path=directory) as service:
-                assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-                assert service.last_batch_report.shared_hits > 0
 
     def test_former_backend_env_variable_is_ignored(
         self, database, requests, serial_snapshot, monkeypatch

@@ -250,7 +250,7 @@ def test_stable_object_key_folds_generations(database):
     replacement = _box([0.5, 0.5])
     snapshot = database.apply([Update(3, replacement)])
     # untouched object at an unshifted position: the key survives the epoch,
-    # which is exactly what keeps its memo and warm-start columns warm
+    # so a key built from it still names the same content
     assert stable_object_key(snapshot, snapshot[7]) == stable_object_key(
         database, database[7]
     )
@@ -274,18 +274,14 @@ def test_stable_object_key_never_aliases_after_delete(database):
 
 # --------------------------------------------------------------------- #
 # the equivalence gate: mutated database == freshly built database,
-# bit for bit, at every worker count, warm-start directory on and off
+# bit for bit, at every worker count
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("store", [True, False], ids=["store", "no-store"])
-def test_mutated_equals_fresh_at_every_worker_count(
-    database, requests, workers, store, tmp_path
-):
+def test_mutated_equals_fresh_at_every_worker_count(database, requests, workers):
     steps = _mutation_steps(np.random.default_rng(91))
     with QueryService(
         QueryEngine(database),
         ExecutorConfig(workers=workers, start_method=START_METHOD),
-        bounds_store_path=str(tmp_path / "warm") if store else None,
     ) as service:
         assert _snapshot(service.evaluate_many(requests)) == _fresh_snapshot(
             database, requests
@@ -497,6 +493,42 @@ def test_apply_surfaces_validation_errors_and_service_survives(database, request
 # --------------------------------------------------------------------- #
 # warm caches: untouched columns survive a small mutation, never stale
 # --------------------------------------------------------------------- #
+def _key_tokens(key) -> set:
+    """Tree tokens a memo key names: candidate, target and reference."""
+    (candidate, _depth), (target, _), (reference, _), _config = key
+    return {candidate, target, reference}
+
+
+def test_context_advance_drops_only_the_replaced_objects_state(database):
+    engine = QueryEngine(database)
+    context = engine.context
+    replaced = database[3]
+    # columns with the replaced object as target, and columns without it
+    engine.domination_count(3, 9, max_iterations=3)
+    engine.domination_count(4, 9, max_iterations=3)
+    dead = context.tree_cache[id(replaced)].token
+    columns = dict(context.pair_bounds_cache)
+    trees = dict(context.tree_cache)
+    naming = {key for key in columns if dead in _key_tokens(key)}
+    assert naming and len(naming) < len(columns)
+
+    snapshot = database.apply([Update(3, _box([0.5, 0.5]))])
+    context.advance(snapshot, [replaced])
+
+    # no column names the replaced tree; every other column is the same array
+    assert set(context.pair_bounds_cache) == set(columns) - naming
+    for key in context.pair_bounds_cache:
+        assert dict.__getitem__(context.pair_bounds_cache, key) is columns[key]
+    # the replaced tree is gone, every other tree stays
+    assert id(replaced) not in context.tree_cache
+    assert context.tree_cache == {
+        key: tree for key, tree in trees.items() if key != id(replaced)
+    }
+    # the context and its handed-out IDCA instances serve the new snapshot
+    assert context.database is snapshot
+    assert all(idca.database is snapshot for idca in context._idca_instances.values())
+
+
 def test_lane_memos_stay_warm_across_small_mutations(database):
     rng = np.random.default_rng(23)
     # index queries resolve to the same object in a lane on every batch, and

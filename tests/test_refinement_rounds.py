@@ -503,3 +503,27 @@ def test_step_runs_is_the_only_step(monkeypatch):
     run.run()
     assert calls == [1] * run.iteration
 
+
+
+def test_a_round_is_priced_at_the_fold_it_allocates(monkeypatch):
+    """The chunk budget prices a UGF expansion at its ``(3 * rows, cap + 1)``
+    fold, so two runs whose 2-D tables would each overrun it share one."""
+    database = uniform_rectangle_database(num_objects=40, max_extent=0.3, seed=5)
+    idca = IDCA(database)
+    # two identical untruncated runs: 32 influence objects, 64 pairs in round 3
+    runs = [idca.start_run(0, 1, max_iterations=4) for _ in range(2)]
+    assert [run.result.num_influence for run in runs] == [32, 32]
+    for _ in range(2):
+        idca_module.step_runs(runs)
+    assert 64 * 33**2 > idca_module._ROUND_CHUNK_CELLS >= 2 * 3 * 64 * 33
+    calls = []
+    real = idca_module.domination_count_bounds_batch
+
+    def counting(lower, upper, **kwargs):
+        calls.append(lower.shape)
+        return real(lower, upper, **kwargs)
+
+    monkeypatch.setattr(idca_module, "domination_count_bounds_batch", counting)
+    idca_module.step_runs(runs)
+    assert calls == [(128, 32)]
+    assert [run.iteration for run in runs] == [3, 3]

@@ -245,7 +245,7 @@ def test_spawned_lane_initargs_stay_under_a_pipe_buffer():
     engine = QueryEngine(big)
     with QueryService(engine, ExecutorConfig(workers=1, start_method="spawn")) as service:
         (lane,) = service._pool._lanes
-        (path, _warm_start, _lane) = lane._initargs
+        (path, _lane) = lane._initargs
         assert len(pickle.dumps(lane._initargs)) < 64 * 1024
         # the engine itself went through the lane's file instead
         assert service.payload_nbytes > 64 * 1024
@@ -256,6 +256,12 @@ def test_spawned_lane_initargs_stay_under_a_pipe_buffer():
 def test_share_memory_option_is_gone(database):
     with pytest.raises(TypeError, match="share_memory"):
         _service(database, workers=1, share_memory=False)
+
+
+def test_bounds_store_path_option_is_gone(database, tmp_path):
+    with pytest.raises(TypeError, match="bounds_store_path"):
+        _service(database, workers=1, bounds_store_path=str(tmp_path))
+    assert not list(tmp_path.iterdir())  # no lane file was written
 
 
 # --------------------------------------------------------------------- #
