@@ -23,6 +23,7 @@ import multiprocessing
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.datasets import random_reference_object, uniform_rectangle_database
@@ -414,6 +415,112 @@ def test_encoded_keys_are_deterministic_and_distinct():
     b = encode_stable_key(("pb1", "round_robin", (("db", 3), 2), (2.0, "optimal")))
     c = encode_stable_key(("pb1", "round_robin", (("db", 4), 2), (2.0, "optimal")))
     assert a == b and a != c
+
+
+@pytest.mark.parametrize(
+    "key, other",
+    [
+        (("db", 3, 3), ("db", 3, 30)),  # same position, another generation
+        (("pickle", "ab"), ("db", "ab")),  # content digest vs member
+        ((1, 2.0), (1.0, 2)),  # ints and floats stay apart
+        (((1, 2), 3), (1, (2, 3))),  # nesting is part of the key
+    ],
+    ids=["generation", "kind", "number-type", "nesting"],
+)
+def test_encoding_is_equal_exactly_for_equal_keys(key, other):
+    assert encode_stable_key(key) == encode_stable_key(tuple(key))
+    assert encode_stable_key(key) != encode_stable_key(other)
+    assert isinstance(encode_stable_key(key), bytes)
+
+
+def _ad_hoc(kind: str):
+    from repro.geometry import Rectangle
+    from repro.uncertain import (
+        BoxUniformObject,
+        DiscreteObject,
+        HistogramObject,
+        MixtureObject,
+        PointObject,
+        TruncatedGaussianObject,
+    )
+
+    return {
+        "box": lambda: BoxUniformObject(
+            Rectangle.from_center_extent(np.array([0.5, 0.5]), 0.1), label=kind
+        ),
+        "discrete": lambda: DiscreteObject(
+            np.array([[0.1, 0.2], [0.3, 0.4]]), weights=[0.25, 0.75], label=kind
+        ),
+        "gaussian": lambda: TruncatedGaussianObject([0.5, 0.5], 0.05, label=kind),
+        "histogram": lambda: HistogramObject(
+            [[0.0, 0.5, 1.0], [0.0, 1.0]], [[0.3, 0.7], [1.0]], label=kind
+        ),
+        "mixture": lambda: MixtureObject(
+            [PointObject([0.2, 0.2]), PointObject([0.8, 0.8])], [0.5, 0.5], label=kind
+        ),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", ["box", "discrete", "gaussian", "histogram", "mixture"])
+def test_every_object_type_keys_by_a_digest_its_copies_share(database, kind):
+    obj = _ad_hoc(kind)
+    before = pickle.dumps(obj, protocol=4)
+    key = stable_object_key(database, obj)
+    assert key[0] == "pickle" and len(key[1]) == 32
+    int(key[1], 16)  # a hex digest
+    # keying leaves the pickle untouched, so a copy made afterwards agrees
+    assert pickle.dumps(obj, protocol=4) == before
+    assert stable_object_key(database, pickle.loads(before)) == key
+    assert stable_object_key(database, _ad_hoc(kind)) == key
+
+
+def test_objects_differing_only_by_label_key_differently(database, reference):
+    relabelled = pickle.loads(pickle.dumps(reference))
+    relabelled.label = "another"
+    assert stable_object_key(database, relabelled) != stable_object_key(
+        database, reference
+    )
+
+
+def test_a_copy_of_a_member_is_not_a_member(database):
+    # membership is by identity: an unpickled copy keys by its content
+    copy = pickle.loads(pickle.dumps(database[7]))
+    assert stable_object_key(database, copy)[0] == "pickle"
+    assert stable_object_key(database, database[7]) == ("db", 7, 7)
+
+
+def test_a_digest_is_computed_once_per_object(database, monkeypatch):
+    import hashlib
+
+    calls = []
+    real = hashlib.blake2b
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    obj = _ad_hoc("box")
+    first = stable_object_key(database, obj)
+    assert stable_object_key(database, obj) == first
+    assert len(calls) == 1
+    # members never digest
+    stable_object_key(database, database[3])
+    assert len(calls) == 1
+
+
+def test_digests_of_collected_objects_are_dropped(database):
+    import gc
+
+    from repro.engine import boundstore
+
+    obj = _ad_hoc("discrete")
+    stable_object_key(database, obj)
+    assert obj in boundstore._DIGESTS
+    held = len(boundstore._DIGESTS)
+    del obj
+    gc.collect()
+    assert len(boundstore._DIGESTS) == held - 1
 
 
 def _identities(database, objects) -> list:

@@ -223,6 +223,23 @@ def test_pool_without_retries_surfaces_worker_crash(database, requests):
             assert faults["chunk_retries"] == 0
 
 
+@pytest.mark.parametrize("retries", [1, 2])
+def test_any_positive_retry_budget_absorbs_one_crash(
+    database, requests, serial_snapshot, retries
+):
+    engine = QueryEngine(database)
+    plan = FaultPlan(kill_lane=ANY_LANE, kill_after_chunks=0, kill_once=True)
+    with inject_faults(plan):
+        with WorkerPool(
+            engine, workers=1, start_method=START_METHOD, max_chunk_retries=retries
+        ) as pool:
+            chunks = [list(range(len(requests)))]
+            results, _stats, faults = pool.run_chunks(requests, chunks, [0])
+            assert _snapshot(results) == serial_snapshot
+            assert faults["chunk_retries"] == 1
+            assert pool.respawns == 1
+
+
 def test_retry_budget_exhaustion_raises_worker_crash(database, requests):
     # a deterministic crasher (kill on *every* chunk start) burns through the
     # bounded retry budget and must surface as WorkerCrashError, not a hang

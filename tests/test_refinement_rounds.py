@@ -527,3 +527,31 @@ def test_a_round_is_priced_at_the_fold_it_allocates(monkeypatch):
     idca_module.step_runs(runs)
     assert calls == [(128, 32)]
     assert [run.iteration for run in runs] == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "rows, influence, ugf_cap, cells",
+    [
+        (4, 10, None, 3 * 4 * 11),  # untruncated: one cell past every count
+        (4, 10, 3, 3 * 4 * 5),  # truncated at k_cap + 1, overflow cell included
+        (4, 10, 20, 3 * 4 * 11),  # a cap beyond the influence count changes nothing
+        (1, 1, 0, 3 * 1 * 2),
+    ],
+)
+def test_ugf_cells_counts_the_three_polynomial_fold(rows, influence, ugf_cap, cells):
+    bounds = np.zeros((rows, influence))
+    planned = idca_module._Iteration(
+        run=None,
+        iteration=1,
+        candidate_depths=np.zeros(influence, dtype=int),
+        widths=None,
+        weights=np.ones(rows),
+        lower=bounds,
+        upper=bounds,
+        ugf_cap=ugf_cap,
+        candidate_partitions=influence,
+        cache_seconds=0.0,
+        kernel_seconds=0.0,
+        seconds=0.0,
+    )
+    assert planned.ugf_cells() == cells

@@ -14,6 +14,7 @@ tests; the start-path tests name theirs.
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import os
 import pickle
@@ -32,6 +33,7 @@ from repro.engine import (
     RangeQuery,
     RankingQuery,
     RKNNQuery,
+    WorkerPool,
 )
 
 # The CI jobs matrix this file over start methods through this variable;
@@ -262,6 +264,37 @@ def test_bounds_store_path_option_is_gone(database, tmp_path):
     with pytest.raises(TypeError, match="bounds_store_path"):
         _service(database, workers=1, bounds_store_path=str(tmp_path))
     assert not list(tmp_path.iterdir())  # no lane file was written
+
+
+def test_query_service_accepts_exactly_its_settings():
+    assert list(inspect.signature(QueryService).parameters) == [
+        "engine",
+        "executor",
+        "atexit_cleanup",
+        "max_pending_batches",
+        "max_pending_requests",
+        "max_chunk_retries",
+        "watchdog_grace",
+    ]
+
+
+def test_worker_pool_accepts_exactly_its_settings():
+    assert list(inspect.signature(WorkerPool).parameters) == [
+        "engine", "workers", "start_method", "max_chunk_retries", "watchdog_grace"
+    ]
+
+
+# removed in 8.0.0: warm_start went with the warm-start files, supervised=False
+# was max_chunk_retries=0, and retry_backoff is a module constant
+@pytest.mark.parametrize(
+    "option, value",
+    [("warm_start", None), ("supervised", False), ("retry_backoff", 0.0)],
+)
+def test_removed_worker_pool_options_raise_type_error(database, option, value):
+    before = set(multiprocessing.active_children())
+    with pytest.raises(TypeError, match=option):
+        WorkerPool(QueryEngine(database), 1, **{option: value})
+    assert set(multiprocessing.active_children()) == before  # no lane started
 
 
 # --------------------------------------------------------------------- #
